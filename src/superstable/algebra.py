@@ -8,10 +8,11 @@ pipeline always assumes [g1, g1] = 0.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, Polynomial, scalar
+from .linalg import Matrix, Polynomial, scalar, vanishes
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,19 @@ class ValidationReport:
         }
 
 
+def representation_failure(g0: LieAlgebraEven, mats, dim: int):
+    """First (i, j) at which [rho_i, rho_j] = sum_k c_ij^k rho_k fails,
+    or None if the dim x dim matrices `mats` (as `Matrix.sparse_rows`)
+    form a representation of g0."""
+    for i in range(g0.dim0):
+        for j in range(g0.dim0):
+            terms = [(1, (mats[i], mats[j])), (-1, (mats[j], mats[i]))]
+            terms += [(-c, (mats[k],)) for k, c in enumerate(g0.bracket[i][j]) if c]
+            if not vanishes(terms, dim):
+                return (i, j)
+    return None
+
+
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check antisymmetry, Jacobi, and the g0-representation property on g1.
 
@@ -154,23 +168,10 @@ def validate(g: SuperAlgebra) -> ValidationReport:
                 break
         if broke:
             break
-    acts = g.odd.action
-    for i in range(n0):
-        broke = False
-        for j in range(n0):
-            comm = acts[i] * acts[j] - acts[j] * acts[i]
-            lhs = Matrix.zero(g.dim1, g.dim1)
-            for k in range(n0):
-                c = ev.bracket[i][j][k]
-                if c != 0:
-                    lhs = lhs + acts[k].scale(c)
-            if lhs != comm:
-                rep.representation = False
-                rep.failures.append(("representation", (i, j)))
-                broke = True
-                break
-        if broke:
-            break
+    bad = representation_failure(ev, [a.sparse_rows() for a in g.odd.action], g.dim1)
+    if bad is not None:
+        rep.representation = False
+        rep.failures.append(("representation", bad))
     return rep
 
 
@@ -284,17 +285,28 @@ BUILTIN_ALGEBRAS = {
 }
 
 
+_BUILTIN_SPEC = re.compile(r"\s*([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*")
+
+
 def builtin_algebra(spec: str) -> SuperAlgebra:
-    """Parse names like "grassmann(2)", "sl2_adjoint"."""
-    spec = spec.strip()
-    if "(" in spec:
-        name, rest = spec.split("(", 1)
-        arg = int(rest.rstrip(")"))
-        fn = BUILTIN_ALGEBRAS.get(name.strip())
-        if fn is None:
-            raise KeyError(f"unknown builtin algebra {name!r}")
-        return fn(arg)
-    fn = BUILTIN_ALGEBRAS.get(spec)
+    """Parse names like "grassmann(2)", "sl2_adjoint".
+
+    Raises KeyError when `spec` does not name a built-in, and ValueError
+    when it does but the argument is missing, extra, or not a
+    non-negative integer.
+    """
+    m = _BUILTIN_SPEC.fullmatch(spec)
+    fn = BUILTIN_ALGEBRAS.get(m.group(1)) if m else None
     if fn is None:
-        raise KeyError(f"unknown builtin algebra {spec!r}")
-    return fn()
+        raise KeyError(f"unknown builtin algebra {spec.strip()!r}")
+    name, arg = m.group(1), m.group(2)
+    takes_arg = fn.__code__.co_argcount == 1
+    if arg is None:
+        if takes_arg:
+            raise ValueError(f"builtin algebra {name} needs an argument, as in {name}(2)")
+        return fn()
+    if not takes_arg:
+        raise ValueError(f"builtin algebra {name} takes no argument")
+    if not re.fullmatch(r"\s*\d+\s*", arg):
+        raise ValueError(f"builtin algebra {name}: argument {arg.strip()!r} is not a non-negative integer")
+    return fn(int(arg))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .algebra import validate as validate_algebra
@@ -33,19 +32,16 @@ from .dsvariety import (
 )
 from .gradedmod import (
     ModuleError,
-    direct_sum,
     dual,
     hom_graded,
     induced_module,
     shift,
     tensor,
 )
-from .linalg import Matrix
 from .projstable import (
     HypothesisError,
     decompose,
     frobenius_check,
-    is_projective,
     is_reduced,
     projective_certificate,
     stable_equal_certificate,
@@ -53,7 +49,6 @@ from .projstable import (
 from .rigid import L_of, OddPoint, V_of, fiber, fiber_cohomology
 from .serialize import (
     FormatError,
-    complex_from_json,
     complex_to_json,
     load_algebra,
     load_complex,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import LieAlgebraEven, SuperAlgebra
-from .linalg import LinearSystem, Matrix
+from .algebra import LieAlgebraEven, SuperAlgebra, representation_failure
+from .linalg import LinearSystem, Matrix, vanishes
 
 
 class ModuleError(ValueError):
@@ -39,16 +39,9 @@ class Rep:
                 raise ModuleError("g0-action matrix of wrong shape")
 
     def check(self):
-        for i in range(self.g0.dim0):
-            for j in range(self.g0.dim0):
-                comm = self.mats[i] * self.mats[j] - self.mats[j] * self.mats[i]
-                lhs = Matrix.zero(self.dim, self.dim)
-                for k in range(self.g0.dim0):
-                    c = self.g0.bracket[i][j][k]
-                    if c != 0:
-                        lhs = lhs + self.mats[k].scale(c)
-                if lhs != comm:
-                    raise ModuleError(f"representation property fails at ({i},{j})")
+        bad = representation_failure(self.g0, [m.sparse_rows() for m in self.mats], self.dim)
+        if bad is not None:
+            raise ModuleError(f"representation property fails at ({bad[0]},{bad[1]})")
         return self
 
     @staticmethod
@@ -138,17 +131,6 @@ class GradedModule:
                     out[r0 + r][c0 + c] = a.data[r][c]
         return Matrix(n, n, out)
 
-    def total_rho(self, i: int) -> Matrix:
-        return Matrix.block_diag([self.rho_at(j, i) for j in self.degrees()])
-
-    def degree_offsets(self):
-        off = {}
-        run = 0
-        for j in self.degrees():
-            off[j] = run
-            run += self.dim_at(j)
-        return off
-
     def rep_at(self, j: int) -> Rep:
         """Degree-j component as a plain g0-module."""
         return Rep(self.alg.even, self.dim_at(j), tuple(self.rho0[j - self.lo]))
@@ -174,39 +156,34 @@ def _check_shapes(alg, lo, hi, dims, rho0, odd):
 
 
 def _check_invariants(v: GradedModule):
+    """Each identity is a sparse combination of sparse products that must
+    vanish (`linalg.vanishes`); every action matrix is made sparse once."""
     alg = v.alg
     n0, n1 = alg.dim0, alg.dim1
+    rho = {j: [m.sparse_rows() for m in v.rho0[j - v.lo]] for j in v.degrees()}
+    odd = {j: [m.sparse_rows() for m in v.odd[j - v.lo]] for j in v.degrees()}
     for j in v.degrees():
-        d = v.dim_at(j)
         # even representation property per degree
-        for i in range(n0):
-            for l in range(n0):
-                comm = v.rho_at(j, i) * v.rho_at(j, l) - v.rho_at(j, l) * v.rho_at(j, i)
-                lhs = Matrix.zero(d, d)
-                for k in range(n0):
-                    c = alg.even.bracket[i][l][k]
-                    if c != 0:
-                        lhs = lhs + v.rho_at(j, k).scale(c)
-                if lhs != comm:
-                    raise ModuleError(f"even representation fails at degree {j}, pair ({i},{l})")
+        bad = representation_failure(alg.even, rho[j], v.dim_at(j))
+        if bad is not None:
+            raise ModuleError(f"even representation fails at degree {j}, pair ({bad[0]},{bad[1]})")
+        if j == v.hi:
+            continue  # the odd action leaves the window: nothing more to check
         # mixed bracket [x_i, e] on degree j
         for i in range(n0):
+            ai = alg.odd.action[i].data
             for e in range(n1):
-                lhs = v.rho_at(j + 1, i) * v.odd_at(j, e) - v.odd_at(j, e) * v.rho_at(j, i)
-                rhs = Matrix.zero(v.dim_at(j + 1), d)
-                ai = alg.odd.action[i]
-                for k in range(n1):
-                    c = ai.data[k][e]
-                    if c != 0:
-                        rhs = rhs + v.odd_at(j, k).scale(c)
-                if lhs != rhs:
+                terms = [(1, (rho[j + 1][i], odd[j][e])), (-1, (odd[j][e], rho[j][i]))]
+                terms += [(-ai[k][e], (odd[j][k],)) for k in range(n1)]
+                if not vanishes(terms, v.dim_at(j + 1)):
                     raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
         # odd anticommutation
-        for e in range(n1):
-            for f in range(e, n1):
-                s = v.odd_at(j + 1, e) * v.odd_at(j, f) + v.odd_at(j + 1, f) * v.odd_at(j, e)
-                if not s.is_zero():
-                    raise ModuleError(f"anticommutation fails at degree {j}, odd pair ({e},{f})")
+        if j + 1 < v.hi:
+            for e in range(n1):
+                for f in range(e, n1):
+                    terms = [(1, (odd[j + 1][e], odd[j][f])), (1, (odd[j + 1][f], odd[j][e]))]
+                    if not vanishes(terms, v.dim_at(j + 2)):
+                        raise ModuleError(f"anticommutation fails at degree {j}, odd pair ({e},{f})")
 
 
 def make_module(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedModule:
@@ -309,12 +286,21 @@ def check_map(phi: GradedMap):
     if v.alg != w.alg:
         raise ModuleError("source and target live over different algebras")
     degs = sorted(set(v.degrees()) | set(w.degrees()))
+    comp = {j: phi.comp_at(j).sparse_rows() for j in {*degs, *(d + 1 for d in degs)}}
     for j in degs:
         for i in range(v.alg.dim0):
-            if phi.comp_at(j) * v.rho_at(j, i) != w.rho_at(j, i) * phi.comp_at(j):
+            terms = [
+                (1, (comp[j], v.rho_at(j, i).sparse_rows())),
+                (-1, (w.rho_at(j, i).sparse_rows(), comp[j])),
+            ]
+            if not vanishes(terms, w.dim_at(j)):
                 raise ModuleError(f"map fails to commute with even action at degree {j}")
         for e in range(v.alg.dim1):
-            if phi.comp_at(j + 1) * v.odd_at(j, e) != w.odd_at(j, e) * phi.comp_at(j):
+            terms = [
+                (1, (comp[j + 1], v.odd_at(j, e).sparse_rows())),
+                (-1, (w.odd_at(j, e).sparse_rows(), comp[j])),
+            ]
+            if not vanishes(terms, w.dim_at(j + 1)):
                 raise ModuleError(f"map fails to commute with odd action at degree {j}")
     return phi
 
@@ -495,24 +481,21 @@ def right_twist(v: GradedModule) -> GradedModule:
     return make_module(v.alg, v.lo, v.hi, v.dims, v.rho0, tuple(odd))
 
 
-def hom_graded(v: GradedModule, w: GradedModule) -> list:
-    """Deterministic basis of the degree-preserving g-homomorphisms V -> W."""
-    if v.alg != w.alg:
-        raise ModuleError("algebra mismatch in hom")
+def graded_map_system(v: GradedModule, w: GradedModule, name: str = "f") -> LinearSystem:
+    """LinearSystem whose unknowns `{name}{j}` are the components of a
+    graded g-map v -> w, one per degree where both are nonzero, with the
+    constraints that it commute with every even and odd action."""
     degs = sorted(set(v.degrees()) | set(w.degrees()))
     sys = LinearSystem()
-    live = []
-    for j in degs:
-        if v.dim_at(j) and w.dim_at(j):
-            sys.add_unknown(f"f{j}", w.dim_at(j), v.dim_at(j))
-            live.append(j)
-    live_set = set(live)
+    live = [j for j in degs if v.dim_at(j) and w.dim_at(j)]
+    for j in live:
+        sys.add_unknown(f"{name}{j}", w.dim_at(j), v.dim_at(j))
     for j in live:
         for i in range(v.alg.dim0):
             sys.add_constraint(
                 [
-                    (Matrix.identity(w.dim_at(j)), f"f{j}", v.rho_at(j, i)),
-                    (-w.rho_at(j, i), f"f{j}", Matrix.identity(v.dim_at(j))),
+                    (Matrix.identity(w.dim_at(j)), f"{name}{j}", v.rho_at(j, i)),
+                    (-w.rho_at(j, i), f"{name}{j}", Matrix.identity(v.dim_at(j))),
                 ],
                 Matrix.zero(w.dim_at(j), v.dim_at(j)),
             )
@@ -522,30 +505,26 @@ def hom_graded(v: GradedModule, w: GradedModule) -> list:
             continue
         for e in range(v.alg.dim1):
             terms = []
-            if j + 1 in live_set:
-                terms.append((Matrix.identity(w.dim_at(j + 1)), f"f{j+1}", v.odd_at(j, e)))
-            if j in live_set:
-                terms.append((-w.odd_at(j, e), f"f{j}", Matrix.identity(v.dim_at(j))))
+            if j + 1 in live:
+                terms.append((Matrix.identity(w.dim_at(j + 1)), f"{name}{j+1}", v.odd_at(j, e)))
+            if j in live:
+                terms.append((-w.odd_at(j, e), f"{name}{j}", Matrix.identity(v.dim_at(j))))
             if terms:
                 sys.add_constraint(terms, Matrix.zero(w.dim_at(j + 1), v.dim_at(j)))
-    basis = sys.solution_basis()
-    out = []
-    for sol in basis:
-        comps = {j: sol[f"f{j}"] for j in live}
-        out.append(make_map(v, w, comps))
-    return out
+    return sys
+
+
+def hom_graded(v: GradedModule, w: GradedModule) -> list:
+    """Deterministic basis of the degree-preserving g-homomorphisms V -> W."""
+    if v.alg != w.alg:
+        raise ModuleError("algebra mismatch in hom")
+    live = [j for j in sorted(set(v.degrees()) | set(w.degrees())) if v.dim_at(j) and w.dim_at(j)]
+    basis = graded_map_system(v, w).solution_basis()
+    return [make_map(v, w, {j: sol[f"f{j}"] for j in live}) for sol in basis]
 
 
 # ---------------------------------------------------------------------------
 # exterior algebra and induced modules
-
-
-def subsets_sorted(n: int):
-    """All subsets of {0..n-1} ordered by (size, lexicographic)."""
-    out = []
-    for size in range(n + 1):
-        out.extend(combinations(range(n), size))
-    return out
 
 
 def wedge_insert_sign(s: tuple, i: int) -> int:

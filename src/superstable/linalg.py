@@ -1,14 +1,24 @@
-"""Dense exact linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over arbitrary-precision rationals.
 
 Everything downstream (module validation, rank tests, lifting solvers)
 is a client of this module.  All arithmetic uses ``fractions.Fraction``,
 so no operation ever rounds.
+
+`Matrix` stores its entries densely, but every elimination (rank, rref,
+nullspace, solve_affine, solve_matrix and the `LinearSystem` solvers)
+runs one sparse Gauss-Jordan kernel, `gauss_jordan`, over rows held as
+dicts {column: nonzero}.  It takes pivot columns in increasing order,
+so what it returns is the unique reduced row echelon form: particular
+solutions have every free variable zero and kernel bases have one
+vector per free column, whatever the pivot row choices were.  Sparse
+identity checks (`vanishes`) evaluate a linear combination of products
+row by row without forming the dense products.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from itertools import product as _iproduct
 
 
 Scalar = Fraction
@@ -61,12 +71,6 @@ class Matrix:
     def column(entries) -> "Matrix":
         entries = list(entries)
         return Matrix(len(entries), 1, [[x] for x in entries])
-
-    @staticmethod
-    def diag(entries) -> "Matrix":
-        entries = list(entries)
-        n = len(entries)
-        return Matrix(n, n, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- basics ------------------------------------------------------
 
@@ -160,47 +164,22 @@ class Matrix:
             c0 += b.cols
         return Matrix(rows, cols, out)
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(
-            len(row_idx), len(col_idx), [[self.data[i][j] for j in col_idx] for i in row_idx]
-        )
+    # -- elimination (all through gauss_jordan) ------------------------
 
-    # -- elimination -------------------------------------------------
+    def sparse_rows(self) -> list:
+        """Rows as dicts {column: nonzero entry}."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
 
     def rref(self):
         """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-        m = self.copy_data()
-        rows, cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pr = None
-            for i in range(r, rows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            p = m[r][c]
-            if p != 1:
-                m[r] = [x / p for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    mi, mr = m[i], m[r]
-                    for j in range(c, cols):
-                        if mr[j] != 0:
-                            mi[j] -= f * mr[j]
-            pivots.append(c)
-            r += 1
-            if r == rows:
-                break
-        return Matrix(rows, cols, m), pivots
+        pivots, reduced = gauss_jordan(self.sparse_rows(), self.cols)
+        data = [_dense(r, self.cols) for r in reduced]
+        data += [[_ZERO] * self.cols for _ in range(self.rows - len(reduced))]
+        return Matrix(self.rows, self.cols, data), pivots
 
     def rank(self) -> int:
         """Rank over the rationals, computed exactly."""
-        return len(self.rref()[1])
+        return len(gauss_jordan(self.sparse_rows(), self.cols, reduce=False)[0])
 
     def nullspace(self) -> "Matrix":
         """Columns form a basis of the right kernel; cols - rank columns.
@@ -208,14 +187,9 @@ class Matrix:
         Deterministic: for each free column the basis vector has that
         coordinate 1 and the other free coordinates 0.
         """
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        out = [[Fraction(0)] * len(free) for _ in range(self.cols)]
-        for k, fc in enumerate(free):
-            out[fc][k] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                out[pc][k] = -red.data[r][fc]
-        return Matrix(self.cols, len(free), out)
+        vecs = _kernel_basis(*gauss_jordan(self.sparse_rows(), self.cols), self.cols)
+        data = [list(r) for r in zip(*vecs)] if vecs else [[] for _ in range(self.cols)]
+        return Matrix(self.cols, len(vecs), data)
 
     def solve_affine(self, b):
         """Some x with self*x = b, or None if inconsistent.
@@ -226,26 +200,28 @@ class Matrix:
         b = [scalar(x) for x in b]
         if len(b) != self.rows:
             raise ValueError("dimension mismatch in solve_affine")
-        aug = Matrix(self.rows, self.cols + 1, [row + [bb] for row, bb in zip(self.data, b)])
-        red, pivots = aug.rref()
-        if pivots and pivots[-1] == self.cols:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][self.cols]
-        return x
+        rows = self.sparse_rows()
+        for row, bb in zip(rows, b):
+            if bb:
+                row[self.cols] = bb
+        x = _solve(rows, self.cols, 1)
+        return None if x is None else x[0]
 
     def solve_matrix(self, b: "Matrix"):
         """X with self*X = b (free variables zero), or None if inconsistent."""
-        cols = []
-        for j in range(b.cols):
-            x = self.solve_affine(b.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        if not cols:
+        if b.rows != self.rows:
+            raise ValueError("dimension mismatch in solve_matrix")
+        rows = self.sparse_rows()
+        for row, brow in zip(rows, b.data):
+            for t, x in enumerate(brow):
+                if x:
+                    row[self.cols + t] = x
+        xs = _solve(rows, self.cols, b.cols)
+        if xs is None:
+            return None
+        if not xs:
             return Matrix(self.cols, 0, [[] for _ in range(self.cols)])
-        return Matrix(self.cols, b.cols, [list(r) for r in zip(*cols)])
+        return Matrix(self.cols, b.cols, [list(r) for r in zip(*xs)])
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
@@ -279,16 +255,136 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
+_ZERO = Fraction(0)
 
 
-def nullspace(m: Matrix) -> Matrix:
-    return m.nullspace()
+def _dense(row: dict, n: int) -> list:
+    out = [_ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
-def solve_affine(a: Matrix, b):
-    return a.solve_affine(b)
+def gauss_jordan(rows, ncols: int, reduce: bool = True):
+    """Sparse Gauss-Jordan elimination; the one exact elimination kernel.
+
+    `rows` are dicts {column: nonzero Fraction} with columns below
+    `ncols`; they are consumed.  Pivot columns are taken in increasing
+    order, and for each one the shortest of the rows that lead there
+    becomes the pivot row, which limits fill-in.  Returns
+    (pivots, reduced): the increasing pivot columns and, for each, its
+    row scaled to 1 there.  With `reduce` every other pivot column is
+    cleared from every row too, so `reduced` is the nonzero part of the
+    unique reduced row echelon form; without it the rows are only in
+    echelon form, which is enough for the rank.
+    """
+    buckets = {}  # leading column -> rows that lead there
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    pivots, reduced = [], []
+    while heap:
+        c = heapq.heappop(heap)
+        group = buckets.pop(c)
+        head = min(group, key=len)
+        inv = 1 / head[c]
+        p = head if inv == 1 else {j: x * inv for j, x in head.items()}
+        for row in group:
+            if row is head:
+                continue
+            _axpy(row, -row[c], p)
+            if row:
+                lead = min(row)
+                if lead in buckets:
+                    buckets[lead].append(row)
+                else:
+                    buckets[lead] = [row]
+                    heapq.heappush(heap, lead)
+        pivots.append(c)
+        reduced.append(p)
+    if reduce:
+        where = {c: k for k, c in enumerate(pivots)}
+        # later pivot rows are already reduced, so each subtraction only
+        # adds entries in non-pivot columns
+        for k in range(len(pivots) - 2, -1, -1):
+            p = reduced[k]
+            for j in [j for j in p if j in where and j != pivots[k]]:
+                _axpy(p, -p[j], reduced[where[j]])
+    return pivots, reduced
+
+
+def _axpy(row: dict, f, p: dict):
+    """row += f * p in place, dropping entries that cancel."""
+    for j, x in p.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = f * x
+        else:
+            y += f * x
+            if y:
+                row[j] = y
+            else:
+                del row[j]
+
+
+def _kernel_basis(pivots, reduced, ncols: int) -> list:
+    """Kernel basis from a reduced row echelon form, one dense vector per
+    free column: that coordinate 1, the other free coordinates 0."""
+    pivot_set = set(pivots)
+    vecs = {}
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            vecs[fc] = _dense({fc: Fraction(1)}, ncols)
+    for pc, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j != pc:
+                vecs[j][pc] = -x
+    return list(vecs.values())
+
+
+def _solve(rows, ncols: int, nrhs: int):
+    """Solutions, free variables zero, of the system whose augmented
+    sparse rows carry right-hand side t in column ncols + t; one dense
+    vector per right-hand side, or None if any of them is inconsistent."""
+    pivots, reduced = gauss_jordan(rows, ncols + nrhs)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    xs = [[_ZERO] * ncols for _ in range(nrhs)]
+    for pc, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j >= ncols:
+                xs[j - ncols][pc] = x
+    return xs
+
+
+def vanishes(terms, nrows: int) -> bool:
+    """True iff the sum of c * F_1 * ... * F_k over `terms`, pairs
+    (c, (F_1, ..., F_k)) with each factor given by `Matrix.sparse_rows`,
+    is the zero matrix; every product has `nrows` rows.
+
+    Evaluated one row at a time as a sparse row vector pushed through
+    the factors, stopping at the first nonzero row; the dense products
+    are never formed.
+    """
+    for i in range(nrows):
+        acc = {}
+        for c, factors in terms:
+            if not c:
+                continue
+            vec = {i: c}
+            for f in factors[:-1]:
+                nxt = {}
+                for k, x in vec.items():
+                    _axpy(nxt, x, f[k])
+                vec = nxt
+            last = factors[-1]
+            for k, x in vec.items():
+                _axpy(acc, x, last[k])
+        if acc:
+            return False
+    return True
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -419,10 +515,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def poly_eval(p: Polynomial, point) -> Fraction:
-    return p.eval(point)
-
-
 # ---------------------------------------------------------------------------
 # block linear systems
 
@@ -430,18 +522,29 @@ def poly_eval(p: Polynomial, point) -> Fraction:
 class LinearSystem:
     """Joint linear system over several unknown matrices.
 
-    Constraints have the form  sum_t A_t * X_{name_t} * B_t = C  and are
-    assembled with kron into one big system; the solver inherits the
-    free-variables-zero convention from solve_affine, so solutions are
-    deterministic.
+    Constraints have the form  sum_t A_t * X_{name_t} * B_t = C.  Each is
+    assembled straight into sparse rows: row (i, j) of the constraint
+    holds A_t[i][k] * B_t[l][j] at the coordinate of X_{name_t}[k][l],
+    i.e. the nonzeros of A_t kron B_t^T, without forming the dense
+    Kronecker product.  A row is kept when some product is nonzero or
+    its right-hand side is.  `solve` and `solution_basis` run the sparse
+    kernel `gauss_jordan`, whose result is the unique reduced row echelon
+    form, so the particular solution (free variables zero) and the kernel
+    basis are deterministic.  `rows` gives the coefficient rows densely,
+    built on access.
     """
 
     def __init__(self):
         self.shapes = {}  # name -> (rows, cols)
         self.offsets = {}
         self.size = 0
-        self.rows = []  # list of coefficient rows
+        self._rows = []  # sparse coefficient rows {column: nonzero}
         self.rhs = []
+
+    @property
+    def rows(self) -> list:
+        """Dense coefficient rows, one list of `size` entries per row."""
+        return [_dense(r, self.size) for r in self._rows]
 
     def add_unknown(self, name: str, rows: int, cols: int):
         if name in self.shapes:
@@ -452,49 +555,53 @@ class LinearSystem:
 
     def add_constraint(self, terms, rhs: Matrix):
         """terms: list of (A, name, B) meaning sum A*X_name*B = rhs."""
-        shape = (rhs.rows, rhs.cols)
-        blocks = []
+        nrows = rhs.rows * rhs.cols
+        acc = [{} for _ in range(nrows)]
+        touched = [False] * nrows
         for a, name, b in terms:
             r, c = self.shapes[name]
-            if a.cols != r or b.rows != c or (a.rows, b.cols) != shape:
+            if a.cols != r or b.rows != c or (a.rows, b.cols) != (rhs.rows, rhs.cols):
                 raise ValueError("inconsistent constraint shapes")
-            # vec_row(A X B) = (A kron B^T) vec_row(X)
-            blocks.append((self.offsets[name], kron(a, b.transpose())))
-        nrows = shape[0] * shape[1]
-        for i in range(nrows):
-            row = [Fraction(0)] * self.size
-            nonzero = False
-            for off, k in blocks:
-                kr = k.data[i]
-                for j, x in enumerate(kr):
-                    if x != 0:
-                        row[off + j] += x
-                        nonzero = True
-            b_i = rhs.data[i // rhs.cols][i % rhs.cols]
-            if not nonzero and b_i == 0:
+            off = self.offsets[name]
+            b_cols = [
+                [(l, b.data[l][j]) for l in range(b.rows) if b.data[l][j]]
+                for j in range(b.cols)
+            ]
+            for i, a_row in enumerate(a.data):
+                a_nz = [(off + k * c, x) for k, x in enumerate(a_row) if x]
+                if not a_nz:
+                    continue
+                for j, b_col in enumerate(b_cols):
+                    if not b_col:
+                        continue
+                    n = i * b.cols + j
+                    row = acc[n]
+                    touched[n] = True
+                    for base, x in a_nz:
+                        for l, y in b_col:
+                            row[base + l] = row.get(base + l, 0) + x * y
+        for n in range(nrows):
+            b_n = rhs.data[n // rhs.cols][n % rhs.cols]
+            if not touched[n] and b_n == 0:
                 continue
-            self.rows.append(row)
-            self.rhs.append(b_i)
-
-    def _matrix(self) -> Matrix:
-        if not self.rows:
-            return Matrix.zero(0, self.size)
-        return Matrix(len(self.rows), self.size, self.rows)
+            self._rows.append({k: x for k, x in acc[n].items() if x})
+            self.rhs.append(b_n)
 
     def solve(self):
         """dict name -> Matrix, or None if infeasible."""
-        a = self._matrix()
-        x = a.solve_affine(self.rhs)
-        if x is None:
-            return None
-        return self._unpack(x)
+        rows = [dict(r) for r in self._rows]
+        for row, b in zip(rows, self.rhs):
+            if b:
+                row[self.size] = b
+        x = _solve(rows, self.size, 1)
+        return None if x is None else self._unpack(x[0])
 
     def solution_basis(self):
         """Basis of the homogeneous solution space as a list of dicts."""
         if any(b != 0 for b in self.rhs):
             raise ValueError("solution_basis requires a homogeneous system")
-        ns = self._matrix().nullspace()
-        return [self._unpack(ns.col(j)) for j in range(ns.cols)]
+        pivots, reduced = gauss_jordan([dict(r) for r in self._rows], self.size)
+        return [self._unpack(v) for v in _kernel_basis(pivots, reduced, self.size)]
 
     def _unpack(self, vec):
         out = {}

@@ -20,6 +20,7 @@ from .gradedmod import (
     ModuleError,
     Rep,
     direct_sum,
+    graded_map_system,
     identity_map,
     induced_module,
     make_map,
@@ -236,38 +237,6 @@ def _induced_on(v: GradedModule, reps: dict) -> GradedModule:
     return out
 
 
-def _graded_map_system(v: GradedModule, w: GradedModule, name: str = "s") -> LinearSystem:
-    """LinearSystem whose unknowns are the components of a graded g-map v -> w."""
-    degs = sorted(set(v.degrees()) | set(w.degrees()))
-    sys = LinearSystem()
-    live = set()
-    for j in degs:
-        if v.dim_at(j) and w.dim_at(j):
-            sys.add_unknown(f"{name}{j}", w.dim_at(j), v.dim_at(j))
-            live.add(j)
-    for j in live:
-        for i in range(v.alg.dim0):
-            sys.add_constraint(
-                [
-                    (Matrix.identity(w.dim_at(j)), f"{name}{j}", v.rho_at(j, i)),
-                    (-w.rho_at(j, i), f"{name}{j}", Matrix.identity(v.dim_at(j))),
-                ],
-                Matrix.zero(w.dim_at(j), v.dim_at(j)),
-            )
-    for j in degs:
-        if not (w.dim_at(j + 1) and v.dim_at(j)):
-            continue
-        for e in range(v.alg.dim1):
-            terms = []
-            if j + 1 in live:
-                terms.append((Matrix.identity(w.dim_at(j + 1)), f"{name}{j+1}", v.odd_at(j, e)))
-            if j in live:
-                terms.append((-w.odd_at(j, e), f"{name}{j}", Matrix.identity(v.dim_at(j))))
-            if terms:
-                sys.add_constraint(terms, Matrix.zero(w.dim_at(j + 1), v.dim_at(j)))
-    return sys
-
-
 def decompose(v: GradedModule) -> Decomposition:
     """Split V into an induced (projective) part and a reduced complement.
 
@@ -289,7 +258,7 @@ def decompose(v: GradedModule) -> Decomposition:
     if ind.total_dim and emb.total_matrix().rank() != ind.total_dim:
         raise ModuleError("evaluation map unexpectedly fails to be injective")
     # retraction r: V -> Ind with r o emb = id
-    sys = _graded_map_system(v, ind, name="r")
+    sys = graded_map_system(v, ind, name="r")
     for j in ind.degrees():
         if ind.dim_at(j) and v.dim_at(j):
             sys.add_constraint(
@@ -334,7 +303,7 @@ def _lift_along_evaluation(target_map: GradedMap):
     reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
     ind = _induced_on(w, reps)
     ev = _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, ind)
-    sys = _graded_map_system(v, ind, name="s")
+    sys = graded_map_system(v, ind, name="s")
     for j in v.degrees():
         if not v.dim_at(j):
             continue

@@ -10,7 +10,6 @@ on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import SuperAlgebra
 from .gradedmod import GradedModule, ModuleError, make_module

@@ -10,18 +10,18 @@ like "sl2_trivial(2)" or an inline algebra object.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import (
     LieAlgebraEven,
-    OddBracketForm,
     OddPart,
     SuperAlgebra,
     builtin_algebra,
     validate,
 )
 from .gradedmod import GradedMap, GradedModule, Rep, make_map, make_module
-from .linalg import Matrix, Polynomial, scalar
+from .linalg import Matrix, Polynomial
 from .rigid import RigidComplex, make_complex
 
 
@@ -43,16 +43,36 @@ def scalar_from_str(s) -> Fraction:
         raise FormatError(f"bad scalar {s!r}") from exc
 
 
+def int_from_json(x, what: str, lo=None, hi=None) -> int:
+    """An integer field: a JSON integer or a string of decimal digits.
+
+    Booleans, floats and other strings are refused rather than coerced,
+    as are values outside [lo, hi] when those bounds are given.
+    """
+    if isinstance(x, bool) or not (
+        isinstance(x, int) or isinstance(x, str) and re.fullmatch(r"[-+]?\d+", x.strip())
+    ):
+        raise FormatError(f"{what} must be an integer, got {json.dumps(x)}")
+    n = int(x)
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
+        bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise FormatError(f"{what} must be {bounds}, got {n}")
+    return n
+
+
 def matrix_to_json(m: Matrix):
     return [[scalar_to_str(x) for x in row] for row in m.data]
 
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
     if isinstance(obj, dict):
-        r, c = int(obj["rows"]), int(obj["cols"])
-        m = Matrix.zero(r, c)
+        r = int_from_json(obj["rows"], "matrix rows", lo=0)
+        c = int_from_json(obj["cols"], "matrix cols", lo=0)
+        data = [[Fraction(0)] * c for _ in range(r)]
         for i, j, v in obj.get("entries", []):
-            m.data[int(i)][int(j)] = scalar_from_str(v)
+            i = int_from_json(i, "matrix entry row", lo=0, hi=r - 1)
+            data[i][int_from_json(j, "matrix entry column", lo=0, hi=c - 1)] = scalar_from_str(v)
+        m = Matrix(r, c, data)
     else:
         if not isinstance(obj, list):
             raise FormatError("matrix must be a nested array or a sparse object")
@@ -80,7 +100,7 @@ def polynomial_to_json(p: Polynomial):
 def polynomial_from_json(obj, nvars: int) -> Polynomial:
     terms = {}
     for t in obj:
-        e = tuple(int(x) for x in t["exponents"])
+        e = tuple(int_from_json(x, "exponent", lo=0) for x in t["exponents"])
         if len(e) != nvars:
             raise FormatError("polynomial exponent length mismatch")
         terms[e] = terms.get(e, Fraction(0)) + scalar_from_str(t["coefficient"])
@@ -112,12 +132,16 @@ def algebra_to_json(g: SuperAlgebra):
 
 def algebra_from_json(obj) -> SuperAlgebra:
     if isinstance(obj, str):
-        return builtin_algebra(obj)
-    dim0 = int(obj["dim0"])
-    dim1 = int(obj["dim1"])
+        try:
+            return builtin_algebra(obj)
+        except (KeyError, ValueError) as exc:
+            raise FormatError(exc.args[0]) from exc
+    dim0 = int_from_json(obj["dim0"], "dim0", lo=0)
+    dim1 = int_from_json(obj["dim1"], "dim1", lo=0)
     c = [[[Fraction(0)] * dim0 for _ in range(dim0)] for _ in range(dim0)]
     for i, j, k, v in obj.get("bracket", []):
-        c[int(i)][int(j)][int(k)] = scalar_from_str(v)
+        i, j, k = (int_from_json(x, "bracket index", lo=0, hi=dim0 - 1) for x in (i, j, k))
+        c[i][j][k] = scalar_from_str(v)
     even = LieAlgebraEven.from_constants(dim0, c)
     action = tuple(
         matrix_from_json(a, dim1, dim1) for a in obj.get("action", [])
@@ -131,13 +155,6 @@ def algebra_from_json(obj) -> SuperAlgebra:
     return g
 
 
-def odd_bracket_from_json(obj, dim1: int, dim0: int) -> OddBracketForm:
-    b = [[[Fraction(0)] * dim0 for _ in range(dim1)] for _ in range(dim1)]
-    for j, k, i, v in obj:
-        b[int(j)][int(k)][int(i)] = scalar_from_str(v)
-    return OddBracketForm.from_constants(dim1, dim0, b)
-
-
 # ---------------------------------------------------------------------------
 # g0-representations
 
@@ -147,7 +164,7 @@ def rep_to_json(q: Rep):
 
 
 def rep_from_json(obj, g0: LieAlgebraEven) -> Rep:
-    dim = int(obj["dim"])
+    dim = int_from_json(obj["dim"], "dim", lo=0)
     mats = tuple(matrix_from_json(m, dim, dim) for m in obj.get("mats", []))
     if len(mats) != g0.dim0:
         raise FormatError("need one representation matrix per even basis element")
@@ -176,8 +193,8 @@ def module_to_json(v: GradedModule):
 
 
 def _graded_families(obj, alg, key):
-    lo, hi = int(obj["lo"]), int(obj["hi"])
-    dims = [int(d) for d in obj["dims"]]
+    lo, hi = int_from_json(obj["lo"], "lo"), int_from_json(obj["hi"], "hi")
+    dims = [int_from_json(d, "dims entry", lo=0) for d in obj["dims"]]
     if len(dims) != hi - lo + 1:
         raise FormatError("dims length does not match the degree window")
     rho0 = []
@@ -234,10 +251,10 @@ def map_to_json(phi: GradedMap):
 def map_from_json(obj) -> GradedMap:
     src = module_from_json(obj["source"])
     tgt = module_from_json(obj["target"])
-    comps = {
-        int(j): matrix_from_json(m, tgt.dim_at(int(j)), src.dim_at(int(j)))
-        for j, m in obj.get("comps", {}).items()
-    }
+    comps = {}
+    for j, m in obj.get("comps", {}).items():
+        j = int_from_json(j, "component degree")
+        comps[j] = matrix_from_json(m, tgt.dim_at(j), src.dim_at(j))
     return make_map(src, tgt, comps)
 
 
@@ -257,8 +274,10 @@ def load_algebra(ref: str) -> SuperAlgebra:
     """Accept a built-in name like "grassmann(2)" or a JSON file path."""
     try:
         return builtin_algebra(ref)
-    except (KeyError, ValueError):
+    except KeyError:
         pass
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     return algebra_from_json(_read(ref))
 
 

@@ -80,8 +80,14 @@ def test_builtin_parser():
     assert builtin_algebra("grassmann(2)").dim1 == 2
     assert builtin_algebra("sl2_adjoint").dim1 == 3
     assert builtin_algebra("sl2_natural_sum(3)").dim1 == 6
+    assert builtin_algebra(" grassmann( 0 ) ").dim1 == 0
     with pytest.raises(KeyError):
         builtin_algebra("nope(1)")
+    with pytest.raises(KeyError):
+        builtin_algebra("grassmann(2).json")
+    for bad in ("grassmann(-1)", "grassmann(x)", "grassmann(1.5)", "grassmann", "sl2_adjoint(1)"):
+        with pytest.raises(ValueError):
+            builtin_algebra(bad)
 
 
 def test_cone_equations_against_direct_bracket():

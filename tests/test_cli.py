@@ -182,3 +182,40 @@ def test_exit_code_bad_input(capsys):
 
 def test_exit_code_unknown_flag(capsys):
     assert main(["cech", "-r"]) == 2
+
+
+def test_builtin_algebra_bad_argument_exit_2(capsys):
+    for spec, why in (
+        ("grassmann(-1)", "not a non-negative integer"),
+        ("grassmann(x)", "not a non-negative integer"),
+        ("sl2_adjoint(2)", "takes no argument"),
+        ("grassmann", "needs an argument"),
+    ):
+        assert main(["validate", "--algebra", spec]) == 2, spec
+        err = capsys.readouterr().err
+        assert why in err and "cannot read" not in err, err
+
+
+def test_module_dims_must_be_integers(capsys, files, tmp_path):
+    with open(files["grassmann2_mixed"]) as fh:
+        obj = json.load(fh)
+    for bad in ("1.5", True, 2.0, "two"):
+        obj["dims"][0] = bad
+        path = str(tmp_path / "bad.json")
+        dump(obj, path)
+        assert main(["module-info", "--module", path]) == 2, bad
+        assert "dims entry must be an integer" in capsys.readouterr().err
+    obj["dims"][0] = -1
+    dump(obj, path)
+    assert main(["module-info", "--module", path]) == 2
+    assert "dims entry must be at least 0" in capsys.readouterr().err
+
+
+def test_module_with_bad_builtin_reference_exit_2(capsys, files, tmp_path):
+    with open(files["grassmann2_mixed"]) as fh:
+        obj = json.load(fh)
+    for ref in ("grassmann(-2)", "no_such_algebra"):
+        obj["algebra"] = ref
+        path = str(tmp_path / "bad.json")
+        dump(obj, path)
+        assert main(["module-info", "--module", path]) == 2, ref

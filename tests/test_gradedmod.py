@@ -1,7 +1,13 @@
+import functools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
 from superstable.gradedmod import (
+    GradedMap,
     GradedModule,
     ModuleError,
     Rep,
@@ -170,3 +176,160 @@ def test_degree_window_access():
     assert v.dim_at(99) == 0
     assert v.rho_at(99, 0).rows == 0 if v.alg.dim0 else True
     assert v.odd_at(-5, 0).rows == v.dim_at(-4)
+
+
+# ---------------------------------------------------------------------------
+# mutation tests: one perturbed entry must be caught by the sparse identity
+# checks exactly when the dense products show a broken identity, and by
+# the same identity
+
+
+def dense_module_failure(v):
+    """First broken identity by dense Matrix arithmetic, in check order."""
+    alg = v.alg
+    for j in v.degrees():
+        for i in range(alg.dim0):
+            for l in range(alg.dim0):
+                lhs = v.rho_at(j, i) * v.rho_at(j, l) - v.rho_at(j, l) * v.rho_at(j, i)
+                for k in range(alg.dim0):
+                    lhs = lhs - v.rho_at(j, k).scale(alg.even.bracket[i][l][k])
+                if not lhs.is_zero():
+                    return "even representation"
+        for i in range(alg.dim0):
+            for e in range(alg.dim1):
+                lhs = v.rho_at(j + 1, i) * v.odd_at(j, e) - v.odd_at(j, e) * v.rho_at(j, i)
+                for k in range(alg.dim1):
+                    lhs = lhs - v.odd_at(j, k).scale(alg.odd.action[i][k, e])
+                if not lhs.is_zero():
+                    return "equivariance"
+        for e in range(alg.dim1):
+            for f in range(e, alg.dim1):
+                s = v.odd_at(j + 1, e) * v.odd_at(j, f) + v.odd_at(j + 1, f) * v.odd_at(j, e)
+                if not s.is_zero():
+                    return "anticommutation"
+    return None
+
+
+def dense_map_failure(phi):
+    v, w = phi.source, phi.target
+    for j in sorted(set(v.degrees()) | set(w.degrees())):
+        for i in range(v.alg.dim0):
+            if phi.comp_at(j) * v.rho_at(j, i) != w.rho_at(j, i) * phi.comp_at(j):
+                return "even action"
+        for e in range(v.alg.dim1):
+            if phi.comp_at(j + 1) * v.odd_at(j, e) != w.odd_at(j, e) * phi.comp_at(j):
+                return "odd action"
+    return None
+
+
+def bump(m, r, c, delta):
+    data = m.copy_data()
+    data[r][c] += delta
+    return Matrix(m.rows, m.cols, data)
+
+
+def module_mutants(v, delta):
+    """(kind of family, perturbed rho0, perturbed odd) for every entry."""
+    for fam in ("rho0", "odd"):
+        mats = getattr(v, fam)
+        for k, per in enumerate(mats):
+            for x, m in enumerate(per):
+                for r in range(m.rows):
+                    for c in range(m.cols):
+                        new = tuple(
+                            tuple(bump(mm, r, c, delta) if (kk, xx) == (k, x) else mm
+                                  for xx, mm in enumerate(p))
+                            for kk, p in enumerate(mats)
+                        )
+                        yield (new, v.odd) if fam == "rho0" else (v.rho0, new)
+
+
+@functools.lru_cache(maxsize=None)
+def small_modules():
+    from superstable.corpus import corpus_modules, random_module
+
+    mods = {n: e.module for n, e in corpus_modules().items() if e.module.total_dim <= 8}
+    for k in range(8):
+        v = random_module(700 + k, 8)
+        if v.total_dim <= 8:
+            mods[f"random{k}"] = v
+    return mods
+
+
+def caught(fn):
+    try:
+        fn()
+    except ModuleError as exc:
+        return str(exc)
+    return None
+
+
+def check_module_mutant(v, rho0, odd):
+    """Assert make_module agrees with the dense oracle; return the kind."""
+    expect = dense_module_failure(GradedModule(v.alg, v.lo, v.hi, v.dims, rho0, odd))
+    msg = caught(lambda: make_module(v.alg, v.lo, v.hi, v.dims, rho0, odd))
+    assert (msg is None) == (expect is None), (expect, msg)
+    assert expect is None or msg.startswith(expect), (expect, msg)
+    return expect
+
+
+def test_module_mutations_cover_every_identity():
+    # every entry of these modules, with and without an even part
+    seen = set()
+    for name in ("sl2_triv2_free", "sl2_triv1_mixed", "grassmann2_free"):
+        v = small_modules()[name]
+        for rho0, odd in module_mutants(v, Fraction(-1, 2)):
+            seen.add(check_module_mutant(v, rho0, odd))
+    assert seen == {"even representation", "equivariance", "anticommutation", None}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_module_mutations_caught_by_the_broken_identity(data):
+    v = data.draw(st.sampled_from(sorted(small_modules().items())))[1]
+    mutants = list(module_mutants(v, data.draw(st.sampled_from((1, -2, Fraction(1, 3))))))
+    if mutants:
+        check_module_mutant(v, *data.draw(st.sampled_from(mutants)))
+
+
+def test_map_mutations_caught_by_the_broken_identity():
+    from superstable.corpus import corpus_morphisms
+
+    maps = [e.map for e in corpus_morphisms().values()]
+    for v in small_modules().values():
+        maps.append(identity_map(v))
+        maps.extend(hom_graded(v, v)[:2])
+    seen = set()
+    for n, phi in enumerate(maps):
+        delta = (1, -2, Fraction(1, 3))[n % 3]
+        for j, m in phi.comps.items():
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    comps = dict(phi.comps)
+                    comps[j] = bump(m, r, c, delta)
+                    bad = GradedMap(phi.source, phi.target, comps)
+                    expect = dense_map_failure(bad)
+                    msg = caught(lambda: make_map(phi.source, phi.target, comps))
+                    assert (msg is None) == (expect is None), (expect, msg)
+                    if expect is not None:
+                        assert expect in msg, (expect, msg)
+                        seen.add(expect)
+    assert seen == {"even action", "odd action"}
+
+
+def test_rep_check_mutations():
+    g = sl2_adjoint().even
+    q = Rep(g, 2, tuple(SL2_NATURAL))
+    assert q.check() is q
+    for i in range(3):
+        for r in range(2):
+            for c in range(2):
+                mats = tuple(bump(m, r, c, 1) if k == i else m for k, m in enumerate(q.mats))
+                with pytest.raises(ModuleError):
+                    Rep(g, 2, mats).check()
+
+
+def test_empty_window_module_and_map():
+    v = make_module(grassmann(1), 0, -1, (), (), ())
+    assert v.total_dim == 0
+    assert make_map(v, v, {}).is_zero()

@@ -141,3 +141,174 @@ def test_linear_system_two_sided():
 def test_no_floats_leak():
     with pytest.raises((TypeError, ValueError)):
         Matrix.from_rows([[0.5]])
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the sparse kernel against the dense elimination it
+# replaced, kept here as the oracle
+
+
+def dense_rref(m):
+    """Dense Gauss-Jordan with first-nonzero pivoting: (rows, pivots)."""
+    a = m.copy_data()
+    rows, cols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        p = a[r][c]
+        a[r] = [x / p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def dense_nullspace(m):
+    red, pivots = dense_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    out = [[Fraction(0)] * len(free) for _ in range(m.cols)]
+    for k, fc in enumerate(free):
+        out[fc][k] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            out[pc][k] = -red[r][fc]
+    return Matrix(m.cols, len(free), out)
+
+
+def dense_solve_affine(m, b):
+    aug = Matrix(m.rows, m.cols + 1, [row + [x] for row, x in zip(m.data, b)])
+    red, pivots = dense_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][m.cols]
+    return x
+
+
+def dense_assembly(sys_shapes, constraints):
+    """Coefficient rows and right-hand sides through dense kron blocks."""
+    offsets, size = {}, 0
+    for name, (r, c) in sys_shapes:
+        offsets[name] = size
+        size += r * c
+    rows, rhs = [], []
+    for terms, b in constraints:
+        blocks = [(offsets[name], kron(a, bb.transpose())) for a, name, bb in terms]
+        for i in range(b.rows * b.cols):
+            row = [Fraction(0)] * size
+            nonzero = False
+            for off, k in blocks:
+                for j, x in enumerate(k.data[i]):
+                    if x != 0:
+                        row[off + j] += x
+                        nonzero = True
+            b_i = b.data[i // b.cols][i % b.cols]
+            if nonzero or b_i != 0:
+                rows.append(row)
+                rhs.append(b_i)
+    return size, rows, rhs
+
+
+sparse_scalars = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), scalars)
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(
+        st.lists(sparse_scalars, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda d: Matrix(rows, cols, d))
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_kernel_matches_dense_rref(r, c, data):
+    m = data.draw(sparse_matrices(r, c))
+    red, pivots = m.rref()
+    dred, dpivots = dense_rref(m)
+    assert pivots == dpivots
+    assert red.data == dred and (red.rows, red.cols) == (r, c)
+    assert m.rank() == len(dpivots)
+    assert m.nullspace() == dense_nullspace(m)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_solve_affine_matches_dense(r, c, consistent, data):
+    m = data.draw(sparse_matrices(r, c))
+    if consistent:
+        x0 = data.draw(st.lists(sparse_scalars, min_size=c, max_size=c))
+        b = (m * Matrix.column(x0)).col(0) if c else [Fraction(0)] * r
+    else:
+        b = data.draw(st.lists(sparse_scalars, min_size=r, max_size=r))
+    x = m.solve_affine(b)
+    assert x == dense_solve_affine(m, b)
+    if consistent:
+        assert x is not None
+
+
+def test_solve_affine_edge_shapes():
+    assert Matrix(0, 3, []).solve_affine([]) == [0, 0, 0]
+    assert Matrix(2, 0, [[], []]).solve_affine([0, 0]) == []
+    assert Matrix(2, 0, [[], []]).solve_affine([0, 1]) is None
+    assert Matrix.zero(2, 2).solve_affine([1, 0]) is None
+    assert Matrix(0, 0, []).nullspace() == Matrix(0, 0, [])
+    assert Matrix(2, 0, [[], []]).rref() == (Matrix(2, 0, [[], []]), [])
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_solve_matrix_matches_dense(r, c, k, consistent, data):
+    m = data.draw(sparse_matrices(r, c))
+    if consistent:
+        b = m * data.draw(sparse_matrices(c, k))
+    else:
+        b = data.draw(sparse_matrices(r, k))
+    cols = [dense_solve_affine(m, b.col(j)) for j in range(k)]
+    expect = None if None in cols else Matrix(c, k, [list(row) for row in zip(*cols)] if k else [[] for _ in range(c)])
+    assert m.solve_matrix(b) == expect
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_linear_system_matches_dense_assembly(data):
+    dims = st.integers(1, 3)
+    shapes = [(f"x{k}", (data.draw(dims), data.draw(dims))) for k in range(data.draw(st.integers(1, 2)))]
+    homogeneous = data.draw(st.booleans())
+    sys = LinearSystem()
+    for name, (r, c) in shapes:
+        sys.add_unknown(name, r, c)
+    constraints = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        p, q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        terms = [
+            (data.draw(sparse_matrices(p, r)), name, data.draw(sparse_matrices(c, q)))
+            for name, (r, c) in shapes
+            if data.draw(st.booleans())
+        ]
+        rhs = Matrix.zero(p, q) if homogeneous else data.draw(sparse_matrices(p, q))
+        sys.add_constraint(terms, rhs)
+        constraints.append((terms, rhs))
+    size, rows, rhs = dense_assembly(shapes, constraints)
+    assert (sys.size, sys.rows, sys.rhs) == (size, rows, rhs)
+    a = Matrix(len(rows), size, rows)
+    x = dense_solve_affine(a, rhs)
+    sol = sys.solve()
+    assert (sol is None) == (x is None)
+    if sol is not None:
+        assert [e for name, _ in shapes for row in sol[name].data for e in row] == x
+    if homogeneous:
+        ns = dense_nullspace(a)
+        basis = sys.solution_basis()
+        assert len(basis) == ns.cols
+        for j, b in enumerate(basis):
+            assert [e for name, _ in shapes for row in b[name].data for e in row] == ns.col(j)

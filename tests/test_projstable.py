@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
@@ -18,8 +21,10 @@ from superstable.projstable import (
     is_reduced,
     projective_certificate,
     stable_equal,
+    stable_equal_certificate,
     top_operator,
 )
+from superstable.serialize import map_to_json
 from superstable.rigid import L_of, fiber, fiber_cohomology
 from superstable.dsvariety import random_points
 
@@ -91,6 +96,24 @@ def test_projective_certificate_checks_out():
     ind = _induced_on(v, reps)
     ev = _evaluation_map(v, {j: Matrix.identity(v.dim_at(j)) for j in reps}, ind)
     assert ev.compose(section) == identity_map(v)
+
+
+# sha256 of the compact, key-sorted map_to_json of the section of
+# sl2_adjoint_natural, as computed by the dense elimination the sparse
+# kernel replaced; identity minus zero lifts to the same section
+ADJOINT_NATURAL_SECTION_SHA256 = "68cc0c368e6fbf878819fa49b4b08d43c09349113befd2ad534304bf42218a29"
+
+
+def test_lift_certificates_golden():
+    v = corpus_modules()["sl2_adjoint_natural"].module
+
+    def digest(phi):
+        text = json.dumps(map_to_json(phi), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(projective_certificate(v)) == ADJOINT_NATURAL_SECTION_SHA256
+    lift = stable_equal_certificate(identity_map(v), zero_map(v, v))
+    assert digest(lift) == ADJOINT_NATURAL_SECTION_SHA256
 
 
 def test_stable_equal_corpus_morphisms():
