@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation/precondition failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -570,10 +571,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later `main`
+    call in the process (parsing keeps no state between calls)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_BADINPUT if exc.code not in (0, None) else 0
     try:

@@ -15,7 +15,7 @@ from math import ceil
 
 from .gradedmod import GradedModule
 from .linalg import Matrix, Polynomial
-from .rigid import CohomologyTable, L_of, OddPoint, fiber, fiber_cohomology
+from .rigid import CohomologyTable, L_of, OddPoint, RigidComplex, fiber, fiber_cohomology
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,15 @@ class DsResult:
     per_degree: CohomologyTable
 
     def __post_init__(self):
-        assert self.ds_dim == self.total_dim - 2 * self.rank_x
-        assert self.ds_dim == self.per_degree.total
+        # ds_dim comes from rank x_M, per_degree from the fiber complex:
+        # this is where the two computations must meet
+        if self.ds_dim != self.total_dim - 2 * self.rank_x:
+            raise ValueError(f"ds_dim {self.ds_dim} is not dim M - 2 rank x_M")
+        if self.ds_dim != self.per_degree.total:
+            raise ValueError(
+                f"DS dimension {self.ds_dim} disagrees with the fiber cohomology "
+                f"total {self.per_degree.total}"
+            )
 
 
 def x_operator(m: GradedModule, x: OddPoint) -> Matrix:
@@ -54,11 +61,16 @@ def x_operator(m: GradedModule, x: OddPoint) -> Matrix:
 
 def ds_at(m: GradedModule, x: OddPoint) -> DsResult:
     """Dimensions of the DS fiber M_x, with its grading refinement."""
+    return _ds_result(m, L_of(m), x)
+
+
+def _ds_result(m: GradedModule, lm: RigidComplex, x: OddPoint) -> DsResult:
+    """`ds_at(m, x)` with the rigid complex lm = L_of(m) already built."""
     xm = x_operator(m, x)
     if not (xm * xm).is_zero():
         raise ValueError("x_M does not square to zero")
     r = xm.rank()
-    per = fiber_cohomology(fiber(L_of(m), x))
+    per = fiber_cohomology(fiber(lm, x))
     return DsResult(x, m.total_dim, r, m.total_dim - 2 * r, per)
 
 
@@ -189,12 +201,12 @@ def support_check(m: GradedModule, samples) -> SupportCheckReport:
     """Fiberwise comparison of rigid-complex cohomology with the DS fiber.
 
     For each sample: total fiber cohomology must equal ds_dim, and a
-    nonzero fiber must certify variety membership.
+    nonzero fiber must certify variety membership.  L_of(m) is built once;
+    each point's fiber cohomology is the one its `DsResult` carries.
     """
     lm = L_of(m)
     entries = []
     for x in samples:
-        total = fiber_cohomology(fiber(lm, x)).total
-        res = ds_at(m, x)
-        entries.append(SupportCheckEntry(x, total, res.ds_dim, res.ds_dim > 0))
+        res = _ds_result(m, lm, x)
+        entries.append(SupportCheckEntry(x, res.per_degree.total, res.ds_dim, res.ds_dim > 0))
     return SupportCheckReport(tuple(entries))

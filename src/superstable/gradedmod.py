@@ -10,9 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .algebra import LieAlgebraEven, SuperAlgebra, representation_failure
 from .linalg import LinearSystem, Matrix, vanishes
+
+_ZERO = Fraction(0)
 
 
 class ModuleError(ValueError):
@@ -493,10 +496,7 @@ def graded_map_system(v: GradedModule, w: GradedModule, name: str = "f") -> Line
     for j in live:
         for i in range(v.alg.dim0):
             sys.add_constraint(
-                [
-                    (Matrix.identity(w.dim_at(j)), f"{name}{j}", v.rho_at(j, i)),
-                    (-w.rho_at(j, i), f"{name}{j}", Matrix.identity(v.dim_at(j))),
-                ],
+                [(1, f"{name}{j}", v.rho_at(j, i)), (w.rho_at(j, i), f"{name}{j}", -1)],
                 Matrix.zero(w.dim_at(j), v.dim_at(j)),
             )
     for j in degs:
@@ -506,9 +506,9 @@ def graded_map_system(v: GradedModule, w: GradedModule, name: str = "f") -> Line
         for e in range(v.alg.dim1):
             terms = []
             if j + 1 in live:
-                terms.append((Matrix.identity(w.dim_at(j + 1)), f"{name}{j+1}", v.odd_at(j, e)))
+                terms.append((1, f"{name}{j+1}", v.odd_at(j, e)))
             if j in live:
-                terms.append((-w.odd_at(j, e), f"{name}{j}", Matrix.identity(v.dim_at(j))))
+                terms.append((w.odd_at(j, e), f"{name}{j}", -1))
             if terms:
                 sys.add_constraint(terms, Matrix.zero(w.dim_at(j + 1), v.dim_at(j)))
     return sys
@@ -585,35 +585,77 @@ def exterior_even_action(alg: SuperAlgebra):
     return out
 
 
-def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedModule:
-    """Lambda(g1) (x) Q graded by exterior degree + base_degree.
+def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
+    """The direct sum over j of Lambda(g1) (x) reps[j] graded by exterior
+    degree + j, built and validated as one module (each Rep is checked).
 
     Odd generators act by left wedge on the exterior factor; even ones by
-    the derivation action on Lambda(g1) plus the given action on Q.
+    the derivation action on Lambda(g1) plus the given action on Q.  The
+    window is [min j, max j + dim1].  Basis of degree l: ascending source
+    degree j, then the (size, lex) subset basis of Lambda^(l-j)(g1), then
+    the basis of reps[j] (Kronecker order), i.e. the order of the direct
+    sum of the single induced modules taken in ascending j.
+    """
+    if not reps:
+        raise ModuleError("an induced sum needs at least one summand")
+    for q in reps.values():
+        q.check()
+    n = alg.dim1
+    wedge = [[m.sparse_rows() for m in per] for per in exterior_odd_action(n)]
+    deriv = [[m.sparse_rows() for m in per] for per in exterior_even_action(alg)]
+    qmats = {j: [m.sparse_rows() for m in q.mats] for j, q in reps.items()}
+    lo, hi = min(reps), max(reps) + n
+    offsets, dims = [], []  # per degree: {j: offset of the j-th summand}, dim
+    for l in range(lo, hi + 1):
+        off, run = {}, 0
+        for j in sorted(reps):
+            if 0 <= l - j <= n:
+                off[j] = run
+                run += comb(n, l - j) * reps[j].dim
+        offsets.append(off)
+        dims.append(run)
+    rho0, odd = [], []
+    for k, off in enumerate(offsets):
+        l = lo + k
+        d, d_next = dims[k], dims[k + 1] if l < hi else 0
+        per_even, per_odd = [], []
+        for i in range(alg.dim0):
+            # kron(derivation, I_Q) + kron(I_Lambda, Q action) per summand
+            out = [[_ZERO] * d for _ in range(d)]
+            for j, o in off.items():
+                qd = reps[j].dim
+                for a, d_row in enumerate(deriv[l - j][i]):
+                    for b, q_row in enumerate(qmats[j][i]):
+                        row = out[o + a * qd + b]
+                        for a2, x in d_row.items():
+                            row[o + a2 * qd + b] += x
+                        for b2, y in q_row.items():
+                            row[o + a * qd + b2] += y
+            per_even.append(Matrix(d, d, out))
+        for e in range(n):
+            # kron(wedge, I_Q) from each summand into its next degree
+            out = [[_ZERO] * d for _ in range(d_next)]
+            for j, o in off.items():
+                if l - j == n:
+                    continue
+                qd, r0 = reps[j].dim, offsets[k + 1][j]
+                for a, w_row in enumerate(wedge[l - j][e]):
+                    for a2, x in w_row.items():
+                        for b in range(qd):
+                            out[r0 + a * qd + b][o + a2 * qd + b] = x
+            per_odd.append(Matrix(d_next, d, out))
+        rho0.append(tuple(per_even))
+        odd.append(tuple(per_odd))
+    return make_module(alg, lo, hi, dims, rho0, odd)
+
+
+def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedModule:
+    """Lambda(g1) (x) Q graded by exterior degree + base_degree: the
+    one-summand case of `induced_sum`, so its degree-(base_degree + l)
+    basis is the (size, lex) subset basis of Lambda^l(g1) kron that of Q.
     Total dimension is 2^dim1 * dim Q.
     """
-    q.check()
-    n = alg.dim1
-    wedge = exterior_odd_action(n)
-    deriv = exterior_even_action(alg)
-    from .linalg import kron
-
-    from math import comb
-
-    lo, hi = base_degree, base_degree + n
-    dims, rho0, odd = [], [], []
-    for l in range(n + 1):
-        lam_dim = comb(n, l)
-        dims.append(lam_dim * q.dim)
-        rho0.append(
-            tuple(
-                kron(deriv[l][i], Matrix.identity(q.dim))
-                + kron(Matrix.identity(lam_dim), q.mats[i])
-                for i in range(alg.dim0)
-            )
-        )
-        odd.append(tuple(kron(wedge[l][e], Matrix.identity(q.dim)) for e in range(n)))
-    return make_module(alg, lo, hi, dims, rho0, odd)
+    return induced_sum(alg, {base_degree: q})
 
 
 def submodule(v: GradedModule, basis: dict):

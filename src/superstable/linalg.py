@@ -519,19 +519,34 @@ class Polynomial:
 # block linear systems
 
 
+def _factor_lines(f, n: int, by_col: bool) -> list:
+    """Nonzeros [(index, entry)] of each row (each column if `by_col`) of
+    a constraint factor: a `Matrix`, or an int c standing for c * I_n."""
+    if not isinstance(f, Matrix):
+        c = scalar(f)
+        return [[(i, c)] if c else [] for i in range(n)]
+    d = f.data
+    if by_col:
+        return [[(l, d[l][j]) for l in range(f.rows) if d[l][j]] for j in range(f.cols)]
+    return [[(k, x) for k, x in enumerate(row) if x] for row in d]
+
+
 class LinearSystem:
     """Joint linear system over several unknown matrices.
 
-    Constraints have the form  sum_t A_t * X_{name_t} * B_t = C.  Each is
-    assembled straight into sparse rows: row (i, j) of the constraint
-    holds A_t[i][k] * B_t[l][j] at the coordinate of X_{name_t}[k][l],
-    i.e. the nonzeros of A_t kron B_t^T, without forming the dense
-    Kronecker product.  A row is kept when some product is nonzero or
-    its right-hand side is.  `solve` and `solution_basis` run the sparse
-    kernel `gauss_jordan`, whose result is the unique reduced row echelon
-    form, so the particular solution (free variables zero) and the kernel
-    basis are deterministic.  `rows` gives the coefficient rows densely,
-    built on access.
+    Constraints have the form  sum_t A_t * X_{name_t} * B_t = C.  A factor
+    A_t or B_t is a `Matrix` or an int c, which stands for c times the
+    identity of the size that fits (X's row count for A_t, its column
+    count for B_t), so `(1, "X", B)` and `(A, "X", -1)` need no identity
+    or negated matrix.  Each constraint is assembled straight into sparse
+    rows: row (i, j) holds A_t[i][k] * B_t[l][j] at the coordinate of
+    X_{name_t}[k][l], i.e. the nonzeros of A_t kron B_t^T, without
+    forming the dense Kronecker product.  A row is kept when some
+    product is nonzero or its right-hand side is.  `solve` and
+    `solution_basis` run the sparse kernel `gauss_jordan`, whose result is
+    the unique reduced row echelon form, so the particular solution (free
+    variables zero) and the kernel basis are deterministic.  `rows` gives
+    the coefficient rows densely, built on access.
     """
 
     def __init__(self):
@@ -554,27 +569,27 @@ class LinearSystem:
         self.size += rows * cols
 
     def add_constraint(self, terms, rhs: Matrix):
-        """terms: list of (A, name, B) meaning sum A*X_name*B = rhs."""
+        """terms: list of (A, name, B) meaning sum A*X_name*B = rhs; an int
+        factor c is c times the identity."""
         nrows = rhs.rows * rhs.cols
         acc = [{} for _ in range(nrows)]
         touched = [False] * nrows
         for a, name, b in terms:
             r, c = self.shapes[name]
-            if a.cols != r or b.rows != c or (a.rows, b.cols) != (rhs.rows, rhs.cols):
+            a_shape = (a.rows, a.cols) if isinstance(a, Matrix) else (r, r)
+            b_shape = (b.rows, b.cols) if isinstance(b, Matrix) else (c, c)
+            if a_shape != (rhs.rows, r) or b_shape != (c, rhs.cols):
                 raise ValueError("inconsistent constraint shapes")
+            b_cols = _factor_lines(b, c, True)
             off = self.offsets[name]
-            b_cols = [
-                [(l, b.data[l][j]) for l in range(b.rows) if b.data[l][j]]
-                for j in range(b.cols)
-            ]
-            for i, a_row in enumerate(a.data):
-                a_nz = [(off + k * c, x) for k, x in enumerate(a_row) if x]
+            for i, a_row in enumerate(_factor_lines(a, r, False)):
+                a_nz = [(off + k * c, x) for k, x in a_row]
                 if not a_nz:
                     continue
                 for j, b_col in enumerate(b_cols):
                     if not b_col:
                         continue
-                    n = i * b.cols + j
+                    n = i * rhs.cols + j
                     row = acc[n]
                     touched[n] = True
                     for base, x in a_nz:

@@ -19,15 +19,14 @@ from .gradedmod import (
     GradedModule,
     ModuleError,
     Rep,
-    direct_sum,
     graded_map_system,
     identity_map,
-    induced_module,
+    induced_sum,
     make_map,
     make_module,
     submodule,
 )
-from .linalg import LinearSystem, Matrix
+from .linalg import LinearSystem, Matrix, gauss_jordan
 
 
 class HypothesisError(ValueError):
@@ -98,21 +97,16 @@ def is_reduced(v: GradedModule) -> bool:
 
 
 def _coordinate_complement(basis: Matrix) -> list:
-    """Indices of standard basis vectors completing the span of `basis`."""
-    d = basis.rows
-    cur = basis
-    r = cur.rank()
-    out = []
-    for c in range(d):
-        if r == d:
-            break
-        e = Matrix(d, 1, [[1 if i == c else 0] for i in range(d)])
-        ext = cur.hstack(e)
-        r2 = ext.rank()
-        if r2 > r:
-            cur, r = ext, r2
-            out.append(c)
-    return out
+    """Indices c, ascending, of the standard basis vectors e_c completing
+    the span of `basis`: e_c is taken iff it is not in the span of
+    `basis` and e_0..e_(c-1), so the indices are the pivot columns past
+    `basis` of one elimination of [basis | I]."""
+    k = basis.cols
+    rows = basis.sparse_rows()
+    for i, row in enumerate(rows):
+        row[k + i] = Fraction(1)
+    pivots, _ = gauss_jordan(rows, k + basis.rows, reduce=False)
+    return [c - k for c in pivots if c >= k]
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,8 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     if q == 0:
         return Matrix.zero(d, 0), Rep(v.alg.even, 0, tuple(Matrix.zero(0, 0) for _ in range(v.alg.dim0)))
     comp_idx = _coordinate_complement(k_cols)
-    t = k_cols
-    for c in comp_idx:
-        t = t.hstack(Matrix(d, 1, [[1 if i == c else 0] for i in range(d)]))
+    picks = [[1 if i == c else 0 for c in comp_idx] for i in range(d)]
+    t = k_cols.hstack(Matrix(d, len(comp_idx), picks))
     tinv = t.solve_matrix(Matrix.identity(d))
     pi = Matrix(q, d, tinv.data[k:])  # quotient coordinates
     rho_q = []
@@ -168,15 +161,9 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
         rho_q.append(Matrix(q, q, [row[k:] for row in full.data[k:]]))
     sys = LinearSystem()
     sys.add_unknown("s", d, q)
-    sys.add_constraint([(pi, "s", Matrix.identity(q))], Matrix.identity(q))
+    sys.add_constraint([(pi, "s", 1)], Matrix.identity(q))
     for i in range(v.alg.dim0):
-        sys.add_constraint(
-            [
-                (v.rho_at(j, i), "s", Matrix.identity(q)),
-                (-Matrix.identity(d), "s", rho_q[i]),
-            ],
-            Matrix.zero(d, q),
-        )
+        sys.add_constraint([(v.rho_at(j, i), "s", 1), (-1, "s", rho_q[i])], Matrix.zero(d, q))
     sol = sys.solve()
     if sol is None:
         raise ModuleError("no equivariant section found; upstream invariant violated")
@@ -223,18 +210,13 @@ def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> Grad
 
 
 def _induced_on(v: GradedModule, reps: dict) -> GradedModule:
-    """Direct sum over ascending degrees of induced modules on the reps."""
-    parts = [
-        induced_module(v.alg, reps[j], base_degree=j)
-        for j in sorted(reps)
-        if reps[j].dim
-    ]
-    if not parts:
-        return _zero_module(v)
-    out = parts[0]
-    for p in parts[1:]:
-        out = direct_sum(out, p)
-    return out
+    """Direct sum over ascending degrees j of the induced modules on the
+    nonzero reps[j], built by `induced_sum`: in each degree the summands
+    come in ascending j, each in the (size, lex) subset basis of the
+    exterior factor kron the basis of reps[j]; the zero module on v's
+    window if every rep is zero."""
+    live = {j: q for j, q in reps.items() if q.dim}
+    return induced_sum(v.alg, live) if live else _zero_module(v)
 
 
 def decompose(v: GradedModule) -> Decomposition:
@@ -261,10 +243,7 @@ def decompose(v: GradedModule) -> Decomposition:
     sys = graded_map_system(v, ind, name="r")
     for j in ind.degrees():
         if ind.dim_at(j) and v.dim_at(j):
-            sys.add_constraint(
-                [(Matrix.identity(ind.dim_at(j)), f"r{j}", emb.comp_at(j))],
-                Matrix.identity(ind.dim_at(j)),
-            )
+            sys.add_constraint([(1, f"r{j}", emb.comp_at(j))], Matrix.identity(ind.dim_at(j)))
         elif ind.dim_at(j):
             raise ModuleError("induced part exceeds the module in some degree")
     sol = sys.solve()
@@ -308,10 +287,7 @@ def _lift_along_evaluation(target_map: GradedMap):
         if not v.dim_at(j):
             continue
         if ind.dim_at(j):
-            sys.add_constraint(
-                [(ev.comp_at(j), f"s{j}", Matrix.identity(v.dim_at(j)))],
-                target_map.comp_at(j),
-            )
+            sys.add_constraint([(ev.comp_at(j), f"s{j}", 1)], target_map.comp_at(j))
         elif not target_map.comp_at(j).is_zero():
             return None
     sol = sys.solve()

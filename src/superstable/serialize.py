@@ -35,7 +35,9 @@ def scalar_to_str(x) -> str:
 
 
 def scalar_from_str(s) -> Fraction:
-    if isinstance(s, str) and any(ch in s for ch in ".eE"):
+    """An exact scalar from a string "p" or "p/q" or a JSON integer; floats
+    and booleans are refused, as a float is already rounded."""
+    if isinstance(s, (bool, float)) or isinstance(s, str) and any(ch in s for ch in ".eE"):
         raise FormatError(f"bad scalar {s!r}: expected integer or p/q")
     try:
         return Fraction(s)
@@ -60,22 +62,48 @@ def int_from_json(x, what: str, lo=None, hi=None) -> int:
     return n
 
 
+def _obj(x, what: str) -> dict:
+    """x, which must be a JSON object."""
+    if not isinstance(x, dict):
+        raise FormatError(f"{what} must be an object, got {json.dumps(x)[:40]}")
+    return x
+
+
+def _field(obj, key: str, what: str):
+    """obj[key], where obj must be a JSON object holding key."""
+    if key not in _obj(obj, what):
+        raise FormatError(f"{what} is missing the field {key!r}")
+    return obj[key]
+
+
+def _array(x, what: str, length=None) -> list:
+    """x, which must be a JSON array, of `length` items when given."""
+    if not isinstance(x, list):
+        raise FormatError(f"{what} must be an array, got {json.dumps(x)[:40]}")
+    if length is not None and len(x) != length:
+        raise FormatError(f"{what} must have {length} items, got {len(x)}")
+    return x
+
+
 def matrix_to_json(m: Matrix):
     return [[scalar_to_str(x) for x in row] for row in m.data]
 
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
     if isinstance(obj, dict):
-        r = int_from_json(obj["rows"], "matrix rows", lo=0)
-        c = int_from_json(obj["cols"], "matrix cols", lo=0)
+        r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0)
+        c = int_from_json(_field(obj, "cols", "sparse matrix"), "matrix cols", lo=0)
         data = [[Fraction(0)] * c for _ in range(r)]
-        for i, j, v in obj.get("entries", []):
+        for entry in _array(obj.get("entries", []), "sparse matrix entries"):
+            i, j, v = _array(entry, "sparse matrix entry [row, column, value]", 3)
             i = int_from_json(i, "matrix entry row", lo=0, hi=r - 1)
             data[i][int_from_json(j, "matrix entry column", lo=0, hi=c - 1)] = scalar_from_str(v)
         m = Matrix(r, c, data)
     else:
         if not isinstance(obj, list):
             raise FormatError("matrix must be a nested array or a sparse object")
+        for row in obj:
+            _array(row, "matrix row")
         r = len(obj)
         c = len(obj[0]) if r else (cols if cols is not None else 0)
         if any(len(row) != c for row in obj):
@@ -99,11 +127,11 @@ def polynomial_to_json(p: Polynomial):
 
 def polynomial_from_json(obj, nvars: int) -> Polynomial:
     terms = {}
-    for t in obj:
-        e = tuple(int_from_json(x, "exponent", lo=0) for x in t["exponents"])
-        if len(e) != nvars:
-            raise FormatError("polynomial exponent length mismatch")
-        terms[e] = terms.get(e, Fraction(0)) + scalar_from_str(t["coefficient"])
+    for t in _array(obj, "polynomial"):
+        exps = _array(_field(t, "exponents", "polynomial term"), "exponents", nvars)
+        e = tuple(int_from_json(x, "exponent", lo=0) for x in exps)
+        c = scalar_from_str(_field(t, "coefficient", "polynomial term"))
+        terms[e] = terms.get(e, Fraction(0)) + c
     return Polynomial(nvars, terms)
 
 
@@ -136,19 +164,23 @@ def algebra_from_json(obj) -> SuperAlgebra:
             return builtin_algebra(obj)
         except (KeyError, ValueError) as exc:
             raise FormatError(exc.args[0]) from exc
-    dim0 = int_from_json(obj["dim0"], "dim0", lo=0)
-    dim1 = int_from_json(obj["dim1"], "dim1", lo=0)
+    dim0 = int_from_json(_field(obj, "dim0", "algebra"), "dim0", lo=0)
+    dim1 = int_from_json(_field(obj, "dim1", "algebra"), "dim1", lo=0)
     c = [[[Fraction(0)] * dim0 for _ in range(dim0)] for _ in range(dim0)]
-    for i, j, k, v in obj.get("bracket", []):
+    for t in _array(obj.get("bracket", []), "bracket"):
+        i, j, k, v = _array(t, "bracket entry [i, j, k, value]", 4)
         i, j, k = (int_from_json(x, "bracket index", lo=0, hi=dim0 - 1) for x in (i, j, k))
         c[i][j][k] = scalar_from_str(v)
     even = LieAlgebraEven.from_constants(dim0, c)
     action = tuple(
-        matrix_from_json(a, dim1, dim1) for a in obj.get("action", [])
+        matrix_from_json(a, dim1, dim1) for a in _array(obj.get("action", []), "action")
     )
     if len(action) != dim0:
         raise FormatError("need one odd-action matrix per even basis element")
-    g = SuperAlgebra(even, OddPart(dim1, action), name=obj.get("name", ""))
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError(f"algebra name must be a string, got {json.dumps(name)[:40]}")
+    g = SuperAlgebra(even, OddPart(dim1, action), name=name)
     rep = validate(g)
     if not rep.ok:
         raise FormatError(f"algebra fails validation: {rep.failures}")
@@ -164,8 +196,8 @@ def rep_to_json(q: Rep):
 
 
 def rep_from_json(obj, g0: LieAlgebraEven) -> Rep:
-    dim = int_from_json(obj["dim"], "dim", lo=0)
-    mats = tuple(matrix_from_json(m, dim, dim) for m in obj.get("mats", []))
+    dim = int_from_json(_field(obj, "dim", "representation"), "dim", lo=0)
+    mats = tuple(matrix_from_json(m, dim, dim) for m in _array(obj.get("mats", []), "mats"))
     if len(mats) != g0.dim0:
         raise FormatError("need one representation matrix per even basis element")
     q = Rep(g0, dim, mats)
@@ -192,30 +224,31 @@ def module_to_json(v: GradedModule):
     }
 
 
-def _graded_families(obj, alg, key):
-    lo, hi = int_from_json(obj["lo"], "lo"), int_from_json(obj["hi"], "hi")
-    dims = [int_from_json(d, "dims entry", lo=0) for d in obj["dims"]]
+def _graded_families(obj, alg, key, what):
+    lo = int_from_json(_field(obj, "lo", what), "lo")
+    hi = int_from_json(_field(obj, "hi", what), "hi")
+    dims = [int_from_json(d, "dims entry", lo=0) for d in _array(_field(obj, "dims", what), "dims")]
     if len(dims) != hi - lo + 1:
         raise FormatError("dims length does not match the degree window")
     rho0 = []
-    for jx, per in enumerate(obj["rho0"]):
+    for jx, per in enumerate(_array(_field(obj, "rho0", what), "rho0", len(dims))):
         d = dims[jx]
-        rho0.append(tuple(matrix_from_json(m, d, d) for m in per))
+        rho0.append(tuple(matrix_from_json(m, d, d) for m in _array(per, "rho0 entry")))
         if len(rho0[-1]) != alg.dim0:
             raise FormatError("need one even matrix per even basis element")
     fam = []
-    for jx, per in enumerate(obj[key]):
+    for jx, per in enumerate(_array(_field(obj, key, what), key, len(dims))):
         d = dims[jx]
         dnext = dims[jx + 1] if jx + 1 < len(dims) else 0
-        fam.append(tuple(matrix_from_json(m, dnext, d) for m in per))
+        fam.append(tuple(matrix_from_json(m, dnext, d) for m in _array(per, f"{key} entry")))
         if len(fam[-1]) != alg.dim1:
             raise FormatError(f"need one {key} matrix per odd basis element")
     return lo, hi, dims, rho0, fam
 
 
 def module_from_json(obj) -> GradedModule:
-    alg = algebra_from_json(obj["algebra"])
-    lo, hi, dims, rho0, odd = _graded_families(obj, alg, "odd")
+    alg = algebra_from_json(_field(obj, "algebra", "module"))
+    lo, hi, dims, rho0, odd = _graded_families(obj, alg, "odd", "module")
     return make_module(alg, lo, hi, dims, rho0, odd)
 
 
@@ -231,8 +264,8 @@ def complex_to_json(l: RigidComplex):
 
 
 def complex_from_json(obj) -> RigidComplex:
-    alg = algebra_from_json(obj["algebra"])
-    lo, hi, dims, rho0, diff = _graded_families(obj, alg, "diff")
+    alg = algebra_from_json(_field(obj, "algebra", "complex"))
+    lo, hi, dims, rho0, diff = _graded_families(obj, alg, "diff", "complex")
     return make_complex(alg, lo, hi, dims, rho0, diff)
 
 
@@ -249,10 +282,10 @@ def map_to_json(phi: GradedMap):
 
 
 def map_from_json(obj) -> GradedMap:
-    src = module_from_json(obj["source"])
-    tgt = module_from_json(obj["target"])
+    src = module_from_json(_field(obj, "source", "map"))
+    tgt = module_from_json(_field(obj, "target", "map"))
     comps = {}
-    for j, m in obj.get("comps", {}).items():
+    for j, m in _obj(obj.get("comps", {}), "map comps").items():
         j = int_from_json(j, "component degree")
         comps[j] = matrix_from_json(m, tgt.dim_at(j), src.dim_at(j))
     return make_map(src, tgt, comps)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -219,3 +221,94 @@ def test_module_with_bad_builtin_reference_exit_2(capsys, files, tmp_path):
         path = str(tmp_path / "bad.json")
         dump(obj, path)
         assert main(["module-info", "--module", path]) == 2, ref
+
+
+def _malformed(files, tmp_path, edit):
+    with open(files["grassmann2_mixed"]) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    path = str(tmp_path / "malformed.json")
+    dump(obj, path)
+    return path
+
+
+def test_module_without_lo_exit_2(capsys, files, tmp_path):
+    path = _malformed(files, tmp_path, lambda obj: obj.pop("lo"))
+    assert main(["module-info", "--module", path]) == 2
+    assert "missing the field 'lo'" in capsys.readouterr().err
+
+
+def test_module_with_scalar_rho0_exit_2(capsys, files, tmp_path):
+    path = _malformed(files, tmp_path, lambda obj: obj.update(rho0=5))
+    assert main(["module-info", "--module", path]) == 2
+    assert "rho0 must be an array" in capsys.readouterr().err
+
+
+def test_sparse_entry_with_two_fields_exit_2(capsys, files, tmp_path):
+    def edit(obj):
+        m = obj["odd"][0][0]  # degree lo -> lo + 1, nested-array form
+        obj["odd"][0][0] = {"rows": len(m), "cols": len(m[0]), "entries": [[0, 0]]}
+
+    path = _malformed(files, tmp_path, edit)
+    assert main(["module-info", "--module", path]) == 2
+    assert "sparse matrix entry [row, column, value] must have 3 items" in capsys.readouterr().err
+
+
+def test_module_validation_failure_still_exit_1(capsys, files, tmp_path):
+    def edit(obj):
+        m = obj["odd"][0][0]
+        m[0][0] = "7" if m[0][0] == "0" else "0"
+
+    path = _malformed(files, tmp_path, edit)
+    assert main(["module-info", "--module", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# one parser serves every call in the process
+
+
+def test_parser_survives_a_bad_call(capsys):
+    assert main(["cech", "-r"]) == 2
+    assert main(["no-such-command"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, "cech", "-r", "2", "-d", "-4")
+    assert code == 0 and "{0: 0, 1: 0, 2: 3}" in out
+
+
+def test_parser_reuse_keeps_formats_apart(capsys):
+    code, out = run(capsys, "--format", "text", "cech", "-r", "1", "-d", "0")
+    assert code == 0 and out.startswith("H^p(P^1, O(0))")
+    code, out = run(capsys, "--format", "json", "cech", "-r", "1", "-d", "0")
+    assert code == 0 and json.loads(out)["command"] == "cech"
+    code, out = run(capsys, "cech", "-r", "1", "-d", "0", "--format", "json")
+    assert json.loads(out)["command"] == "cech"
+    code, again = run(capsys, "cech", "-r", "1", "-d", "0")
+    assert again.startswith("H^p(P^1, O(0))")
+
+
+def test_parser_reuse_does_not_leak_seed(capsys, files):
+    sample = ["variety", "--module", files["grassmann2_mixed"], "--sample", "5"]
+    _, default = run(capsys, "--format", "json", "--seed", "0", *sample)
+    _, seeded = run(capsys, "--format", "json", "--seed", "9", *sample)
+    assert seeded != default
+    _, after = run(capsys, "--format", "json", *sample)
+    assert after == default
+    _, seeded_late = run(capsys, "--format", "json", *sample, "--seed", "9")
+    assert seeded_late == seeded
+    _, after = run(capsys, "--format", "json", *sample)
+    assert after == default
+
+
+def test_parser_not_built_at_import():
+    code = (
+        "import superstable, superstable.cli as c; "
+        "print(c._parser.cache_info().currsize)"
+    )
+    import superstable
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superstable.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "0"

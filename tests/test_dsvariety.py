@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superstable.algebra import grassmann
 from superstable.corpus import corpus_modules
 from superstable.dsvariety import (
+    DsResult,
     ds_at,
     in_variety,
     random_points,
@@ -12,8 +16,9 @@ from superstable.dsvariety import (
     variety_ideal,
     x_operator,
 )
+from superstable.gradedmod import make_module
 from superstable.linalg import Matrix
-from superstable.rigid import OddPoint
+from superstable.rigid import CohomologyTable, L_of, OddPoint, fiber, fiber_cohomology
 
 
 def test_x_operator_squares_to_zero():
@@ -91,3 +96,42 @@ def test_support_check_consistency():
         v = e.module
         pts = random_points(v.alg.dim1, 10, seed=31)
         assert support_check(v, pts).ok
+
+
+def line_module():
+    """Lambda(g1)/(e_1) for dim g1 = 2: e_2 acts by 1 and e_1 by 0, so its
+    DS fiber is nonzero exactly on the line t_2 = 0."""
+    odd = ((Matrix.zero(1, 1), Matrix.identity(1)), (Matrix.zero(0, 1),) * 2)
+    return make_module(grassmann(2), 0, 1, (1, 1), ((), ()), odd)
+
+
+MODULES = {name: e.module for name, e in corpus_modules().items()}
+MODULES["grassmann2_line"] = line_module()
+
+
+@given(st.sampled_from(sorted(MODULES)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_support_check_entries_match_ds_at_and_fiber(name, data):
+    v = MODULES[name]
+    # unit vectors and small coordinates put points on the variety as
+    # well as off it
+    n = v.alg.dim1
+    coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    pts = [OddPoint(tuple(int(i == k) for i in range(n))) for k in range(n)]
+    pts += [OddPoint(c) for c in data.draw(st.lists(coords, max_size=3))]
+    report = support_check(v, pts)
+    for e, x in zip(report.entries, pts):
+        res = ds_at(v, x)
+        assert e.point == x
+        assert e.fiber_total == fiber_cohomology(fiber(L_of(v), x)).total
+        assert (e.ds_dim, e.in_variety) == (res.ds_dim, res.ds_dim > 0)
+        assert e.in_variety == in_variety(v, x)
+
+
+def test_ds_result_rejects_inconsistent_dimensions():
+    x = OddPoint((1,))
+    with pytest.raises(ValueError, match="fiber cohomology"):
+        DsResult(x, total_dim=2, rank_x=1, ds_dim=0, per_degree=CohomologyTable.from_dict({0: 1}))
+    with pytest.raises(ValueError, match="rank x_M"):
+        DsResult(x, total_dim=2, rank_x=0, ds_dim=0, per_degree=CohomologyTable.from_dict({0: 0}))
+    DsResult(x, total_dim=2, rank_x=0, ds_dim=2, per_degree=CohomologyTable.from_dict({0: 2}))

@@ -1,11 +1,13 @@
 import functools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
+from superstable.corpus import _adjoint_rep, _natural_rep, corpus_reps
 from superstable.gradedmod import (
     GradedMap,
     GradedModule,
@@ -14,9 +16,12 @@ from superstable.gradedmod import (
     direct_sum,
     double_dual_map,
     dual,
+    exterior_even_action,
+    exterior_odd_action,
     hom_graded,
     identity_map,
     induced_module,
+    induced_sum,
     make_map,
     make_module,
     right_twist,
@@ -25,7 +30,8 @@ from superstable.gradedmod import (
     tensor,
     trivial_module,
 )
-from superstable.linalg import Matrix
+from superstable.linalg import Matrix, kron
+from superstable.serialize import module_to_json
 
 
 def free_module(n, qdim=1, base=0):
@@ -333,3 +339,80 @@ def test_empty_window_module_and_map():
     v = make_module(grassmann(1), 0, -1, (), (), ())
     assert v.total_dim == 0
     assert make_map(v, v, {}).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the one-module induced builder against the former fold: one validated
+# induced module per degree from dense kron blocks, summed by direct_sum
+
+
+def induced_module_oracle(alg, q, base_degree):
+    n = alg.dim1
+    wedge = exterior_odd_action(n)
+    deriv = exterior_even_action(alg)
+    dims, rho0, odd = [], [], []
+    for l in range(n + 1):
+        lam = comb(n, l)
+        dims.append(lam * q.dim)
+        rho0.append(tuple(
+            kron(deriv[l][i], Matrix.identity(q.dim)) + kron(Matrix.identity(lam), q.mats[i])
+            for i in range(alg.dim0)
+        ))
+        odd.append(tuple(kron(wedge[l][e], Matrix.identity(q.dim)) for e in range(n)))
+    return make_module(alg, base_degree, base_degree + n, dims, rho0, odd)
+
+
+def induced_fold_oracle(alg, reps):
+    parts = [induced_module_oracle(alg, reps[j], j) for j in sorted(reps)]
+    out = parts[0]
+    for p in parts[1:]:
+        out = direct_sum(out, p)
+    return out
+
+
+def test_induced_sum_matches_fold_on_corpus_reps():
+    for name, e in corpus_reps().items():
+        for reps in ({0: e.rep}, {-1: e.rep, 1: e.rep}, {-2: e.rep, 0: e.rep, 3: e.rep}):
+            expect = induced_fold_oracle(e.alg, reps)
+            assert induced_sum(e.alg, reps) == expect, (name, sorted(reps))
+            assert module_to_json(induced_sum(e.alg, reps)) == module_to_json(expect)
+        assert induced_module(e.alg, e.rep, base_degree=2) == induced_module_oracle(e.alg, e.rep, 2)
+
+
+def test_induced_module_of_zero_rep():
+    g = sl2_adjoint()
+    v = induced_module(g, Rep.trivial(g.even, 0), base_degree=1)
+    assert (v.lo, v.hi, v.dims) == (1, 4, (0, 0, 0, 0))
+    assert v == induced_module_oracle(g, Rep.trivial(g.even, 0), 1)
+    with pytest.raises(ModuleError):
+        induced_sum(g, {})
+
+
+INDUCED_ALGEBRAS = [grassmann(1), grassmann(2), grassmann(3), sl2_trivial(1), sl2_trivial(2), sl2_adjoint()]
+
+
+@st.composite
+def algebra_and_reps(draw):
+    alg = draw(st.sampled_from(INDUCED_ALGEBRAS))
+    degrees = draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3))
+    kinds = ["trivial1", "trivial2"] + (["natural", "adjoint"] if alg.dim0 else [])
+    reps = {}
+    for j in degrees:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "natural":
+            reps[j] = _natural_rep(alg)
+        elif kind == "adjoint":
+            reps[j] = _adjoint_rep(alg)
+        else:
+            reps[j] = Rep.trivial(alg.even, int(kind[-1]))
+    return alg, reps
+
+
+@given(algebra_and_reps())
+@settings(max_examples=40, deadline=None)
+def test_induced_sum_matches_fold_on_random_reps(case):
+    alg, reps = case
+    expect = induced_fold_oracle(alg, reps)
+    got = induced_sum(alg, reps)
+    assert got == expect
+    assert module_to_json(got) == module_to_json(expect)

@@ -312,3 +312,60 @@ def test_linear_system_matches_dense_assembly(data):
         assert len(basis) == ns.cols
         for j, b in enumerate(basis):
             assert [e for name, _ in shapes for row in b[name].data for e in row] == ns.col(j)
+
+
+def explicit_term(a, name, b, shape):
+    """The same term with each int factor written as a matrix: c * B as
+    (I, B scaled by c), c * A as (A scaled by c, I), c * I on both sides
+    as a scaled identity."""
+    r, c = shape
+    if isinstance(a, int) and isinstance(b, int):
+        return (Matrix.identity(r).scale(a), name, Matrix.identity(c).scale(b))
+    if isinstance(a, int):
+        return (Matrix.identity(r), name, b.scale(a))
+    if isinstance(b, int):
+        return (a.scale(b), name, Matrix.identity(c))
+    return (a, name, b)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_system_int_factors_match_explicit_matrices(data):
+    dims = st.integers(1, 3)
+    shapes = [(f"x{k}", (data.draw(dims), data.draw(dims))) for k in range(data.draw(st.integers(1, 2)))]
+    homogeneous = data.draw(st.booleans())
+    ints, mats = LinearSystem(), LinearSystem()
+    for name, (r, c) in shapes:
+        ints.add_unknown(name, r, c)
+        mats.add_unknown(name, r, c)
+    sizes = st.sampled_from(sorted({n for _, shape in shapes for n in shape} | {0, 2}))
+    for _ in range(data.draw(st.integers(1, 3))):
+        p, q = data.draw(sizes), data.draw(sizes)
+        terms = []
+        for name, (r, c) in shapes:
+            if not data.draw(st.booleans()):
+                continue
+            coeff = st.integers(-2, 2)
+            a = data.draw(coeff) if p == r and data.draw(st.booleans()) else data.draw(sparse_matrices(p, r))
+            b = data.draw(coeff) if q == c and data.draw(st.booleans()) else data.draw(sparse_matrices(c, q))
+            terms.append((a, name, b))
+        rhs = Matrix.zero(p, q) if homogeneous else data.draw(sparse_matrices(p, q))
+        ints.add_constraint(terms, rhs)
+        mats.add_constraint([explicit_term(a, n, b, dict(shapes)[n]) for a, n, b in terms], rhs)
+    assert (ints.size, ints.rows, ints.rhs) == (mats.size, mats.rows, mats.rhs)
+    assert ints.solve() == mats.solve()
+    if homogeneous:
+        assert ints.solution_basis() == mats.solution_basis()
+
+
+def test_linear_system_int_factor_shapes():
+    sys = LinearSystem()
+    sys.add_unknown("x", 2, 3)
+    with pytest.raises(ValueError):
+        sys.add_constraint([(1, "x", Matrix.identity(2))], Matrix.zero(2, 2))  # B must be 3 x q
+    with pytest.raises(ValueError):
+        sys.add_constraint([(1, "x", 1)], Matrix.zero(3, 3))  # 1 * X * 1 is 2 x 3
+    with pytest.raises(TypeError):
+        sys.add_constraint([(0.5, "x", 1)], Matrix.zero(2, 3))
+    sys.add_constraint([(1, "x", -1)], Matrix.zero(2, 3))
+    assert sys.rows == [[(-1 if i == j else 0) for j in range(6)] for i in range(6)]

@@ -2,10 +2,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superstable.algebra import grassmann, sl2_adjoint, sl2_trivial
 from superstable.corpus import corpus_modules, corpus_morphisms
-from superstable.gradedmod import Rep
+from superstable.gradedmod import ModuleError, Rep
 from superstable.linalg import Matrix, Polynomial
 from superstable.rigid import L_of
 from superstable.serialize import (
@@ -40,6 +42,12 @@ def test_scalar_strings():
         scalar_from_str("1/0")
     with pytest.raises(FormatError):
         scalar_from_str("0.5")
+    assert scalar_from_str(3) == 3
+    for bad in (0.1, 2.0, True, None, [1]):
+        with pytest.raises(FormatError):
+            scalar_from_str(bad)
+    with pytest.raises(FormatError):
+        matrix_from_json([[0.1, 1]])
 
 
 def test_matrix_roundtrip_dense_and_sparse():
@@ -117,3 +125,46 @@ def test_module_rejects_bad_window():
     j["dims"] = j["dims"][:-1]
     with pytest.raises(FormatError):
         module_from_json(j)
+
+
+# ---------------------------------------------------------------------------
+# structurally malformed files: replacing or deleting any one node of a
+# module or map file gives a loaded object, FormatError (malformed) or
+# ModuleError (well formed but invalid), never another exception
+
+FUZZ_DOCS = [
+    dict(module_to_json(corpus_modules()["sl2_triv1_mixed"].module),
+         algebra=algebra_to_json(sl2_trivial(1))),
+    module_to_json(corpus_modules()["grassmann2_mixed"].module),
+    map_to_json(corpus_morphisms()["grassmann2_mixed_proj"].map),
+]
+DELETE = object()
+FUZZ_VALUES = [None, 5, True, 1.5, "x", [], {}, [1], [[]], [[1, 2]], {"rows": 1},
+               {"rows": 1, "cols": 1, "entries": [[0, 0]]}]
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, child in items:
+        yield from _paths(child, path + (k,))
+
+
+@given(st.sampled_from(range(len(FUZZ_DOCS))), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_malformed_node_gives_an_input_error(k, data):
+    doc = json.loads(json.dumps(FUZZ_DOCS[k]))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = data.draw(st.sampled_from([DELETE] + FUZZ_VALUES))
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(value))
+    load = map_from_json if "comps" in FUZZ_DOCS[k] else module_from_json
+    try:
+        load(doc)
+    except (FormatError, ModuleError):
+        pass
