@@ -48,7 +48,7 @@ def _multidegrees(r: int, d: int):
     yield from rec((), d, n)
 
 
-def _cech_piece(r: int, neg: frozenset) -> dict:
+def _cech_piece(r: int, neg: frozenset) -> CohomologyTable:
     """Cohomology dims of the one-multidegree subcomplex: chart sets
     I with |I| = p+1 containing every index where the exponent is
     negative, with the alternating-sum incidence differential."""
@@ -56,23 +56,17 @@ def _cech_piece(r: int, neg: frozenset) -> dict:
     bases = {}
     for p in range(r + 1):
         bases[p] = [s for s in combinations(verts, p + 1) if neg.issubset(s)]
-    diffs = {}
+    ranks = {}
     for p in range(r):
-        rows = {s: k for k, s in enumerate(bases[p + 1])}
         cols = {s: k for k, s in enumerate(bases[p])}
-        m = Matrix.zero(len(bases[p + 1]), len(bases[p]))
-        for s, ri in rows.items():
+        data = [[Fraction(0)] * len(cols) for _ in bases[p + 1]]
+        for ri, s in enumerate(bases[p + 1]):
             for k in range(len(s)):
-                face = s[:k] + s[k + 1 :]
-                ci = cols.get(face)
+                ci = cols.get(s[:k] + s[k + 1 :])
                 if ci is not None:
-                    m.data[ri][ci] = Fraction(-1 if k % 2 else 1)
-        diffs[p] = m
-    ranks = {p: diffs[p].rank() for p in diffs}
-    out = {}
-    for p in range(r + 1):
-        out[p] = len(bases[p]) - ranks.get(p, 0) - ranks.get(p - 1, 0)
-    return out
+                    data[ri][ci] = Fraction(-1 if k % 2 else 1)
+        ranks[p] = Matrix(len(data), len(cols), data).rank()
+    return CohomologyTable.of_complex({p: len(b) for p, b in bases.items()}, ranks)
 
 
 def cech_line_bundle(r: int, d: int) -> CohomologyTable:
@@ -91,7 +85,7 @@ def cech_line_bundle(r: int, d: int) -> CohomologyTable:
         if piece is None:
             piece = _cech_piece(r, neg)
             cache[neg] = piece
-        for p, v in piece.items():
+        for p, v in piece.entries:
             totals[p] += v
     return CohomologyTable.from_dict(
         {p: v for p, v in totals.items()}, context=f"cech P^{r} O({d})"
@@ -191,7 +185,7 @@ def _ce_differential(g0: LieAlgebraEven, rep: Rep, p: int) -> Matrix:
     dv = rep.dim
     src = list(combinations(range(n), p))
     tgt = list(combinations(range(n), p + 1))
-    m = Matrix.zero(len(tgt) * dv, len(src) * dv)
+    m = [[Fraction(0)] * (len(src) * dv) for _ in range(len(tgt) * dv)]
     for si, s in enumerate(src):
         for ti, t in enumerate(tgt):
             # action term
@@ -202,7 +196,7 @@ def _ce_differential(g0: LieAlgebraEven, rep: Rep, p: int) -> Matrix:
                 for rr in range(dv):
                     for cc in range(dv):
                         if coef.data[rr][cc]:
-                            m.data[ti * dv + rr][si * dv + cc] += coef.data[rr][cc]
+                            m[ti * dv + rr][si * dv + cc] += coef.data[rr][cc]
             # bracket contraction term
             for k in range(p + 1):
                 for l in range(k + 1, p + 1):
@@ -216,8 +210,8 @@ def _ce_differential(g0: LieAlgebraEven, rep: Rep, p: int) -> Matrix:
                             continue
                         sgn = c * val * (-1 if (k + l) % 2 else 1)
                         for rr in range(dv):
-                            m.data[ti * dv + rr][si * dv + rr] += sgn
-    return m
+                            m[ti * dv + rr][si * dv + rr] += sgn
+    return Matrix(len(tgt) * dv, len(src) * dv, m)
 
 
 def chevalley_eilenberg(g0: LieAlgebraEven, rep: Rep) -> CohomologyTable:
@@ -226,13 +220,8 @@ def chevalley_eilenberg(g0: LieAlgebraEven, rep: Rep) -> CohomologyTable:
     rep.check()
     n = g0.dim0
     dims = {p: comb(n, p) * rep.dim for p in range(n + 1)}
-    ranks = {}
-    for p in range(n):
-        ranks[p] = _ce_differential(g0, rep, p).rank()
-    out = {}
-    for p in range(n + 1):
-        out[p] = dims[p] - ranks.get(p, 0) - ranks.get(p - 1, 0)
-    return CohomologyTable.from_dict(out, context="chevalley-eilenberg")
+    ranks = {p: _ce_differential(g0, rep, p).rank() for p in range(n)}
+    return CohomologyTable.of_complex(dims, ranks, context="chevalley-eilenberg")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +253,7 @@ def sym_power(rep: Rep, m: int) -> Rep:
     mats = []
     for i in range(rep.g0.dim0):
         a = rep.mats[i]
-        mat = Matrix.zero(len(basis), len(basis))
+        mat = [[Fraction(0)] * len(basis) for _ in basis]
         for ci, e in enumerate(basis):
             for src in range(n):
                 if e[src] == 0:
@@ -276,8 +265,8 @@ def sym_power(rep: Rep, m: int) -> Rep:
                     t = list(e)
                     t[src] -= 1
                     t[dst] += 1
-                    mat.data[index[tuple(t)]][ci] += e[src] * c
-        mats.append(mat)
+                    mat[index[tuple(t)]][ci] += e[src] * c
+        mats.append(Matrix(len(basis), len(basis), mat))
     return Rep(rep.g0, len(basis), tuple(mats))
 
 
@@ -298,7 +287,7 @@ def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
         src = bases[p]
         tgt = bases[p + 1]
         index = {e: k for k, e in enumerate(tgt)}
-        m = Matrix.zero(len(tgt) * dv, len(src) * dv)
+        m = [[Fraction(0)] * (len(src) * dv) for _ in range(len(tgt) * dv)]
         for ci, exp in enumerate(src):
             for e in range(n):
                 t = list(exp)
@@ -308,12 +297,10 @@ def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
                 for rr in range(dv):
                     for cc in range(dv):
                         if a.data[rr][cc]:
-                            m.data[ti * dv + rr][ci * dv + cc] += a.data[rr][cc]
-        ranks[p] = m.rank()
-    out = {}
-    for p in range(p_max):
-        out[p] = len(bases[p]) * dv - ranks.get(p, 0) - ranks.get(p - 1, 0)
-    return CohomologyTable.from_dict(out, context="odd koszul")
+                            m[ti * dv + rr][ci * dv + cc] += a.data[rr][cc]
+        ranks[p] = Matrix(len(tgt) * dv, len(src) * dv, m).rank()
+    dims = {p: len(bases[p]) * dv for p in range(p_max)}
+    return CohomologyTable.of_complex(dims, ranks, context="odd koszul")
 
 
 # ---------------------------------------------------------------------------

@@ -269,18 +269,7 @@ class GradedMap:
 
     def total_matrix(self) -> Matrix:
         degs = sorted(set(self.source.degrees()) | set(self.target.degrees()))
-        rows = sum(self.target.dim_at(j) for j in degs)
-        cols = sum(self.source.dim_at(j) for j in degs)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        r0 = c0 = 0
-        for j in degs:
-            m = self.comp_at(j)
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    out[r0 + r][c0 + c] = m.data[r][c]
-            r0 += m.rows
-            c0 += m.cols
-        return Matrix(rows, cols, out)
+        return Matrix.block_diag(self.comp_at(j) for j in degs)
 
 
 def check_map(phi: GradedMap):
@@ -345,21 +334,13 @@ def direct_sum(v: GradedModule, w: GradedModule) -> GradedModule:
                 for i in range(v.alg.dim0)
             )
         )
-    for j in range(lo, hi + 1):
-        tgt = dims[j + 1 - lo] if j < hi else 0
-        row = []
-        for e in range(v.alg.dim1):
-            a, b = v.odd_at(j, e), w.odd_at(j, e)
-            blk = [[Fraction(0)] * (a.cols + b.cols) for _ in range(tgt)]
-            for r in range(a.rows):
-                for c in range(a.cols):
-                    blk[r][c] = a.data[r][c]
-            r0 = v.dim_at(j + 1)
-            for r in range(b.rows):
-                for c in range(b.cols):
-                    blk[r0 + r][a.cols + c] = b.data[r][c]
-            row.append(Matrix(tgt, a.cols + b.cols, blk))
-        odd.append(tuple(row))
+        # odd_at(j, e) has dim_at(j + 1) rows, so the block rows match
+        odd.append(
+            tuple(
+                Matrix.block_diag([v.odd_at(j, e), w.odd_at(j, e)])
+                for e in range(v.alg.dim1)
+            )
+        )
     return make_module(v.alg, lo, hi, dims, rho0, odd)
 
 

@@ -294,13 +294,12 @@ def _lift_along_evaluation(target_map: GradedMap):
     if sol is None:
         return None
     comps = {j: sol[f"s{j}"] for j in v.degrees() if v.dim_at(j) and ind.dim_at(j)}
-    return make_map(v, ind, comps), ev
+    return make_map(v, ind, comps)
 
 
 def is_projective(v: GradedModule) -> bool:
     """Section test: does the identity lift along Ind(V) ->> V?"""
-    _require_semisimple(v)
-    return _lift_along_evaluation(identity_map(v)) is not None
+    return projective_certificate(v) is not None
 
 
 def stable_equal(f: GradedMap, g: GradedMap) -> bool:
@@ -313,17 +312,13 @@ def stable_equal_certificate(f: GradedMap, g: GradedMap):
     if f.source != g.source or f.target != g.target:
         raise ModuleError("stable comparison requires equal sources and targets")
     _require_semisimple(f.source)
-    res = _lift_along_evaluation(f - g)
-    return None if res is None else res[0]
+    return _lift_along_evaluation(f - g)
 
 
 def projective_certificate(v: GradedModule):
     """The section matrices witnessing projectivity, or None."""
     _require_semisimple(v)
-    res = _lift_along_evaluation(identity_map(v))
-    if res is None:
-        return None
-    return res[0]
+    return _lift_along_evaluation(identity_map(v))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +348,8 @@ def frobenius_check(alg, q: Rep) -> bool:
     def comp(s):
         return tuple(x for x in full if x not in s)
 
-    f = Matrix.zero(dim, dim)
-    g = Matrix.zero(dim, dim)
+    f_rows = [[Fraction(0)] * dim for _ in range(dim)]
+    g_rows = [[Fraction(0)] * dim for _ in range(dim)]
     for s in subsets:
         sc = comp(s)
         # f sends e_S (x) q to eps(S^c, S) * (dual of lambda_{S^c}) (x) top (x) q
@@ -362,7 +357,8 @@ def frobenius_check(alg, q: Rep) -> bool:
         # g sends the dual of lambda_S (x) top (x) q to eps(S, S^c) * e_{S^c} (x) q
         sgn_g = _perm_sign(s, sc)
         for c in range(q.dim):
-            f.data[index[sc] * q.dim + c][index[s] * q.dim + c] = Fraction(sgn_f)
-            g.data[index[sc] * q.dim + c][index[s] * q.dim + c] = Fraction(sgn_g)
+            f_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = Fraction(sgn_f)
+            g_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = Fraction(sgn_g)
+    f, g = Matrix(dim, dim, f_rows), Matrix(dim, dim, g_rows)
     ident = Matrix.identity(dim)
     return f * g == ident and g * f == ident

@@ -33,11 +33,6 @@ class RigidComplex:
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
-    def rho_at(self, j: int, i: int) -> Matrix:
-        if self.lo <= j <= self.hi:
-            return self.rho0[j - self.lo][i]
-        return Matrix.zero(0, 0)
-
     def diff_at(self, j: int, e: int) -> Matrix:
         if self.lo <= j <= self.hi:
             return self.diff[j - self.lo][e]
@@ -94,6 +89,15 @@ class CohomologyTable:
             raise ValueError("cohomology dimensions must be nonnegative")
         return CohomologyTable(items, context)
 
+    @staticmethod
+    def of_complex(dims: dict, ranks: dict, context: str = "") -> "CohomologyTable":
+        """Cohomology of a complex of finite-dimensional spaces:
+        dim H^j = dims[j] - rank d^j - rank d^(j-1) for each degree j in
+        dims, where ranks[j] is the rank of d^j: C^j -> C^(j+1) and a
+        degree missing from ranks has no differential (rank 0)."""
+        out = {j: d - ranks.get(j, 0) - ranks.get(j - 1, 0) for j, d in dims.items()}
+        return CohomologyTable.from_dict(out, context)
+
     def as_dict(self) -> dict:
         return dict(self.entries)
 
@@ -105,67 +109,32 @@ class CohomologyTable:
         return sum(v for _, v in self.entries)
 
 
-def _sign(j: int) -> int:
-    return -1 if j % 2 else 1
-
-
-def _check_complex(l: RigidComplex):
-    alg = l.alg
-    n0, n1 = alg.dim0, alg.dim1
-    for j in l.degrees():
-        d = l.dim_at(j)
-        # symmetrized composability: this is d^(j+1) d^j = 0 coefficientwise
-        for e in range(n1):
-            for f in range(e, n1):
-                s = l.diff_at(j + 1, e) * l.diff_at(j, f) + l.diff_at(j + 1, f) * l.diff_at(j, e)
-                if not s.is_zero():
-                    raise ModuleError(f"composability fails at degree {j}, pair ({e},{f})")
-        # g0-equivariance of the differential
-        for i in range(n0):
-            for e in range(n1):
-                lhs = l.rho_at(j + 1, i) * l.diff_at(j, e) - l.diff_at(j, e) * l.rho_at(j, i)
-                rhs = Matrix.zero(l.dim_at(j + 1), d)
-                ai = alg.odd.action[i]
-                for k in range(n1):
-                    c = ai.data[k][e]
-                    if c != 0:
-                        rhs = rhs + l.diff_at(j, k).scale(c)
-                if lhs != rhs:
-                    raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
+def _signed(lo: int, fam) -> list:
+    """The family with its degree-j matrices times (-1)^j, degrees from lo:
+    the sign between D and a, in either direction."""
+    return [tuple(m.scale(-1 if (lo + k) % 2 else 1) for m in per) for k, per in enumerate(fam)]
 
 
 def make_complex(alg, lo, hi, dims, rho0, diff) -> RigidComplex:
-    l = RigidComplex(alg, lo, hi, tuple(dims), tuple(map(tuple, rho0)), tuple(map(tuple, diff)))
-    _check_complex(l)
-    return l
+    """Build a validated rigid complex; raises ModuleError with the first
+    failing identity.  The module identities (`make_module`) check it:
+    D^j = (-1)^j a^j multiplies each anticommutation sum by -1 and each
+    equivariance identity by (-1)^j, so the family is a rigid complex
+    exactly when it is a valid odd action (composability is the
+    anticommutation identity).  The shapes and that rho0 is a
+    g0-representation in every degree are checked too."""
+    v = make_module(alg, lo, hi, dims, rho0, diff)
+    return RigidComplex(v.alg, v.lo, v.hi, v.dims, v.rho0, v.odd)
 
 
 def L_of(v: GradedModule) -> RigidComplex:
     """Module -> rigid complex: D_e^j = (-1)^j a_e^j."""
-    diff = []
-    for j in v.degrees():
-        s = _sign(j)
-        diff.append(tuple(m.scale(s) for m in v.odd[j - v.lo]))
-    return make_complex(v.alg, v.lo, v.hi, v.dims, v.rho0, diff)
+    return make_complex(v.alg, v.lo, v.hi, v.dims, v.rho0, _signed(v.lo, v.odd))
 
 
 def V_of(l: RigidComplex) -> GradedModule:
     """Rigid complex -> module, inverting L_of exactly: a_e^j = (-1)^j D_e^j."""
-    odd = []
-    for j in l.degrees():
-        s = _sign(j)
-        odd.append(tuple(m.scale(s) for m in l.diff[j - l.lo]))
-    return make_module(l.alg, l.lo, l.hi, l.dims, l.rho0, odd)
-
-
-def map_on_complexes(phi, lv: RigidComplex, lw: RigidComplex) -> bool:
-    """Check that a graded map's matrices commute with the D families."""
-    degs = sorted(set(lv.degrees()) | set(lw.degrees()))
-    for j in degs:
-        for e in range(lv.alg.dim1):
-            if phi.comp_at(j + 1) * lv.diff_at(j, e) != lw.diff_at(j, e) * phi.comp_at(j):
-                return False
-    return True
+    return make_module(l.alg, l.lo, l.hi, l.dims, l.rho0, _signed(l.lo, l.diff))
 
 
 def fiber(l: RigidComplex, x: OddPoint) -> FiberComplex:
@@ -189,7 +158,4 @@ def fiber(l: RigidComplex, x: OddPoint) -> FiberComplex:
 def fiber_cohomology(f: FiberComplex) -> CohomologyTable:
     """dim H^j = dims[j] - rank d^j - rank d^(j-1), exactly."""
     ranks = {j: f.d_at(j).rank() for j in f.degrees()}
-    out = {}
-    for j in f.degrees():
-        out[j] = f.dim_at(j) - ranks.get(j, 0) - ranks.get(j - 1, 0)
-    return CohomologyTable.from_dict(out, context="fiber")
+    return CohomologyTable.of_complex(dict(zip(f.degrees(), f.dims)), ranks, context="fiber")

@@ -30,7 +30,8 @@ class FormatError(ValueError):
 
 
 def scalar_to_str(x) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -213,15 +214,21 @@ def _algebra_ref(g: SuperAlgebra):
     return g.name if g.name else algebra_to_json(g)
 
 
-def module_to_json(v: GradedModule):
+def _graded_to_json(x, key: str, fam):
+    """The file object of a module (key "odd") or a complex (key "diff")
+    whose odd family is fam; `_graded_families` reads both back."""
     return {
-        "algebra": _algebra_ref(v.alg),
-        "lo": v.lo,
-        "hi": v.hi,
-        "dims": list(v.dims),
-        "rho0": [[matrix_to_json(m) for m in per] for per in v.rho0],
-        "odd": [[matrix_to_json(m) for m in per] for per in v.odd],
+        "algebra": _algebra_ref(x.alg),
+        "lo": x.lo,
+        "hi": x.hi,
+        "dims": list(x.dims),
+        "rho0": [[matrix_to_json(m) for m in per] for per in x.rho0],
+        key: [[matrix_to_json(m) for m in per] for per in fam],
     }
+
+
+def module_to_json(v: GradedModule):
+    return _graded_to_json(v, "odd", v.odd)
 
 
 def _graded_families(obj, alg, key, what):
@@ -253,14 +260,7 @@ def module_from_json(obj) -> GradedModule:
 
 
 def complex_to_json(l: RigidComplex):
-    return {
-        "algebra": _algebra_ref(l.alg),
-        "lo": l.lo,
-        "hi": l.hi,
-        "dims": list(l.dims),
-        "rho0": [[matrix_to_json(m) for m in per] for per in l.rho0],
-        "diff": [[matrix_to_json(m) for m in per] for per in l.diff],
-    }
+    return _graded_to_json(l, "diff", l.diff)
 
 
 def complex_from_json(obj) -> RigidComplex:

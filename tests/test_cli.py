@@ -265,6 +265,48 @@ def test_module_validation_failure_still_exit_1(capsys, files, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# complex files are validated by the module identities
+
+
+def _complex_file(tmp_path, obj, name):
+    path = str(tmp_path / name)
+    dump(obj, path)
+    return path
+
+
+def _broken_complexes(tmp_path):
+    """(file, a point of P(g1), expected message) for a complex whose
+    composability fails and for one whose rho0 is not a representation."""
+    from superstable.rigid import L_of
+    from superstable.serialize import complex_to_json
+
+    obj = complex_to_json(L_of(corpus_modules()["grassmann2_free"].module))
+    m = obj["diff"][0][0]
+    m[0][0] = "7" if m[0][0] == "0" else "0"
+    broken = _complex_file(tmp_path, obj, "composability.json")
+    # one degree of sl2_trivial(1), every basis element acting as 1:
+    # [e, f] = h fails, and no identity of the differential involves rho0
+    ident = [["1", "0"], ["0", "1"]]
+    obj = {"algebra": "sl2_trivial(1)", "lo": 0, "hi": 0, "dims": [2],
+           "rho0": [[ident, ident, ident]], "diff": [[[]]]}
+    nonrep = _complex_file(tmp_path, obj, "nonrep.json")
+    return [
+        (broken, "1,1", "anticommutation fails"),
+        (nonrep, "1", "even representation fails"),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["fiber", "v"])
+def test_rigid_refuses_invalid_complex_files(capsys, tmp_path, mode):
+    for path, point, message in _broken_complexes(tmp_path):
+        argv = ["rigid", mode, path] + (["--point", point] if mode == "fiber" else [])
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
 # one parser serves every call in the process
 
 

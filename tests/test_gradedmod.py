@@ -416,3 +416,87 @@ def test_induced_sum_matches_fold_on_random_reps(case):
     got = induced_sum(alg, reps)
     assert got == expect
     assert module_to_json(got) == module_to_json(expect)
+
+
+# ---------------------------------------------------------------------------
+# block assembly: total_matrix and the odd blocks of direct_sum go through
+# Matrix.block_diag; the former hand-placed assembly is the oracle
+
+
+def total_matrix_oracle(phi):
+    degs = sorted(set(phi.source.degrees()) | set(phi.target.degrees()))
+    rows = sum(phi.target.dim_at(j) for j in degs)
+    cols = sum(phi.source.dim_at(j) for j in degs)
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for j in degs:
+        m = phi.comp_at(j)
+        for r in range(m.rows):
+            for c in range(m.cols):
+                out[r0 + r][c0 + c] = m.data[r][c]
+        r0 += m.rows
+        c0 += m.cols
+    return Matrix(rows, cols, out)
+
+
+def direct_sum_odd_oracle(v, w):
+    lo, hi = min(v.lo, w.lo), max(v.hi, w.hi)
+    odd = []
+    for j in range(lo, hi + 1):
+        tgt = v.dim_at(j + 1) + w.dim_at(j + 1) if j < hi else 0
+        row = []
+        for e in range(v.alg.dim1):
+            a, b = v.odd_at(j, e), w.odd_at(j, e)
+            blk = [[Fraction(0)] * (a.cols + b.cols) for _ in range(tgt)]
+            for r in range(a.rows):
+                for c in range(a.cols):
+                    blk[r][c] = a.data[r][c]
+            r0 = v.dim_at(j + 1)
+            for r in range(b.rows):
+                for c in range(b.cols):
+                    blk[r0 + r][a.cols + c] = b.data[r][c]
+            row.append(Matrix(tgt, a.cols + b.cols, blk))
+        odd.append(tuple(row))
+    return tuple(odd)
+
+
+@functools.lru_cache(maxsize=None)
+def random_pool():
+    from superstable.corpus import random_module
+
+    pool = {}
+    for k in range(60):
+        v = random_module(1300 + k, 8)
+        pool.setdefault(v.alg.name, []).append(v)
+    return {name: vs for name, vs in pool.items() if len(vs) >= 2}
+
+
+@st.composite
+def module_pairs(draw):
+    vs = draw(st.sampled_from(sorted(random_pool().items())))[1]
+    v, w = draw(st.permutations(vs))[:2]
+    return v, shift(w, draw(st.integers(-3, 3)))
+
+
+@given(module_pairs())
+@settings(max_examples=40, deadline=None)
+def test_direct_sum_odd_blocks_match_hand_placement(pair):
+    v, w = pair
+    assert direct_sum(v, w).odd == direct_sum_odd_oracle(v, w)
+
+
+@given(module_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_total_matrix_matches_hand_placement(pair, rng):
+    v, w = pair
+    # any components of the right shapes: total_matrix does not need a g-map
+    comps = {
+        j: Matrix(w.dim_at(j), v.dim_at(j),
+                  [[rng.randint(-3, 3) for _ in range(v.dim_at(j))] for _ in range(w.dim_at(j))])
+        for j in set(v.degrees()) & set(w.degrees())
+        if rng.random() < 0.8
+    }
+    phi = GradedMap(v, w, comps)
+    assert phi.total_matrix() == total_matrix_oracle(phi)
+    s = direct_sum(v, w)
+    assert identity_map(s).total_matrix() == total_matrix_oracle(identity_map(s))

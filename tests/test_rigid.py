@@ -1,19 +1,23 @@
+import functools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superstable.algebra import grassmann, sl2_trivial
 from superstable.corpus import corpus_modules, random_module
-from superstable.gradedmod import ModuleError, identity_map, make_module
+from superstable.gradedmod import ModuleError
 from superstable.linalg import Matrix
 from superstable.rigid import (
     CohomologyTable,
     L_of,
     OddPoint,
+    RigidComplex,
     V_of,
     fiber,
     fiber_cohomology,
     make_complex,
-    map_on_complexes,
 )
 
 
@@ -43,7 +47,8 @@ def test_differential_signs():
 
 def test_composability_is_anticommutation():
     # a family violating anticommutation is rejected by the complex
-    # validator for exactly the composability reason
+    # validator for exactly the composability reason, which is the
+    # anticommutation identity of the module checks
     from superstable.algebra import grassmann
 
     g = grassmann(2)
@@ -51,7 +56,7 @@ def test_composability_is_anticommutation():
     d2 = Matrix.from_rows([[0], [1]])
     t1 = Matrix.from_rows([[0, 1]])
     t2 = Matrix.from_rows([[1, 0]])
-    with pytest.raises(ModuleError, match="composability"):
+    with pytest.raises(ModuleError, match="anticommutation"):
         make_complex(
             g, 0, 2, (1, 2, 1), ((), (), ()), ((d1, d2), (t1, t2), (Matrix.zero(0, 1),) * 2)
         )
@@ -82,15 +87,150 @@ def test_odd_point_rejects_zero():
         OddPoint((0, 0))
 
 
-def test_map_on_complexes_functorial():
-    v = corpus_modules()["sl2_triv2_mixed"].module
-    phi = identity_map(v)
-    assert map_on_complexes(phi, L_of(v), L_of(v))
-
-
 def test_cohomology_table_validation():
     with pytest.raises(ValueError):
         CohomologyTable.from_dict({0: -1})
     t = CohomologyTable.from_dict({2: 1, 0: 3})
     assert t.entries == ((0, 3), (2, 1))
     assert t.total == 4 and t.dim(2) == 1 and t.dim(5) == 0
+
+
+def test_cohomology_table_of_complex():
+    # 0 -> k^2 -> k^3 -> k^1 -> 0 with ranks 2 and 1: H = (0, 0, 0)
+    t = CohomologyTable.of_complex({0: 2, 1: 3, 2: 1}, {0: 2, 1: 1}, context="c")
+    assert t.as_dict() == {0: 0, 1: 0, 2: 0} and t.context == "c"
+    # degree 2 has no differential and degree 1's is zero
+    t = CohomologyTable.of_complex({0: 3, 1: 2, 2: 4}, {0: 1, 1: 0})
+    assert t.as_dict() == {0: 2, 1: 1, 2: 4}
+    # only the degrees in dims are reported; a rank above them still counts
+    t = CohomologyTable.of_complex({5: 3}, {4: 1, 5: 2})
+    assert t.entries == ((5, 0),)
+    assert CohomologyTable.of_complex({}, {}).entries == ()
+    with pytest.raises(ValueError):
+        CohomologyTable.of_complex({0: 1}, {0: 2})
+
+
+# ---------------------------------------------------------------------------
+# make_complex validates by the module identities; the former dense complex
+# validator is kept here as the oracle
+
+
+def dense_check_complex(l):
+    """Composability and g0-equivariance of the differential, by dense
+    Matrix arithmetic on the D family; raises ModuleError."""
+    alg = l.alg
+    n0, n1 = alg.dim0, alg.dim1
+
+    def rho_at(j, i):
+        return l.rho0[j - l.lo][i] if l.lo <= j <= l.hi else Matrix.zero(0, 0)
+
+    for j in l.degrees():
+        d = l.dim_at(j)
+        for e in range(n1):
+            for f in range(e, n1):
+                s = l.diff_at(j + 1, e) * l.diff_at(j, f) + l.diff_at(j + 1, f) * l.diff_at(j, e)
+                if not s.is_zero():
+                    raise ModuleError(f"composability fails at degree {j}, pair ({e},{f})")
+        for i in range(n0):
+            for e in range(n1):
+                lhs = rho_at(j + 1, i) * l.diff_at(j, e) - l.diff_at(j, e) * rho_at(j, i)
+                rhs = Matrix.zero(l.dim_at(j + 1), d)
+                ai = alg.odd.action[i]
+                for k in range(n1):
+                    c = ai.data[k][e]
+                    if c != 0:
+                        rhs = rhs + l.diff_at(j, k).scale(c)
+                if lhs != rhs:
+                    raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
+
+
+def dense_is_representation(g0, mats) -> bool:
+    """[rho_i, rho_l] = sum_k c_il^k rho_k for all i, l, by dense products."""
+    for i in range(g0.dim0):
+        for l in range(g0.dim0):
+            lhs = mats[i] * mats[l] - mats[l] * mats[i]
+            for k in range(g0.dim0):
+                lhs = lhs - mats[k].scale(g0.bracket[i][l][k])
+            if not lhs.is_zero():
+                return False
+    return True
+
+
+def oracle_rejects(alg, lo, hi, dims, rho0, diff) -> bool:
+    if not all(dense_is_representation(alg.even, per) for per in rho0):
+        return True
+    try:
+        dense_check_complex(RigidComplex(alg, lo, hi, tuple(dims), rho0, diff))
+    except ModuleError:
+        return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def complexes():
+    out = {n: L_of(e.module) for n, e in corpus_modules().items()}
+    for k in range(12):
+        out[f"random{k}"] = L_of(random_module(900 + k, 8))
+    return out
+
+
+def perturbed(fam, k, x, r, c, delta):
+    data = fam[k][x].copy_data()
+    data[r][c] += delta
+    m = Matrix(len(data), fam[k][x].cols, data)
+    return tuple(
+        tuple(m if (kk, xx) == (k, x) else mm for xx, mm in enumerate(per))
+        for kk, per in enumerate(fam)
+    )
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_make_complex_agrees_with_the_dense_oracle(data):
+    l = data.draw(st.sampled_from(sorted(complexes().items())))[1]
+    slots = [
+        (name, k, x, m.rows, m.cols)
+        for name in ("rho0", "diff")
+        for k, per in enumerate(getattr(l, name))
+        for x, m in enumerate(per)
+        if m.rows and m.cols
+    ]
+    if not slots:
+        return
+    name, k, x, rows, cols = data.draw(st.sampled_from(slots))
+    r, c = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    delta = data.draw(st.sampled_from((1, -2, Fraction(1, 3))))
+    rho0, diff = l.rho0, l.diff
+    if name == "rho0":
+        rho0 = perturbed(rho0, k, x, r, c, delta)
+    else:
+        diff = perturbed(diff, k, x, r, c, delta)
+    expect = oracle_rejects(l.alg, l.lo, l.hi, l.dims, rho0, diff)
+    try:
+        got = make_complex(l.alg, l.lo, l.hi, l.dims, rho0, diff)
+    except ModuleError:
+        assert expect
+    else:
+        assert not expect
+        assert (got.rho0, got.diff) == (rho0, diff)
+
+
+def test_complex_with_non_representation_rho0_is_refused():
+    # one degree, so no equivariance or composability identity involves rho0:
+    # only the representation check sees that [e, f] = h fails
+    g = sl2_trivial(1)
+    ident = Matrix.identity(2)
+    rho0 = ((ident,) * 3,)
+    diff = ((Matrix.zero(0, 2),),)
+    l = RigidComplex(g, 0, 0, (2,), rho0, diff)
+    dense_check_complex(l)  # the composability/equivariance checks pass
+    with pytest.raises(ModuleError, match="even representation fails at degree 0"):
+        make_complex(g, 0, 0, (2,), rho0, diff)
+
+
+def test_complex_with_wrong_shaped_diff_is_refused():
+    g = grassmann(1)
+    with pytest.raises(ModuleError, match="odd action matrix shape mismatch"):
+        make_complex(g, 0, 1, (1, 1), ((), ()), ((Matrix.zero(2, 1),), (Matrix.zero(0, 1),)))
+    with pytest.raises(ModuleError, match="length mismatch"):
+        make_complex(g, 0, 1, (1,), ((), ()), ((Matrix.zero(1, 1),), (Matrix.zero(0, 1),)))
