@@ -36,7 +36,6 @@ from .dsvariety import (
     random_points,
     support_check,
     variety_ideal,
-    x_operator,
 )
 from .gradedmod import (
     GradedMap,

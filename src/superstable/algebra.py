@@ -186,10 +186,9 @@ def killing_form(g0: LieAlgebraEven) -> Matrix:
 
 
 def is_semisimple(g0: LieAlgebraEven) -> bool:
-    """Cartan's criterion over the rationals; dim0 = 0 counts as semisimple."""
-    if g0.dim0 == 0:
-        return True
-    return killing_form(g0).det() != 0
+    """Cartan's criterion over the rationals: the Killing form has full
+    rank; dim0 = 0 counts as semisimple."""
+    return killing_form(g0).rank() == g0.dim0
 
 
 def cone_equations(dim1: int, b: OddBracketForm | None) -> "PolyIdeal":

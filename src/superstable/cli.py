@@ -26,7 +26,6 @@ from .cohomology import (
 )
 from .dsvariety import (
     ds_at,
-    in_variety,
     random_points,
     support_check,
     variety_ideal,
@@ -223,15 +222,14 @@ def _cmd_variety(args):
             "variety", lines, nvars=ideal.nvars, generators=gens
         )
     pts = random_points(v.alg.dim1, args.sample, args.seed)
-    rows = []
-    for k, x in enumerate(pts):
-        rows.append(
-            {
-                "index": k,
-                "point": [scalar_to_str(c) for c in x.coords],
-                "in_variety": in_variety(v, x),
-            }
-        )
+    rows = [
+        {
+            "index": k,
+            "point": [scalar_to_str(c) for c in e.point.coords],
+            "in_variety": e.in_variety,
+        }
+        for k, e in enumerate(support_check(v, pts).entries)
+    ]
     inside = sum(1 for r in rows if r["in_variety"])
     lines = [f"sampled {len(rows)} points; {inside} in the variety"]
     return EXIT_OK, _report("variety", lines, samples=rows)

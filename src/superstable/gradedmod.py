@@ -117,22 +117,8 @@ class GradedModule:
 
     def total_odd(self, e: int) -> Matrix:
         """Ungraded action of the e-th odd generator on the total space."""
-        n = self.total_dim
-        out = [[Fraction(0)] * n for _ in range(n)]
-        off = {}
-        run = 0
-        for j in self.degrees():
-            off[j] = run
-            run += self.dim_at(j)
-        for j in self.degrees():
-            if j + 1 > self.hi:
-                continue
-            a = self.odd_at(j, e)
-            r0, c0 = off[j + 1], off[j]
-            for r in range(a.rows):
-                for c in range(a.cols):
-                    out[r0 + r][c0 + c] = a.data[r][c]
-        return Matrix(n, n, out)
+        blocks = Matrix.block_diag(self.odd_at(j, e) for j in self.degrees())
+        return Matrix.zero(self.dim_at(self.lo), self.total_dim).vstack(blocks)
 
     def rep_at(self, j: int) -> Rep:
         """Degree-j component as a plain g0-module."""

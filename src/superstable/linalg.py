@@ -223,32 +223,6 @@ class Matrix:
             return Matrix(self.cols, 0, [[] for _ in range(self.cols)])
         return Matrix(self.cols, b.cols, [list(r) for r in zip(*xs)])
 
-    def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        m = self.copy_data()
-        n = self.rows
-        d = Fraction(1)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                d = -d
-            d *= m[c][c]
-            p = m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] / p
-                    for j in range(c, n):
-                        m[i][j] -= f * m[c][j]
-        return d
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")

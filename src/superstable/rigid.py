@@ -137,18 +137,28 @@ def V_of(l: RigidComplex) -> GradedModule:
     return make_module(l.alg, l.lo, l.hi, l.dims, l.rho0, _signed(l.lo, l.diff))
 
 
+def evaluate_at(fam, x: OddPoint, dim1: int) -> list:
+    """A per-degree odd family at x: F_x^j = sum_e x_e F_e^j for each degree.
+
+    fam[k] holds the dim1 matrices F_e^j of the k-th degree of the window.
+    On a complex's `diff` this gives the fiber differentials d_x^j; on a
+    module's `odd` it gives the blocks a_x^j of x_M, which is
+    block-subdiagonal, so rank x_M is the sum of their ranks."""
+    if len(x.coords) != dim1:
+        raise ValueError("point dimension does not match the odd part")
+    out = []
+    for per in fam:
+        m = Matrix.zero(per[0].rows, per[0].cols)
+        for f, c in zip(per, x.coords):
+            if c != 0:
+                m = m + f.scale(c)
+        out.append(m)
+    return out
+
+
 def fiber(l: RigidComplex, x: OddPoint) -> FiberComplex:
     """Evaluate the differentials at a rational point of P(g1)."""
-    if len(x.coords) != l.alg.dim1:
-        raise ValueError("point dimension does not match the odd part")
-    ds = []
-    for j in l.degrees():
-        m = Matrix.zero(l.dim_at(j + 1), l.dim_at(j))
-        for e, c in enumerate(x.coords):
-            if c != 0:
-                m = m + l.diff_at(j, e).scale(c)
-        ds.append(m)
-    f = FiberComplex(l.lo, l.hi, l.dims, tuple(ds))
+    f = FiberComplex(l.lo, l.hi, l.dims, tuple(evaluate_at(l.diff, x, l.alg.dim1)))
     for j in f.degrees():
         if not (f.d_at(j + 1) * f.d_at(j)).is_zero():
             raise ModuleError("fiber differential does not square to zero")

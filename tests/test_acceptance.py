@@ -29,6 +29,7 @@ from superstable.projstable import (
     stable_equal,
 )
 from superstable.rigid import L_of, V_of, fiber, fiber_cohomology
+from test_dsvariety import x_operator
 
 _T0 = time.monotonic()
 
@@ -75,6 +76,7 @@ def test_criterion_03_ds_fiber_consistency():
             graded = fiber_cohomology(fiber(l, x))
             ok = ok and res.ds_dim == graded.total
             ok = ok and res.ds_dim == v.total_dim - 2 * res.rank_x
+            ok = ok and res.rank_x == x_operator(v, x).rank()
     _verdict(3, "ds dimension equals summed fiber cohomology", ok)
 
 

@@ -112,6 +112,34 @@ def test_variety_sampling_deterministic(capsys, files):
     assert out1 == out2
 
 
+def test_variety_sampling_matches_in_variety(capsys, tmp_path):
+    from superstable.dsvariety import in_variety
+    from superstable.rigid import OddPoint
+    from superstable.serialize import scalar_from_str
+
+    for name, e in corpus_modules().items():
+        path = str(tmp_path / f"{name}.json")
+        dump(module_to_json(e.module), path)
+        code, out = run(
+            capsys, "--format", "json", "variety", "--module", path,
+            "--sample", "6", "--seed", "3",
+        )
+        assert code == 0
+        rows = json.loads(out)["samples"]
+        assert [r["index"] for r in rows] == list(range(6))
+        for r in rows:
+            x = OddPoint(tuple(scalar_from_str(c) for c in r["point"]))
+            assert r["in_variety"] == in_variety(e.module, x), (name, r)
+
+
+def test_ds_point_of_wrong_length_exit_1(capsys, files):
+    code = main(["ds", "--module", files["grassmann2_free"], "--point", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "point dimension" in err, err
+    assert "Traceback" not in err
+
+
 def test_support_check(capsys, files):
     code, out = run(
         capsys, "support-check", "--module", files["sl2_triv2_mixed"], "--sample", "5"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstable.algebra import grassmann
-from superstable.corpus import corpus_modules
+from superstable.corpus import corpus_modules, random_module
 from superstable.dsvariety import (
     DsResult,
     ds_at,
@@ -14,11 +14,42 @@ from superstable.dsvariety import (
     support_check,
     symbolic_x_matrix,
     variety_ideal,
-    x_operator,
 )
 from superstable.gradedmod import make_module
 from superstable.linalg import Matrix
-from superstable.rigid import CohomologyTable, L_of, OddPoint, fiber, fiber_cohomology
+from superstable.rigid import (
+    CohomologyTable,
+    L_of,
+    OddPoint,
+    evaluate_at,
+    fiber,
+    fiber_cohomology,
+)
+
+
+def x_operator(m, x):
+    """Oracle: the dense ungraded x_M = sum_e x_e a_e on the total space,
+    each block a_e^j placed by hand at the rows of degree j+1 and the
+    columns of degree j."""
+    if len(x.coords) != m.alg.dim1:
+        raise ValueError("point dimension does not match the odd part")
+    n = m.total_dim
+    out = [[Fraction(0)] * n for _ in range(n)]
+    off = {}
+    run = 0
+    for j in m.degrees():
+        off[j] = run
+        run += m.dim_at(j)
+    for j in m.degrees():
+        if j + 1 > m.hi:
+            continue
+        r0, c0 = off[j + 1], off[j]
+        for e, t in enumerate(x.coords):
+            a = m.odd_at(j, e)
+            for r in range(a.rows):
+                for c in range(a.cols):
+                    out[r0 + r][c0 + c] += t * a.data[r][c]
+    return Matrix(n, n, out)
 
 
 def test_x_operator_squares_to_zero():
@@ -27,6 +58,46 @@ def test_x_operator_squares_to_zero():
         for x in random_points(v.alg.dim1, 5, seed=17):
             xm = x_operator(v, x)
             assert (xm * xm).is_zero()
+
+
+def unit_points(n):
+    return [OddPoint(tuple(int(i == k) for i in range(n))) for k in range(n)]
+
+
+@given(st.one_of(st.sampled_from(sorted(corpus_modules())), st.integers(0, 10**6)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ds_rank_matches_dense_x_operator(source, data):
+    # a corpus module by name, or a random module by seed
+    v = corpus_modules()[source].module if isinstance(source, str) else random_module(source, 12)
+    n = v.alg.dim1
+    coords = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    pts = unit_points(n) + [OddPoint(c) for c in data.draw(st.lists(coords, max_size=3))]
+    lv = L_of(v)
+    top = Matrix.zero(v.dim_at(v.lo), v.total_dim)
+    for x in pts:
+        xm = x_operator(v, x)
+        assert (xm * xm).is_zero()
+        assert ds_at(v, x).rank_x == xm.rank()
+        blocks = evaluate_at(v.odd, x, n)
+        assert top.vstack(Matrix.block_diag(blocks)) == xm
+        signed = tuple(b.scale(-1 if j % 2 else 1) for j, b in zip(v.degrees(), blocks))
+        assert fiber(lv, x).d == signed
+        total = Matrix.zero(v.total_dim, v.total_dim)
+        for e, c in enumerate(x.coords):
+            total = total + v.total_odd(e).scale(c)
+        assert total == xm
+
+
+def test_point_of_wrong_length_is_refused():
+    for name in ("grassmann1_trivial", "sl2_triv2_free", "sl2_adjoint_natural"):
+        v = corpus_modules()[name].module
+        for k in (v.alg.dim1 - 1, v.alg.dim1 + 1):
+            if k == 0:
+                continue
+            x = OddPoint((1,) * k)
+            for call in (ds_at, in_variety, lambda m, y: support_check(m, [y])):
+                with pytest.raises(ValueError, match="point dimension"):
+                    call(v, x)
 
 
 def test_ds_dims_free_module_oracle():
@@ -117,8 +188,7 @@ def test_support_check_entries_match_ds_at_and_fiber(name, data):
     # well as off it
     n = v.alg.dim1
     coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
-    pts = [OddPoint(tuple(int(i == k) for i in range(n))) for k in range(n)]
-    pts += [OddPoint(c) for c in data.draw(st.lists(coords, max_size=3))]
+    pts = unit_points(n) + [OddPoint(c) for c in data.draw(st.lists(coords, max_size=3))]
     report = support_check(v, pts)
     for e, x in zip(report.entries, pts):
         res = ds_at(v, x)
