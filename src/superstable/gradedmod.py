@@ -17,9 +17,22 @@ from .linalg import LinearSystem, Matrix, vanishes
 
 _ZERO = Fraction(0)
 
+# largest 2^dim(g1) * dim allowed for a build or sum over the exterior
+# algebra: the induced modules, the Frobenius comparison and the trace sum
+MAX_EXTERIOR_SIZE = 1024
+
 
 class ModuleError(ValueError):
     """Raised when module data violates shape or invariant constraints."""
+
+
+def check_exterior_size(n: int, dim: int, what: str):
+    """Refuse `what`, of size 2^n * dim, over `MAX_EXTERIOR_SIZE`; the
+    size itself is never formed, so a huge n costs nothing."""
+    if dim > MAX_EXTERIOR_SIZE >> n:
+        raise ModuleError(
+            f"{what} has size 2^{n} * {dim}, over the limit of {MAX_EXTERIOR_SIZE}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +578,10 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
+    n = alg.dim1
+    check_exterior_size(n, sum(q.dim for q in reps.values()), "the induced module")
     for q in reps.values():
         q.check()
-    n = alg.dim1
     wedge = [[m.sparse_rows() for m in per] for per in exterior_odd_action(n)]
     deriv = [[m.sparse_rows() for m in per] for per in exterior_even_action(alg)]
     qmats = {j: [m.sparse_rows() for m in q.mats] for j, q in reps.items()}

@@ -1,10 +1,13 @@
 """Projectivity tests, the projective/reduced decomposition, and the
 stable-category equality decision procedure.
 
-Projectivity and stable equality are decided by linear feasibility:
-whether the identity (resp. a difference of maps) lifts along the
-canonical evaluation epimorphism from an induced module, which is
-projective whenever the even part is semisimple or zero.
+Projectivity and stable equality are decided by Higman's trace
+criterion: the identity (resp. a difference of maps) factors through a
+projective exactly when it is the trace of a g0-map, a linear solve on
+degree blocks.  The certificate is the lift along the canonical
+evaluation epimorphism from an induced module (projective whenever the
+even part is semisimple or zero), written in closed form from that
+g0-map.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .gradedmod import (
     GradedModule,
     ModuleError,
     Rep,
+    check_exterior_size,
     graded_map_system,
     identity_map,
     induced_sum,
@@ -26,7 +30,7 @@ from .gradedmod import (
     make_module,
     submodule,
 )
-from .linalg import LinearSystem, Matrix, gauss_jordan
+from .linalg import LinearSystem, Matrix, gauss_jordan, vanishes
 
 
 class HypothesisError(ValueError):
@@ -171,6 +175,32 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     return s, Rep(v.alg.even, q, tuple(rho_q))
 
 
+def _subsets(n: int):
+    """Pairs (S, S^c) of ascending tuples over every subset S of range(n),
+    in the (size, lex) order of S."""
+    full = range(n)
+    for size in range(n + 1):
+        for s in combinations(full, size):
+            yield s, tuple(x for x in full if x not in s)
+
+
+def _odd_words(m: GradedModule):
+    """a_S on degree d, the composite a_{s1} o ... o a_{sl} (last index
+    acting first) from m^d to m^(d+|S|), as a memoised function of (d, S)."""
+    memo = {}
+
+    def word(d: int, s: tuple) -> Matrix:
+        key = (d, s)
+        if key not in memo:
+            if not s:
+                memo[key] = Matrix.identity(m.dim_at(d))
+            else:
+                memo[key] = m.odd_at(d + len(s) - 1, s[0]) * word(d, s[1:])
+        return memo[key]
+
+    return word
+
+
 def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> GradedMap:
     """The map Lambda(g1) (x) Q -> V sending e_S (x) q to e_{s1}...e_{sl}.q.
 
@@ -179,21 +209,14 @@ def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> Grad
     generators, matching the induced-module basis order.
     """
     n = v.alg.dim1
+    word = _odd_words(v)
     degs = [j for j in sorted(gen_basis) if gen_basis[j].cols]
     # per target degree, collect image columns in direct-sum order
     cols_by_deg = {j: [] for j in ind.degrees()}
     for j in degs:
-        q = gen_basis[j]
-        for size in range(n + 1):
-            for s in combinations(range(n), size):
-                for c in range(q.cols):
-                    vec = q.col(c)
-                    deg = j
-                    for e in reversed(s):
-                        vec_m = v.odd_at(deg, e) * Matrix.column(vec)
-                        vec = vec_m.col(0)
-                        deg += 1
-                    cols_by_deg[j + size].append((j, vec))
+        for s, _ in _subsets(n):
+            img = word(j, s) * gen_basis[j]
+            cols_by_deg[j + len(s)].extend((j, img.col(c)) for c in range(img.cols))
     comps = {}
     for l in ind.degrees():
         entries = cols_by_deg.get(l, [])
@@ -202,10 +225,7 @@ def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> Grad
         # direct-sum component order is ascending source degree; within a
         # component the induced basis is already grouped by exterior degree
         entries.sort(key=lambda t: t[0])
-        mat_cols = [vec for _, vec in entries]
-        comps[l] = Matrix(
-            v.dim_at(l), len(mat_cols), [list(r) for r in zip(*mat_cols)]
-        ) if mat_cols else Matrix.zero(v.dim_at(l), 0)
+        comps[l] = Matrix(v.dim_at(l), len(entries), [list(r) for r in zip(*(c for _, c in entries))])
     return make_map(ind, v, comps)
 
 
@@ -274,45 +294,127 @@ def decompose(v: GradedModule) -> Decomposition:
     )
 
 
-def _lift_along_evaluation(target_map: GradedMap):
-    """Find sigma with ev o sigma = target_map, for ev the canonical
-    evaluation Ind(W as g0-module) ->> W.  Returns the lift or None."""
-    w = target_map.target
-    v = target_map.source
-    reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
-    ind = _induced_on(w, reps)
-    ev = _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, ind)
-    sys = graded_map_system(v, ind, name="s")
-    for j in v.degrees():
-        if not v.dim_at(j):
+def _trace_preimage(h: GradedMap):
+    """A g0-map tau of degree -n with Tr(tau) = h, or None.
+
+    Tr(tau) = sum over S of eps(S, S^c) a^W_{S^c} tau a^V_S, with eps
+    = `_perm_sign(S, S^c)` and n = dim g1.  Lambda(g1) x U(g0) is a
+    Frobenius extension of U(g0), so by Higman's criterion h: V -> W
+    factors through a projective exactly when such a tau exists (g0
+    semisimple or zero).  Returns {j: tau_j: V^j -> W^(j-n)} over the
+    degrees where both spaces are nonzero; the solution found is
+    re-checked, and a failure raises ModuleError.
+    """
+    v, w = h.source, h.target
+    n = v.alg.dim1
+    check_exterior_size(n, max(v.total_dim, w.total_dim), "the trace sum")
+    live = [j for j in v.degrees() if v.dim_at(j) and w.dim_at(j - n)]
+    sys = LinearSystem()
+    for j in live:
+        sys.add_unknown(f"t{j}", w.dim_at(j - n), v.dim_at(j))
+    for j in live:
+        for i in range(v.alg.dim0):
+            sys.add_constraint(
+                [(1, f"t{j}", v.rho_at(j, i)), (w.rho_at(j - n, i), f"t{j}", -1)],
+                Matrix.zero(w.dim_at(j - n), v.dim_at(j)),
+            )
+    a_v, a_w = _odd_words(v), _odd_words(w)
+    trace_terms = {}  # degree d -> [(eps, a^W_{S^c}, j, a^V_S)] with j = d + |S|
+    for d in v.degrees():
+        if not (v.dim_at(d) and w.dim_at(d)):
             continue
-        if ind.dim_at(j):
-            sys.add_constraint([(ev.comp_at(j), f"s{j}", 1)], target_map.comp_at(j))
-        elif not target_map.comp_at(j).is_zero():
-            return None
+        terms = []
+        for s, sc in _subsets(n):
+            j = d + len(s)
+            if v.dim_at(j) and w.dim_at(j - n):
+                terms.append((_perm_sign(s, sc), a_w(j - n, sc), j, a_v(d, s)))
+        trace_terms[d] = terms
+        sys.add_constraint(
+            [(aw.scale(eps), f"t{j}", av) for eps, aw, j, av in terms], h.comp_at(d)
+        )
     sol = sys.solve()
     if sol is None:
         return None
-    comps = {j: sol[f"s{j}"] for j in v.degrees() if v.dim_at(j) and ind.dim_at(j)}
+    tau = {j: sol[f"t{j}"] for j in live}
+    sparse = {j: t.sparse_rows() for j, t in tau.items()}
+    for j in live:
+        for i in range(v.alg.dim0):
+            terms = [
+                (1, (sparse[j], v.rho_at(j, i).sparse_rows())),
+                (-1, (w.rho_at(j - n, i).sparse_rows(), sparse[j])),
+            ]
+            if not vanishes(terms, w.dim_at(j - n)):
+                raise ModuleError(f"trace preimage fails g0-equivariance at degree {j}")
+    for d, terms in trace_terms.items():
+        checks = [(eps, (aw.sparse_rows(), sparse[j], av.sparse_rows())) for eps, aw, j, av in terms]
+        checks.append((-1, (h.comp_at(d).sparse_rows(),)))
+        if not vanishes(checks, w.dim_at(d)):
+            raise ModuleError(f"trace of the preimage differs from the map at degree {d}")
+    return tau
+
+
+def _lift_along_evaluation(target_map: GradedMap):
+    """sigma with ev o sigma = target_map, for ev the canonical evaluation
+    Ind(W as g0-module) ->> W, or None.  From the trace preimage tau,
+    sigma(x) = sum over S of eps(S, S^c) e_{S^c} (x) tau(a_S x), written
+    straight into the induced basis (Lambda^(d-j)(g1) (x) W^j sits in
+    degree d)."""
+    tau = _trace_preimage(target_map)
+    if tau is None:
+        return None
+    v, w = target_map.source, target_map.target
+    n = v.alg.dim1
+    reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
+    ind = _induced_on(w, reps)
+    a_v = _odd_words(v)
+    comps = {}
+    for d in v.degrees():
+        if not (v.dim_at(d) and ind.dim_at(d)):
+            continue
+        # Ind(W)^d in basis order: W^(d-|S^c|) for |S^c| descending, S^c
+        # in lex order within a size, then the basis of W^(d-|S^c|)
+        rows = []
+        for size in range(n, -1, -1):
+            for sc in combinations(range(n), size):
+                s = tuple(x for x in range(n) if x not in sc)
+                j = d + len(s)
+                if j in tau:
+                    rows += (tau[j] * a_v(d, s)).scale(_perm_sign(s, sc)).data
+                else:
+                    rows += [[0] * v.dim_at(d) for _ in range(w.dim_at(d - size))]
+        comps[d] = Matrix(ind.dim_at(d), v.dim_at(d), rows)
+    ev = _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, ind)
+    for d, sigma in comps.items():
+        terms = [
+            (1, (ev.comp_at(d).sparse_rows(), sigma.sparse_rows())),
+            (-1, (target_map.comp_at(d).sparse_rows(),)),
+        ]
+        if not vanishes(terms, w.dim_at(d)):
+            raise ModuleError(f"lift does not map onto the target map at degree {d}")
     return make_map(v, ind, comps)
 
 
 def is_projective(v: GradedModule) -> bool:
-    """Section test: does the identity lift along Ind(V) ->> V?"""
-    return projective_certificate(v) is not None
+    """Higman's test: is the identity of V a trace?"""
+    _require_semisimple(v)
+    return _trace_preimage(identity_map(v)) is not None
+
+
+def _difference(f: GradedMap, g: GradedMap) -> GradedMap:
+    if f.source != g.source or f.target != g.target:
+        raise ModuleError("stable comparison requires equal sources and targets")
+    _require_semisimple(f.source)
+    return f - g
 
 
 def stable_equal(f: GradedMap, g: GradedMap) -> bool:
-    """True iff f - g factors through a projective module."""
-    return stable_equal_certificate(f, g) is not None
+    """True iff f - g factors through a projective module (is a trace)."""
+    return _trace_preimage(_difference(f, g)) is not None
 
 
 def stable_equal_certificate(f: GradedMap, g: GradedMap):
     """The lift of f - g along the evaluation epimorphism, or None."""
-    if f.source != g.source or f.target != g.target:
-        raise ModuleError("stable comparison requires equal sources and targets")
-    _require_semisimple(f.source)
-    return _lift_along_evaluation(f - g)
+    return _lift_along_evaluation(_difference(f, g))
 
 
 def projective_certificate(v: GradedModule):
@@ -333,32 +435,28 @@ def _perm_sign(a, b) -> int:
 
 def frobenius_check(alg, q: Rep) -> bool:
     """Build the map into the coinduced space and its inverse via
-    complementary monomials, and verify both composites are the identity."""
+    complementary monomials, both signed permutations held as sparse
+    rows, and verify both composites are the identity."""
     n = alg.dim1
     if n < 1:
         raise ModuleError("frobenius check needs dim1 >= 1")
+    check_exterior_size(n, q.dim, "the Frobenius comparison")
     q.check()
-    subsets = []
-    for size in range(n + 1):
-        subsets.extend(combinations(range(n), size))
-    index = {s: k for k, s in enumerate(subsets)}
+    subsets = list(_subsets(n))
+    index = {s: k for k, (s, _) in enumerate(subsets)}
     dim = len(subsets) * q.dim
-    full = tuple(range(n))
-
-    def comp(s):
-        return tuple(x for x in full if x not in s)
-
-    f_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    g_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for s in subsets:
-        sc = comp(s)
+    f_rows = [{} for _ in range(dim)]
+    g_rows = [{} for _ in range(dim)]
+    for s, sc in subsets:
         # f sends e_S (x) q to eps(S^c, S) * (dual of lambda_{S^c}) (x) top (x) q
-        sgn_f = _perm_sign(sc, s)
+        sgn_f = Fraction(_perm_sign(sc, s))
         # g sends the dual of lambda_S (x) top (x) q to eps(S, S^c) * e_{S^c} (x) q
-        sgn_g = _perm_sign(s, sc)
+        sgn_g = Fraction(_perm_sign(s, sc))
         for c in range(q.dim):
-            f_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = Fraction(sgn_f)
-            g_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = Fraction(sgn_g)
-    f, g = Matrix(dim, dim, f_rows), Matrix(dim, dim, g_rows)
-    ident = Matrix.identity(dim)
-    return f * g == ident and g * f == ident
+            f_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = sgn_f
+            g_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = sgn_g
+    ident = [{i: Fraction(1)} for i in range(dim)]
+    return all(
+        vanishes([(1, (a, b)), (-1, (ident,))], dim)
+        for a, b in ((f_rows, g_rows), (g_rows, f_rows))
+    )

@@ -382,3 +382,52 @@ def test_parser_not_built_at_import():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "0"
+
+
+# ---------------------------------------------------------------------------
+# builds of size 2^dim(g1) * dim over the limit are refused before they start
+
+
+def _run_capped(argv):
+    """The CLI in a child process limited to 20 s and 1 GB of address
+    space, so a build that does start fails the test and spares the host."""
+    import resource
+
+    import superstable
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superstable.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "superstable.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=cap,
+    )
+
+
+def test_induce_over_the_size_limit_exit_1(tmp_path):
+    q = str(tmp_path / "q.json")
+    dump({"dim": 1, "mats": []}, q)
+    out = _run_capped(["induce", "--algebra", "grassmann(40)", "--q", q])
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: the induced module has size 2^40 * 1, over the limit of")
+    assert "Traceback" not in out.stderr
+
+
+def test_stable_eq_over_the_size_limit_exit_1(tmp_path):
+    from superstable.algebra import grassmann
+    from superstable.gradedmod import identity_map, make_module
+    from superstable.linalg import Matrix
+
+    # dimension 1 in each degree 0..40, odd action zero: Ind(W) would have 2^40 * 41
+    n = 40
+    v = make_module(
+        grassmann(n), 0, n, (1,) * (n + 1), ((),) * (n + 1),
+        [tuple(Matrix.zero(1 if j < n else 0, 1) for _ in range(n)) for j in range(n + 1)],
+    )
+    path = str(tmp_path / "id.json")
+    dump(map_to_json(identity_map(v)), path)
+    out = _run_capped(["stable-eq", "--f", path, "--g", path])
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: the trace sum has size 2^40 * 41, over the limit of")
+    assert "Traceback" not in out.stderr

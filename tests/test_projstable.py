@@ -2,19 +2,35 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superstable import projstable
 from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
-from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps
+from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps, random_module
 from superstable.gradedmod import (
+    MAX_EXTERIOR_SIZE,
+    GradedMap,
     ModuleError,
     Rep,
+    check_exterior_size,
+    check_map,
+    graded_map_system,
+    hom_graded,
     identity_map,
     induced_module,
+    make_map,
+    make_module,
     trivial_module,
     zero_map,
 )
+from superstable.linalg import Matrix
 from superstable.projstable import (
     HypothesisError,
+    _evaluation_map,
+    _induced_on,
+    _lift_along_evaluation,
+    _trace_preimage,
     decompose,
     frobenius_check,
     is_projective,
@@ -89,13 +105,7 @@ def test_projective_certificate_checks_out():
     section = projective_certificate(v)
     assert section is not None
     # section really is a right inverse of the evaluation in every degree
-    from superstable.projstable import _evaluation_map, _induced_on
-    from superstable.linalg import Matrix
-
-    reps = {j: v.rep_at(j) for j in v.degrees() if v.dim_at(j)}
-    ind = _induced_on(v, reps)
-    ev = _evaluation_map(v, {j: Matrix.identity(v.dim_at(j)) for j in reps}, ind)
-    assert ev.compose(section) == identity_map(v)
+    assert _evaluation_onto(v).compose(section) == identity_map(v)
 
 
 # sha256 of the compact, key-sorted map_to_json of the section of
@@ -161,3 +171,146 @@ def test_frobenius_rejects_missing_odd_part():
     g = SuperAlgebra(LieAlgebraEven.from_constants(0, []), OddPart(0, ()))
     with pytest.raises(ModuleError):
         frobenius_check(g, Rep.trivial(g.even, 1))
+
+
+def test_frobenius_reports_a_flipped_sign(monkeypatch, capsys, tmp_path):
+    from superstable.cli import main
+    from superstable.serialize import dump, rep_to_json
+
+    g2 = grassmann(2)
+    q = Rep.trivial(g2.even, 1)
+    path = str(tmp_path / "q.json")
+    dump(rep_to_json(q), path)
+    sign = projstable._perm_sign
+    calls = []
+
+    def flip_first(a, b):
+        # the first sign computed is f's at S = {}; g keeps its own
+        calls.append((a, b))
+        return -sign(a, b) if len(calls) == 1 else sign(a, b)
+
+    assert frobenius_check(g2, q)
+    monkeypatch.setattr(projstable, "_perm_sign", flip_first)
+    assert not frobenius_check(g2, q)
+    calls.clear()
+    assert main(["frobenius-check", "--algebra", "grassmann(2)", "--q", path]) == 1
+    assert "induced/coinduced comparison: FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the size limit on 2^dim(g1) * dim
+
+
+def test_exterior_size_limit_boundary():
+    check_exterior_size(0, MAX_EXTERIOR_SIZE, "x")
+    check_exterior_size(10, MAX_EXTERIOR_SIZE >> 10, "x")
+    check_exterior_size(10**6, 0, "x")
+    for n, dim in ((0, MAX_EXTERIOR_SIZE + 1), (10, (MAX_EXTERIOR_SIZE >> 10) + 1), (10**6, 1)):
+        with pytest.raises(ModuleError, match=f"2\\^{n} \\* {dim}, over the limit of {MAX_EXTERIOR_SIZE}"):
+            check_exterior_size(n, dim, "x")
+
+
+def _flat_module(n):
+    """Dimension 1 in each degree 0..n over grassmann(n), odd action zero."""
+    return make_module(
+        grassmann(n), 0, n, (1,) * (n + 1), ((),) * (n + 1),
+        [tuple(Matrix.zero(1 if j < n else 0, 1) for _ in range(n)) for j in range(n + 1)],
+    )
+
+
+def test_exterior_builds_refused_over_the_limit():
+    g = grassmann(40)
+    q = Rep.trivial(g.even, 1)
+    for build in (lambda: induced_module(g, q), lambda: frobenius_check(g, q)):
+        with pytest.raises(ModuleError, match="over the limit"):
+            build()
+    v = _flat_module(40)
+    for query in (
+        lambda: stable_equal(identity_map(v), identity_map(v)),
+        lambda: stable_equal_certificate(identity_map(v), identity_map(v)),
+        lambda: is_projective(v),
+    ):
+        with pytest.raises(ModuleError, match="the trace sum has size 2\\^40 \\* 41"):
+            query()
+
+
+def test_exterior_builds_at_the_limit():
+    n = MAX_EXTERIOR_SIZE.bit_length() - 1
+    g = grassmann(n)
+    assert frobenius_check(g, Rep.trivial(g.even, 1))
+    # the identity of a module with 2^n * dim at the limit is a trace
+    v = induced_module(grassmann(5), Rep.trivial(grassmann(5).even, 1))
+    assert (1 << 5) * v.total_dim <= MAX_EXTERIOR_SIZE
+    assert is_projective(v)
+
+
+# ---------------------------------------------------------------------------
+# the trace criterion against the former 2^n-sized lift
+
+
+def lift_oracle(h):
+    """Oracle: sigma: V -> Ind(W) with ev o sigma = h, by one solve over
+    every component of a graded map into the induced module, or None."""
+    v = h.source
+    ev = _evaluation_onto(h.target)
+    ind = ev.source
+    sys = graded_map_system(v, ind, name="s")
+    for j in v.degrees():
+        if not v.dim_at(j):
+            continue
+        if ind.dim_at(j):
+            sys.add_constraint([(ev.comp_at(j), f"s{j}", 1)], h.comp_at(j))
+        elif not h.comp_at(j).is_zero():
+            return None
+    sol = sys.solve()
+    if sol is None:
+        return None
+    comps = {j: sol[f"s{j}"] for j in v.degrees() if v.dim_at(j) and ind.dim_at(j)}
+    return make_map(v, ind, comps)
+
+
+def _evaluation_onto(w):
+    """The evaluation Ind(W as g0-module) ->> W."""
+    reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
+    return _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, _induced_on(w, reps))
+
+
+def _agrees_with_oracle(h):
+    expected = lift_oracle(h)
+    assert (_trace_preimage(h) is not None) == (expected is not None)
+    sigma = _lift_along_evaluation(h)
+    assert (sigma is None) == (expected is None)
+    if sigma is not None:
+        check_map(sigma)
+        assert _evaluation_onto(h.target).compose(sigma) == h
+        assert sigma == expected
+
+
+def _scaled(phi, c):
+    return GradedMap(phi.source, phi.target, {j: m.scale(c) for j, m in phi.comps.items()})
+
+
+def test_trace_criterion_matches_oracle_on_corpus():
+    for name, e in corpus_modules().items():
+        _agrees_with_oracle(identity_map(e.module))
+    for name, e in corpus_morphisms().items():
+        _agrees_with_oracle(e.map - zero_map(e.map.source, e.map.target))
+
+
+@given(st.one_of(st.sampled_from(sorted(corpus_modules())), st.integers(0, 10**6)), st.data())
+@settings(max_examples=30, deadline=None)
+def test_trace_criterion_matches_oracle(source, data):
+    # a corpus module by name, or a random module by seed; the identity,
+    # one Hom basis map and an integer combination of the basis
+    v = corpus_modules()[source].module if isinstance(source, str) else random_module(source, 12)
+    maps = [identity_map(v)]
+    basis = hom_graded(v, v)
+    if basis:
+        maps.append(data.draw(st.sampled_from(basis)))
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+        combo = zero_map(v, v)
+        for c, b in zip(coeffs, basis):
+            combo = combo + _scaled(b, c)
+        maps.append(combo)
+    for h in maps:
+        _agrees_with_oracle(h)
