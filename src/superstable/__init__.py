@@ -4,7 +4,6 @@ Lie superalgebras with abelian odd part."""
 from .algebra import (
     BUILTIN_ALGEBRAS,
     LieAlgebraEven,
-    OddBracketForm,
     OddPart,
     SuperAlgebra,
     builtin_algebra,

@@ -1,9 +1,7 @@
 """Lie superalgebras g = g0 + g1 with vanishing odd bracket.
 
 The even part is given by structure constants, the odd part by the
-g0-action matrices.  A nonzero odd bracket can be supplied separately
-for the diagnostic self-commuting-cone computation only; the main
-pipeline always assumes [g1, g1] = 0.
+g0-action matrices; the odd bracket [g1, g1] is always zero.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, Polynomial, scalar, vanishes
+from .linalg import Matrix, scalar, vanishes
 
 
 @dataclass(frozen=True)
@@ -72,22 +70,6 @@ class SuperAlgebra:
 
     def __hash__(self):
         return hash((self.even, self.odd))
-
-
-@dataclass(frozen=True)
-class OddBracketForm:
-    """Diagnostic symmetric odd bracket [e_j, e_k] = sum_i B[j][k][i] x_i."""
-
-    dim1: int
-    dim0: int
-    coeffs: tuple  # coeffs[j][k] is a tuple of dim0 Fractions
-
-    @staticmethod
-    def from_constants(dim1: int, dim0: int, b) -> "OddBracketForm":
-        b = tuple(
-            tuple(tuple(scalar(x) for x in b[j][k]) for k in range(dim1)) for j in range(dim1)
-        )
-        return OddBracketForm(dim1, dim0, b)
 
 
 @dataclass
@@ -189,41 +171,6 @@ def is_semisimple(g0: LieAlgebraEven) -> bool:
     """Cartan's criterion over the rationals: the Killing form has full
     rank; dim0 = 0 counts as semisimple."""
     return killing_form(g0).rank() == g0.dim0
-
-
-def cone_equations(dim1: int, b: OddBracketForm | None) -> "PolyIdeal":
-    """Quadratic generators of the self-commuting cone [x, x] = 0.
-
-    For x = sum t_j e_j the i-th generator is sum_{j,k} B[j][k][i] t_j t_k.
-    With b absent the cone is all of P(g1) and the ideal is empty.
-    """
-    from .dsvariety import PolyIdeal
-
-    if b is None:
-        return PolyIdeal(dim1, ())
-    if b.dim1 != dim1:
-        raise ValueError("odd bracket dimension mismatch")
-    for j in range(dim1):
-        for k in range(dim1):
-            if b.coeffs[j][k] != b.coeffs[k][j]:
-                raise ValueError("odd bracket form must be symmetric")
-    gens = []
-    for i in range(b.dim0):
-        terms = {}
-        for j in range(dim1):
-            for k in range(dim1):
-                c = b.coeffs[j][k][i]
-                if c == 0:
-                    continue
-                e = [0] * dim1
-                e[j] += 1
-                e[k] += 1
-                e = tuple(e)
-                terms[e] = terms.get(e, Fraction(0)) + c
-        p = Polynomial(dim1, terms)
-        if not p.is_zero():
-            gens.append(p)
-    return PolyIdeal(dim1, tuple(gens))
 
 
 # ---------------------------------------------------------------------------

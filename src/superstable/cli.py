@@ -75,6 +75,17 @@ def _parse_point(text: str) -> OddPoint:
         raise FormatError(f"bad point {text!r}: {exc}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a sample count: a positive integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _table_json(table):
     return {str(k): v for k, v in table.entries}
 
@@ -380,8 +391,13 @@ def _cmd_ce(args):
 
 
 def _cmd_koszul(args):
-    g = load_algebra(args.algebra)  # noqa: F841  (validates the reference)
+    g = load_algebra(args.algebra)
     v = load_module(args.module)
+    if g != v.alg:
+        raise FormatError(
+            f"koszul: --algebra {args.algebra} is not the algebra of the module "
+            f"({v.alg.name or 'inline'})"
+        )
     table = koszul_odd(v, args.pmax)
     lines = [f"H^p: {dict(table.entries)}"]
     return EXIT_OK, _report("koszul", lines, cohomology=_table_json(table))
@@ -501,12 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("variety")
     p.add_argument("--module", required=True)
     p.add_argument("--ideal", action="store_true")
-    p.add_argument("--sample", type=int, default=20)
+    p.add_argument("--sample", type=_positive_int, default=20)
     p.set_defaults(fn=_cmd_variety)
 
     p = add_parser("support-check")
     p.add_argument("--module", required=True)
-    p.add_argument("--sample", type=int, default=25)
+    p.add_argument("--sample", type=_positive_int, default=25)
     p.set_defaults(fn=_cmd_support_check)
 
     p = add_parser("decompose")

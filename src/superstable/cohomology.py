@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import LieAlgebraEven, SuperAlgebra
-from .gradedmod import GradedModule, Rep
+from .gradedmod import GradedModule, Rep, merge_sign
 from .linalg import Matrix
 from .rigid import CohomologyTable
 
@@ -164,54 +164,27 @@ def ext_twisted(i: int, j: int, r: int) -> ExtDescriptor:
 # Lie algebra cohomology (Chevalley-Eilenberg)
 
 
-def _alt_eval(s: tuple, args: tuple) -> int:
-    """Value of the alternating dual basis element lambda_s on x_args."""
-    if len(set(args)) != len(args) or set(args) != set(s):
-        return 0
-    # sign of the permutation sorting args into ascending order
-    a = list(args)
-    sign = 1
-    for k in range(len(a)):
-        m = min(range(k, len(a)), key=lambda t: a[t])
-        if m != k:
-            a[k], a[m] = a[m], a[k]
-            sign = -sign
-    return sign
-
-
 def _ce_differential(g0: LieAlgebraEven, rep: Rep, p: int) -> Matrix:
-    """d: Lambda^p g0* (x) V -> Lambda^(p+1) g0* (x) V."""
-    n = g0.dim0
+    """d: Lambda^p g0* (x) V -> Lambda^(p+1) g0* (x) V, one dim V block
+    per pair of basis elements lambda_s, lambda_t."""
     dv = rep.dim
-    src = list(combinations(range(n), p))
-    tgt = list(combinations(range(n), p + 1))
-    m = [[Fraction(0)] * (len(src) * dv) for _ in range(len(tgt) * dv)]
-    for si, s in enumerate(src):
-        for ti, t in enumerate(tgt):
-            # action term
-            for k in range(p + 1):
-                if t[:k] + t[k + 1 :] != s:
-                    continue
-                coef = rep.mats[t[k]].scale(-1 if k % 2 else 1)
-                for rr in range(dv):
-                    for cc in range(dv):
-                        if coef.data[rr][cc]:
-                            m[ti * dv + rr][si * dv + cc] += coef.data[rr][cc]
-            # bracket contraction term
-            for k in range(p + 1):
-                for l in range(k + 1, p + 1):
-                    rest = t[:k] + t[k + 1 : l] + t[l + 1 :]
-                    cs = g0.bracket_coeffs(t[k], t[l])
-                    for b, c in enumerate(cs):
-                        if c == 0:
-                            continue
-                        val = _alt_eval(s, (b,) + rest)
-                        if val == 0:
-                            continue
-                        sgn = c * val * (-1 if (k + l) % 2 else 1)
-                        for rr in range(dv):
-                            m[ti * dv + rr][si * dv + rr] += sgn
-    return Matrix(len(tgt) * dv, len(src) * dv, m)
+    src = {s: k for k, s in enumerate(combinations(range(g0.dim0), p))}
+    tgt = list(combinations(range(g0.dim0), p + 1))
+    ident = Matrix.identity(dv)
+    placed = []
+    for ti, t in enumerate(tgt):
+        for k in range(p + 1):
+            # action term: x_(t_k) acting, from the face t without t_k
+            face = t[:k] + t[k + 1 :]
+            placed.append((ti * dv, src[face] * dv, -1 if k % 2 else 1, rep.mats[t[k]]))
+            # bracket contraction term: lambda_s on [x_(t_k), x_(t_l)], x_rest
+            for l in range(k + 1, p + 1):
+                rest = t[:k] + t[k + 1 : l] + t[l + 1 :]
+                for b, c in enumerate(g0.bracket_coeffs(t[k], t[l])):
+                    if c and b not in rest:
+                        sgn = c * merge_sign((b,), rest) * (-1 if (k + l) % 2 else 1)
+                        placed.append((ti * dv, src[tuple(sorted((b,) + rest))] * dv, sgn, ident))
+    return Matrix.place(len(tgt) * dv, len(src) * dv, placed)
 
 
 def chevalley_eilenberg(g0: LieAlgebraEven, rep: Rep) -> CohomologyTable:
@@ -287,18 +260,13 @@ def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
         src = bases[p]
         tgt = bases[p + 1]
         index = {e: k for k, e in enumerate(tgt)}
-        m = [[Fraction(0)] * (len(src) * dv) for _ in range(len(tgt) * dv)]
+        placed = []
         for ci, exp in enumerate(src):
             for e in range(n):
                 t = list(exp)
                 t[e] += 1
-                ti = index[tuple(t)]
-                a = acts[e]
-                for rr in range(dv):
-                    for cc in range(dv):
-                        if a.data[rr][cc]:
-                            m[ti * dv + rr][ci * dv + cc] += a.data[rr][cc]
-        ranks[p] = Matrix(len(tgt) * dv, len(src) * dv, m).rank()
+                placed.append((index[tuple(t)] * dv, ci * dv, 1, acts[e]))
+        ranks[p] = Matrix.place(len(tgt) * dv, len(src) * dv, placed).rank()
     dims = {p: len(bases[p]) * dv for p in range(p_max)}
     return CohomologyTable.of_complex(dims, ranks, context="odd koszul")
 

@@ -159,7 +159,10 @@ def variety_ideal(m: GradedModule, max_dim: int | None = None) -> PolyIdeal:
 
 
 def random_points(dim1: int, count: int, seed: int) -> list:
-    """Reproducible sample of points with integer coordinates in [-9, 9]."""
+    """Reproducible sample of nonzero points with integer coordinates in
+    [-9, 9].  Raises ValueError when dim1 = 0: P(g1) then has no point."""
+    if dim1 < 1:
+        raise ValueError("P(g1) is empty for dim g1 = 0: there is no point to sample")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

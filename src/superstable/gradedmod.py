@@ -1,8 +1,11 @@
 """Finite-dimensional Z-graded g-modules: g0 acts in degree 0, g1 in degree +1.
 
-Provides the category operations (shift, tensor, dual, right twist),
+Provides the category operations (shift, direct sum, tensor, dual),
 hom-space computation by linear solve, and induced modules built on the
-exterior algebra of the odd part.
+exterior algebra Lambda(g1) of the odd part.  This module owns the
+conventions of Lambda(g1): the (size, lex) order of its basis
+(`subsets`), the wedge sign (`merge_sign`) and the basis layout of an
+induced module (`induced_blocks`); every other module reads them here.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .algebra import LieAlgebraEven, SuperAlgebra, representation_failure
 from .linalg import LinearSystem, Matrix, vanishes
@@ -380,39 +382,24 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
         rho0.append(tuple(mats))
     odd = []
     for l in range(lo, hi + 1):
-        src = blocks(l)
-        tgt = blocks(l + 1) if l < hi else []
-        tgt_off = {}
-        run = 0
-        for i, j in tgt:
+        tgt_off, run = {}, 0
+        for i, j in blocks(l + 1) if l < hi else []:
             tgt_off[(i, j)] = run
             run += v.dim_at(i) * w.dim_at(j)
-        tdim = run
         mats = []
         for e in range(alg.dim1):
-            out = [[Fraction(0)] * dims[l - lo] for _ in range(tdim)]
-            c0 = 0
-            for i, j in src:
-                bdim = v.dim_at(i) * w.dim_at(j)
-                # e acting on the first factor: lands in block (i+1, j)
+            placed, c0 = [], 0
+            for i, j in blocks(l):
+                # e acting on the first factor lands in block (i+1, j); on
+                # the second factor, with sign (-1)^i, in block (i, j+1)
                 if (i + 1, j) in tgt_off:
                     m = kron(v.odd_at(i, e), Matrix.identity(w.dim_at(j)))
-                    r0 = tgt_off[(i + 1, j)]
-                    for r in range(m.rows):
-                        for c in range(m.cols):
-                            if m.data[r][c] != 0:
-                                out[r0 + r][c0 + c] += m.data[r][c]
-                # e acting on the second factor with sign (-1)^i
+                    placed.append((tgt_off[(i + 1, j)], c0, 1, m))
                 if (i, j + 1) in tgt_off:
                     m = kron(Matrix.identity(v.dim_at(i)), w.odd_at(j, e))
-                    sgn = -1 if i % 2 else 1
-                    r0 = tgt_off[(i, j + 1)]
-                    for r in range(m.rows):
-                        for c in range(m.cols):
-                            if m.data[r][c] != 0:
-                                out[r0 + r][c0 + c] += sgn * m.data[r][c]
-                c0 += bdim
-            mats.append(Matrix(tdim, dims[l - lo], out))
+                    placed.append((tgt_off[(i, j + 1)], c0, -1 if i % 2 else 1, m))
+                c0 += v.dim_at(i) * w.dim_at(j)
+            mats.append(Matrix.place(run, dims[l - lo], placed))
         odd.append(tuple(mats))
     return make_module(alg, lo, hi, dims, rho0, odd)
 
@@ -444,24 +431,6 @@ def dual(v: GradedModule) -> GradedModule:
                 row.append(Matrix.zero(0, dims[i - lo]))
         odd.append(tuple(row))
     return make_module(alg, lo, hi, dims, rho0, tuple(odd))
-
-
-def double_dual_map(v: GradedModule) -> GradedMap:
-    """Canonical evaluation isomorphism V -> V**, (-1)^j per degree."""
-    dd = dual(dual(v))
-    comps = {
-        j: Matrix.identity(v.dim_at(j)).scale(-1 if j % 2 else 1) for j in v.degrees()
-    }
-    return make_map(v, dd, comps)
-
-
-def right_twist(v: GradedModule) -> GradedModule:
-    """Right-module structure stored as left data: odd action scaled by (-1)^j."""
-    odd = []
-    for j in v.degrees():
-        sgn = -1 if j % 2 else 1
-        odd.append(tuple(m.scale(sgn) for m in v.odd[j - v.lo]))
-    return make_module(v.alg, v.lo, v.hi, v.dims, v.rho0, tuple(odd))
 
 
 def graded_map_system(v: GradedModule, w: GradedModule, name: str = "f") -> LinearSystem:
@@ -504,63 +473,80 @@ def hom_graded(v: GradedModule, w: GradedModule) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exterior algebra and induced modules
+# the exterior algebra Lambda(g1) and induced modules
 
 
-def wedge_insert_sign(s: tuple, i: int) -> int:
-    """Sign of e_i ^ e_S relative to the ascending monomial on S u {i}."""
-    return -1 if sum(1 for x in s if x < i) % 2 else 1
+def subsets(n: int) -> list:
+    """Every subset S of range(n) as an ascending tuple, in the (size,
+    lex) order of the basis e_S = e_(s1) ^ ... ^ e_(sl) of Lambda(k^n)."""
+    return [s for size in range(n + 1) for s in combinations(range(n), size)]
+
+
+def merge_sign(a: tuple, b: tuple) -> int:
+    """The sign of e_a ^ e_b against e_(a u b), for disjoint ascending
+    tuples a and b: -1 to the number of pairs x in a, y in b with x > y."""
+    return -1 if sum(1 for x in a for y in b if x > y) % 2 else 1
+
+
+def induced_blocks(n: int, reps) -> dict:
+    """The basis layout of the induced sum over the degrees j in `reps` of
+    Lambda(g1) (x) Q_j, n = dim g1: degree l -> its blocks (j, S), |S| =
+    l - j, in basis order, that is ascending j, then S in `subsets`
+    order.  Block (j, S) holds e_S (x) the basis of Q_j."""
+    out = {}
+    for j in sorted(reps):
+        for s in subsets(n):
+            out.setdefault(j + len(s), []).append((j, s))
+    return out
+
+
+def _positions(n: int) -> list:
+    """Per exterior degree l: {S: position of S among the l-subsets}."""
+    index = [{} for _ in range(n + 1)]
+    for s in subsets(n):
+        index[len(s)][s] = len(index[len(s)])
+    return index
 
 
 def exterior_odd_action(n: int):
     """Per exterior degree l, per odd index i: the left-wedge matrix
-    Lambda^l -> Lambda^(l+1) in the (size, lex) subset basis."""
-    by_size = [list(combinations(range(n), size)) for size in range(n + 1)]
-    index = [{s: k for k, s in enumerate(lvl)} for lvl in by_size]
+    Lambda^l -> Lambda^(l+1) in the `subsets` basis."""
+    index = _positions(n) + [{}]
     out = []
     for l in range(n + 1):
-        src, tgt = by_size[l], by_size[l + 1] if l < n else []
+        src, tgt = index[l], index[l + 1]
         mats = []
         for i in range(n):
-            m = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-            for c, s in enumerate(src):
-                if i in s or l >= n:
-                    continue
-                t = tuple(sorted(s + (i,)))
-                m[index[l + 1][t]][c] = Fraction(wedge_insert_sign(s, i))
+            m = [[_ZERO] * len(src) for _ in range(len(tgt))]
+            for s, c in src.items():
+                if i not in s:
+                    m[tgt[tuple(sorted(s + (i,)))]][c] = Fraction(merge_sign((i,), s))
             mats.append(Matrix(len(tgt), len(src), m))
         out.append(mats)
     return out
 
 
 def exterior_even_action(alg: SuperAlgebra):
-    """Derivation action of g0 on each Lambda^l(g1) in the subset basis."""
+    """Derivation action of g0 on each Lambda^l(g1) in the `subsets`
+    basis: x replaces one factor e_s of e_S at a time by x.e_s."""
     n = alg.dim1
-    by_size = [list(combinations(range(n), size)) for size in range(n + 1)]
-    index = [{s: k for k, s in enumerate(lvl)} for lvl in by_size]
     out = []
-    for l in range(n + 1):
-        src = by_size[l]
+    for index in _positions(n):
         mats = []
         for i in range(alg.dim0):
-            ai = alg.odd.action[i]
-            m = [[Fraction(0)] * len(src) for _ in range(len(src))]
-            for c, s in enumerate(src):
+            ai = alg.odd.action[i].data
+            m = [[_ZERO] * len(index) for _ in range(len(index))]
+            for s, c in index.items():
                 for pos, x in enumerate(s):
+                    rest = s[:pos] + s[pos + 1 :]
                     for k in range(n):
-                        coeff = ai.data[k][x]
-                        if coeff == 0:
+                        coeff = ai[k][x]
+                        if coeff == 0 or k in rest:
                             continue
-                        if k == x:
-                            m[c][c] += coeff
-                        elif k not in s:
-                            rest = s[:pos] + s[pos + 1 :]
-                            # sign of moving e_k into ascending position
-                            sgn = -1 if sum(1 for y in rest if y < k) % 2 else 1
-                            sgn *= -1 if sum(1 for y in rest if y < x) % 2 else 1
-                            t = tuple(sorted(rest + (k,)))
-                            m[index[l][t]][c] += sgn * coeff
-            mats.append(Matrix(len(src), len(src), m))
+                        # e_S = +-e_x ^ e_rest, and e_k ^ e_rest = +-e_T
+                        sgn = merge_sign((x,), rest) * merge_sign((k,), rest)
+                        m[index[tuple(sorted(rest + (k,)))]][c] += sgn * coeff
+            mats.append(Matrix(len(index), len(index), m))
         out.append(mats)
     return out
 
@@ -571,10 +557,9 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
 
     Odd generators act by left wedge on the exterior factor; even ones by
     the derivation action on Lambda(g1) plus the given action on Q.  The
-    window is [min j, max j + dim1].  Basis of degree l: ascending source
-    degree j, then the (size, lex) subset basis of Lambda^(l-j)(g1), then
-    the basis of reps[j] (Kronecker order), i.e. the order of the direct
-    sum of the single induced modules taken in ascending j.
+    window is [min j, max j + dim1], and the basis is that of
+    `induced_blocks`: the order of the direct sum of the single induced
+    modules taken in ascending j.
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
@@ -585,14 +570,14 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
     wedge = [[m.sparse_rows() for m in per] for per in exterior_odd_action(n)]
     deriv = [[m.sparse_rows() for m in per] for per in exterior_even_action(alg)]
     qmats = {j: [m.sparse_rows() for m in q.mats] for j, q in reps.items()}
+    layout = induced_blocks(n, reps)
     lo, hi = min(reps), max(reps) + n
     offsets, dims = [], []  # per degree: {j: offset of the j-th summand}, dim
     for l in range(lo, hi + 1):
         off, run = {}, 0
-        for j in sorted(reps):
-            if 0 <= l - j <= n:
-                off[j] = run
-                run += comb(n, l - j) * reps[j].dim
+        for j, _ in layout.get(l, ()):
+            off.setdefault(j, run)
+            run += reps[j].dim
         offsets.append(off)
         dims.append(run)
     rho0, odd = [], []

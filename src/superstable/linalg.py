@@ -151,18 +151,26 @@ class Matrix:
         return Matrix(self.rows + other.rows, self.cols, self.copy_data() + other.copy_data())
 
     @staticmethod
+    def place(rows: int, cols: int, blocks) -> "Matrix":
+        """The rows x cols matrix that is the sum, over (r0, c0, c, B) in
+        `blocks`, of c * B placed with its top left entry at (r0, c0)."""
+        out = [[_ZERO] * cols for _ in range(rows)]
+        for r0, c0, c, b in blocks:
+            for i, row in enumerate(b.data):
+                orow = out[r0 + i]
+                for j, x in enumerate(row):
+                    if x:
+                        orow[c0 + j] += c * x
+        return Matrix(rows, cols, out)
+
+    @staticmethod
     def block_diag(blocks) -> "Matrix":
-        blocks = list(blocks)
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        placed, r0, c0 = [], 0, 0
         for b in blocks:
-            for i in range(b.rows):
-                out[r0 + i][c0 : c0 + b.cols] = b.data[i][:]
+            placed.append((r0, c0, 1, b))
             r0 += b.rows
             c0 += b.cols
-        return Matrix(rows, cols, out)
+        return Matrix.place(r0, c0, placed)
 
     # -- elimination (all through gauss_jordan) ------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .algebra import is_semisimple
 from .gradedmod import (
@@ -25,10 +24,13 @@ from .gradedmod import (
     check_exterior_size,
     graded_map_system,
     identity_map,
+    induced_blocks,
     induced_sum,
     make_map,
     make_module,
+    merge_sign,
     submodule,
+    subsets,
 )
 from .linalg import LinearSystem, Matrix, gauss_jordan, vanishes
 
@@ -68,31 +70,16 @@ class TopOddOperator:
 
 
 def top_operator(v: GradedModule) -> TopOddOperator:
-    """E = a_{e_1} o a_{e_2} o ... o a_{e_n}; asserts ker E is a submodule."""
+    """E = a_{e_1} o a_{e_2} o ... o a_{e_n}, the odd word of all of g1.
+
+    ker E is a submodule with nothing to check: E a_e = 0 by the odd
+    anticommutation, and E rho(x) = rho(x) E - tr(A_x) E by the mixed
+    brackets, identities `make_module` has verified."""
     n = v.alg.dim1
     if n == 0:
         raise ModuleError("top operator undefined for dim1 = 0 (empty product is the identity)")
-    blocks = {}
-    for j in v.degrees():
-        m = Matrix.identity(v.dim_at(j))
-        # rightmost factor acts first
-        for e in range(n - 1, -1, -1):
-            m = v.odd_at(j + (n - 1 - e), e) * m
-        blocks[j] = m
-    op = TopOddOperator(v, blocks)
-    # closure of ker E under all actions
-    kb = op.kernel_basis()
-    for j in v.degrees():
-        nb = kb[j]
-        if nb.cols == 0:
-            continue
-        for i in range(v.alg.dim0):
-            if not (op.block_at(j) * v.rho_at(j, i) * nb).is_zero():
-                raise ModuleError("kernel of the top operator is not g0-stable")
-        for e in range(v.alg.dim1):
-            if not (op.block_at(j + 1) * v.odd_at(j, e) * nb).is_zero():
-                raise ModuleError("kernel of the top operator is not g1-stable")
-    return op
+    word = _odd_words(v)
+    return TopOddOperator(v, {j: word(j, tuple(range(n))) for j in v.degrees()})
 
 
 def is_reduced(v: GradedModule) -> bool:
@@ -175,13 +162,9 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     return s, Rep(v.alg.even, q, tuple(rho_q))
 
 
-def _subsets(n: int):
-    """Pairs (S, S^c) of ascending tuples over every subset S of range(n),
-    in the (size, lex) order of S."""
-    full = range(n)
-    for size in range(n + 1):
-        for s in combinations(full, size):
-            yield s, tuple(x for x in full if x not in s)
+def _complement(n: int, s: tuple) -> tuple:
+    """S^c, the ascending tuple of the x in range(n) not in S."""
+    return tuple(x for x in range(n) if x not in s)
 
 
 def _odd_words(m: GradedModule):
@@ -205,27 +188,15 @@ def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> Grad
     """The map Lambda(g1) (x) Q -> V sending e_S (x) q to e_{s1}...e_{sl}.q.
 
     gen_basis: degree -> matrix of generator columns; `ind` must be the
-    direct sum over ascending degrees of the induced modules on those
-    generators, matching the induced-module basis order.
+    induced sum on those generators (`_induced_on`), so its block (j, S)
+    of `induced_blocks` maps by a_S times gen_basis[j].
     """
-    n = v.alg.dim1
     word = _odd_words(v)
-    degs = [j for j in sorted(gen_basis) if gen_basis[j].cols]
-    # per target degree, collect image columns in direct-sum order
-    cols_by_deg = {j: [] for j in ind.degrees()}
-    for j in degs:
-        for s, _ in _subsets(n):
-            img = word(j, s) * gen_basis[j]
-            cols_by_deg[j + len(s)].extend((j, img.col(c)) for c in range(img.cols))
+    live = {j: b for j, b in gen_basis.items() if b.cols}
     comps = {}
-    for l in ind.degrees():
-        entries = cols_by_deg.get(l, [])
-        if not entries:
-            continue
-        # direct-sum component order is ascending source degree; within a
-        # component the induced basis is already grouped by exterior degree
-        entries.sort(key=lambda t: t[0])
-        comps[l] = Matrix(v.dim_at(l), len(entries), [list(r) for r in zip(*(c for _, c in entries))])
+    for l, blocks in induced_blocks(v.alg.dim1, live).items():
+        cols = [c for j, s in blocks for c in (word(j, s) * live[j]).transpose().data]
+        comps[l] = Matrix(v.dim_at(l), len(cols), [list(r) for r in zip(*cols)])
     return make_map(ind, v, comps)
 
 
@@ -298,7 +269,7 @@ def _trace_preimage(h: GradedMap):
     """A g0-map tau of degree -n with Tr(tau) = h, or None.
 
     Tr(tau) = sum over S of eps(S, S^c) a^W_{S^c} tau a^V_S, with eps
-    = `_perm_sign(S, S^c)` and n = dim g1.  Lambda(g1) x U(g0) is a
+    = `merge_sign(S, S^c)` and n = dim g1.  Lambda(g1) x U(g0) is a
     Frobenius extension of U(g0), so by Higman's criterion h: V -> W
     factors through a projective exactly when such a tau exists (g0
     semisimple or zero).  Returns {j: tau_j: V^j -> W^(j-n)} over the
@@ -324,10 +295,10 @@ def _trace_preimage(h: GradedMap):
         if not (v.dim_at(d) and w.dim_at(d)):
             continue
         terms = []
-        for s, sc in _subsets(n):
-            j = d + len(s)
+        for s in subsets(n):
+            j, sc = d + len(s), _complement(n, s)
             if v.dim_at(j) and w.dim_at(j - n):
-                terms.append((_perm_sign(s, sc), a_w(j - n, sc), j, a_v(d, s)))
+                terms.append((merge_sign(s, sc), a_w(j - n, sc), j, a_v(d, s)))
         trace_terms[d] = terms
         sys.add_constraint(
             [(aw.scale(eps), f"t{j}", av) for eps, aw, j, av in terms], h.comp_at(d)
@@ -357,8 +328,8 @@ def _lift_along_evaluation(target_map: GradedMap):
     """sigma with ev o sigma = target_map, for ev the canonical evaluation
     Ind(W as g0-module) ->> W, or None.  From the trace preimage tau,
     sigma(x) = sum over S of eps(S, S^c) e_{S^c} (x) tau(a_S x), written
-    straight into the induced basis (Lambda^(d-j)(g1) (x) W^j sits in
-    degree d)."""
+    straight into the induced basis: on V^d, the block (j, S^c) of
+    `induced_blocks` is eps(S, S^c) tau a_S, with tau from degree j + n."""
     tau = _trace_preimage(target_map)
     if tau is None:
         return None
@@ -368,20 +339,16 @@ def _lift_along_evaluation(target_map: GradedMap):
     ind = _induced_on(w, reps)
     a_v = _odd_words(v)
     comps = {}
-    for d in v.degrees():
-        if not (v.dim_at(d) and ind.dim_at(d)):
+    for d, blocks in induced_blocks(n, reps).items():
+        if not v.dim_at(d):
             continue
-        # Ind(W)^d in basis order: W^(d-|S^c|) for |S^c| descending, S^c
-        # in lex order within a size, then the basis of W^(d-|S^c|)
         rows = []
-        for size in range(n, -1, -1):
-            for sc in combinations(range(n), size):
-                s = tuple(x for x in range(n) if x not in sc)
-                j = d + len(s)
-                if j in tau:
-                    rows += (tau[j] * a_v(d, s)).scale(_perm_sign(s, sc)).data
-                else:
-                    rows += [[0] * v.dim_at(d) for _ in range(w.dim_at(d - size))]
+        for j, sc in blocks:
+            s = _complement(n, sc)
+            if j + n in tau:
+                rows += (tau[j + n] * a_v(d, s)).scale(merge_sign(s, sc)).data
+            else:
+                rows += [[0] * v.dim_at(d) for _ in range(w.dim_at(j))]
         comps[d] = Matrix(ind.dim_at(d), v.dim_at(d), rows)
     ev = _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, ind)
     for d, sigma in comps.items():
@@ -427,12 +394,6 @@ def projective_certificate(v: GradedModule):
 # the Frobenius-style isomorphism between induced and coinduced modules
 
 
-def _perm_sign(a, b) -> int:
-    """Sign of the concatenation (a, b) of two disjoint ascending tuples."""
-    inv = sum(1 for x in a for y in b if x > y)
-    return -1 if inv % 2 else 1
-
-
 def frobenius_check(alg, q: Rep) -> bool:
     """Build the map into the coinduced space and its inverse via
     complementary monomials, both signed permutations held as sparse
@@ -442,16 +403,17 @@ def frobenius_check(alg, q: Rep) -> bool:
         raise ModuleError("frobenius check needs dim1 >= 1")
     check_exterior_size(n, q.dim, "the Frobenius comparison")
     q.check()
-    subsets = list(_subsets(n))
-    index = {s: k for k, (s, _) in enumerate(subsets)}
-    dim = len(subsets) * q.dim
+    basis = subsets(n)
+    index = {s: k for k, s in enumerate(basis)}
+    dim = len(basis) * q.dim
     f_rows = [{} for _ in range(dim)]
     g_rows = [{} for _ in range(dim)]
-    for s, sc in subsets:
+    for s in basis:
+        sc = _complement(n, s)
         # f sends e_S (x) q to eps(S^c, S) * (dual of lambda_{S^c}) (x) top (x) q
-        sgn_f = Fraction(_perm_sign(sc, s))
+        sgn_f = Fraction(merge_sign(sc, s))
         # g sends the dual of lambda_S (x) top (x) q to eps(S, S^c) * e_{S^c} (x) q
-        sgn_g = Fraction(_perm_sign(s, sc))
+        sgn_g = Fraction(merge_sign(s, sc))
         for c in range(q.dim):
             f_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = sgn_f
             g_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = sgn_g

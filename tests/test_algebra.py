@@ -4,11 +4,9 @@ import pytest
 
 from superstable.algebra import (
     LieAlgebraEven,
-    OddBracketForm,
     OddPart,
     SuperAlgebra,
     builtin_algebra,
-    cone_equations,
     grassmann,
     is_semisimple,
     killing_form,
@@ -88,24 +86,3 @@ def test_builtin_parser():
     for bad in ("grassmann(-1)", "grassmann(x)", "grassmann(1.5)", "grassmann", "sl2_adjoint(1)"):
         with pytest.raises(ValueError):
             builtin_algebra(bad)
-
-
-def test_cone_equations_against_direct_bracket():
-    # odd bracket on k^2: [e1, e1] = x, [e2, e2] = -x, [e1, e2] = 0
-    b = OddBracketForm.from_constants(
-        2, 1, [[[1], [0]], [[0], [-1]]]
-    )
-    ideal = cone_equations(2, b)
-    assert len(ideal.generators) == 1
-
-    def bracket_squares(t):
-        # [x, x] with x = t1 e1 + t2 e2
-        return t[0] * t[0] - t[1] * t[1]
-
-    for t in [(1, 1), (1, -1), (2, 3), (0, 1), (5, 5)]:
-        t = tuple(Fraction(x) for x in t)
-        assert ideal.vanishes_at(t) == (bracket_squares(t) == 0)
-
-
-def test_cone_equations_trivial():
-    assert cone_equations(3, None).generators == ()

@@ -431,3 +431,43 @@ def test_stable_eq_over_the_size_limit_exit_1(tmp_path):
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith("error: the trace sum has size 2^40 * 41, over the limit of")
     assert "Traceback" not in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# input rules: no point of an empty P(g1), positive sample counts, and the
+# koszul algebra must be the module's
+
+
+def test_sampling_with_no_odd_part_exit_1(tmp_path):
+    from superstable.algebra import grassmann
+    from superstable.gradedmod import trivial_module
+
+    path = str(tmp_path / "g0.json")
+    dump(module_to_json(trivial_module(grassmann(0))), path)
+    for argv in (["support-check", "--module", path], ["variety", "--module", path]):
+        out = _run_capped(argv)
+        assert out.returncode == 1, (argv, out.stderr)
+        assert out.stderr.startswith("error: P(g1) is empty"), out.stderr
+        assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("cmd", ["support-check", "variety"])
+@pytest.mark.parametrize("count", ["-3", "0", "x"])
+def test_sample_count_must_be_positive_exit_2(capsys, files, cmd, count):
+    code = main([cmd, "--module", files["grassmann2_mixed"], "--sample", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_koszul_refuses_another_algebra_exit_2(capsys, files):
+    def koszul(algebra):
+        return main(["koszul", "--algebra", algebra, "--module", files["grassmann2_free"]])
+
+    assert koszul("grassmann(2)") == 0
+    capsys.readouterr()
+    assert koszul("sl2_adjoint") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: koszul: --algebra sl2_adjoint is not the algebra")
+    assert captured.out == ""

@@ -14,7 +14,6 @@ from superstable.gradedmod import (
     ModuleError,
     Rep,
     direct_sum,
-    double_dual_map,
     dual,
     exterior_even_action,
     exterior_odd_action,
@@ -24,7 +23,6 @@ from superstable.gradedmod import (
     induced_sum,
     make_map,
     make_module,
-    right_twist,
     shift,
     submodule,
     tensor,
@@ -99,19 +97,20 @@ def test_induced_additive_in_q():
     assert len(hom_graded(both, split)) == len(hom_graded(both, both))
 
 
-def test_shift_and_twist():
+def test_shift():
     v = free_module(2)
     assert shift(v, 3).lo == 3
     assert shift(v, 3).dims == v.dims
-    w = right_twist(v)
-    assert w.dims == v.dims  # revalidated in construction
 
 
 def test_dual_is_involutive_up_to_canonical_iso():
     for v in (free_module(2), free_module(1, qdim=2, base=-1)):
         dd = dual(dual(v))
         assert dd.dims == v.dims
-        phi = double_dual_map(v)
+        # the canonical evaluation isomorphism V -> V**, (-1)^j in degree j
+        phi = make_map(
+            v, dd, {j: Matrix.identity(v.dim_at(j)).scale(-1 if j % 2 else 1) for j in v.degrees()}
+        )
         assert phi.source == v and phi.target == dd
         # invertible in every degree
         for j in v.degrees():

@@ -181,7 +181,7 @@ def test_frobenius_reports_a_flipped_sign(monkeypatch, capsys, tmp_path):
     q = Rep.trivial(g2.even, 1)
     path = str(tmp_path / "q.json")
     dump(rep_to_json(q), path)
-    sign = projstable._perm_sign
+    sign = projstable.merge_sign
     calls = []
 
     def flip_first(a, b):
@@ -190,7 +190,7 @@ def test_frobenius_reports_a_flipped_sign(monkeypatch, capsys, tmp_path):
         return -sign(a, b) if len(calls) == 1 else sign(a, b)
 
     assert frobenius_check(g2, q)
-    monkeypatch.setattr(projstable, "_perm_sign", flip_first)
+    monkeypatch.setattr(projstable, "merge_sign", flip_first)
     assert not frobenius_check(g2, q)
     calls.clear()
     assert main(["frobenius-check", "--algebra", "grassmann(2)", "--q", path]) == 1
