@@ -19,13 +19,21 @@ from .linalg import Matrix
 from .rigid import CohomologyTable
 
 
+# limits on `cech_size` and `koszul_size`, measured: about 2 s at each
+MAX_CECH_SIZE = 400_000
+MAX_KOSZUL_DEGREE = 10_000
+MAX_KOSZUL_ENTRIES = 4_000_000
+
+
 # ---------------------------------------------------------------------------
 # Cech cohomology of O(d) on P^r
 
 
-def _multidegrees(r: int, d: int):
-    """All exponent vectors a in Z^(r+1) with sum d that can support a
-    nonzero class, plus a one-step margin: every a_i >= min(0, d+r) - 1.
+def _multidegree_range(r: int, d: int):
+    """(lo, t): the exponent vectors a in Z^(r+1) with sum d that can
+    support a nonzero class, plus a one-step margin, are those with every
+    a_i >= lo = min(0, d+r) - 1, that is the compositions of t = d -
+    lo*(r+1) >= 1 into r+1 parts shifted by lo: C(t + r, r) of them.
 
     A monomial contributes to H^0 only when all a_i >= 0 and to H^r only
     when all a_i <= -1 (forcing a_i >= d + r); anything with a smaller
@@ -33,19 +41,16 @@ def _multidegrees(r: int, d: int):
     computation witness that acyclicity rather than assume it.
     """
     lo = min(0, d + r) - 1
-    n = r + 1
+    return lo, d - lo * (r + 1)
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            if remaining >= lo:
-                yield prefix + (remaining,)
-            return
-        # remaining coordinates are each >= lo, so this one is bounded above
-        hi = remaining - lo * (slots - 1)
-        for a in range(lo, hi + 1):
-            yield from rec(prefix + (a,), remaining - a, slots - 1)
 
-    yield from rec((), d, n)
+def cech_size(r: int, d: int) -> int:
+    """The work of `cech_line_bundle(r, d)`: its multidegrees, plus the
+    2^(r+1) chart sets scanned by each of its distinct pieces, at most
+    min(that count, 2^(r+1)) of them."""
+    lo, t = _multidegree_range(r, d)
+    count = comb(t + r, r)
+    return count + min(count, 2 ** (r + 1)) * 2 ** (r + 1)
 
 
 def _cech_piece(r: int, neg: frozenset) -> CohomologyTable:
@@ -77,10 +82,14 @@ def cech_line_bundle(r: int, d: int) -> CohomologyTable:
     """
     if r < 1:
         raise ValueError("projective space dimension must be >= 1")
+    size = cech_size(r, d)
+    if size > MAX_CECH_SIZE:
+        raise ValueError(f"the Cech complex of O({d}) on P^{r} has size {size}, over the limit of {MAX_CECH_SIZE}")
     totals = {p: 0 for p in range(r + 1)}
     cache = {}
-    for a in _multidegrees(r, d):
-        neg = frozenset(i for i, x in enumerate(a) if x < 0)
+    lo, t = _multidegree_range(r, d)
+    for e in _exponents(r + 1, t):
+        neg = frozenset(i for i, x in enumerate(e) if x + lo < 0)
         piece = cache.get(neg)
         if piece is None:
             piece = _cech_piece(r, neg)
@@ -243,14 +252,29 @@ def sym_power(rep: Rep, m: int) -> Rep:
     return Rep(rep.g0, len(basis), tuple(mats))
 
 
+def koszul_size(v: GradedModule, p_max: int) -> int:
+    """The entries of the dense differentials of `koszul_odd(v, p_max)`:
+    the sum over p < p_max of dim C^(p+1) * dim C^p, where dim C^p =
+    C(p + n - 1, p) * dim V counts the monomials of S^p(g1*)."""
+    n = v.alg.dim1
+    sym = [comb(p + n - 1, p) if n else int(p == 0) for p in range(p_max + 1)]
+    return sum(sym[p + 1] * sym[p] for p in range(p_max)) * v.total_dim ** 2
+
+
 def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
     """Cohomology of S^p(g1*) (x) V with d(s (x) w) = sum_e t_e s (x) a_e w.
 
     Returns H^p for 0 <= p < p_max; d squares to zero by the odd-action
     anticommutation.
     """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    if not 1 <= p_max <= MAX_KOSZUL_DEGREE:
+        raise ValueError(f"p_max must be in [1, {MAX_KOSZUL_DEGREE}], got {p_max}")
+    size = koszul_size(v, p_max)
+    if size > MAX_KOSZUL_ENTRIES:
+        raise ValueError(
+            f"the Koszul complex up to p_max = {p_max} has {size} differential entries, "
+            f"over the limit of {MAX_KOSZUL_ENTRIES}"
+        )
     n = v.alg.dim1
     dv = v.total_dim
     acts = [v.total_odd(e) for e in range(n)]

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from .algebra import LieAlgebraEven, SuperAlgebra, representation_failure
-from .linalg import LinearSystem, Matrix, vanishes
+from .linalg import LinearSystem, Matrix, kron, vanishes
 
 _ZERO = Fraction(0)
 
@@ -70,8 +71,6 @@ class Rep:
         return Rep(self.g0, self.dim, tuple((-m).transpose() for m in self.mats))
 
     def tensor(self, other: "Rep") -> "Rep":
-        from .linalg import kron
-
         d = self.dim * other.dim
         mats = tuple(
             kron(a, Matrix.identity(other.dim)) + kron(Matrix.identity(self.dim), b)
@@ -190,14 +189,22 @@ def _check_invariants(v: GradedModule):
                         raise ModuleError(f"anticommutation fails at degree {j}, odd pair ({e},{f})")
 
 
-def make_module(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedModule:
-    """Build a validated graded module; raises ModuleError with the first
-    failing identity."""
+def _assemble(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedModule:
+    """The graded module with these actions, shapes checked but identities
+    not: for the constructions whose identities follow from those of
+    their already validated inputs."""
     dims = tuple(int(d) for d in dims)
     rho0 = tuple(tuple(r) for r in rho0)
     odd = tuple(tuple(o) for o in odd)
     _check_shapes(alg, lo, hi, dims, rho0, odd)
-    v = GradedModule(alg, lo, hi, dims, rho0, odd)
+    return GradedModule(alg, lo, hi, dims, rho0, odd)
+
+
+def make_module(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedModule:
+    """Build a validated graded module; raises ModuleError with the first
+    failing identity.  The one validating constructor, for data that
+    comes from outside."""
+    v = _assemble(alg, lo, hi, dims, rho0, odd)
     _check_invariants(v)
     return v
 
@@ -323,6 +330,9 @@ def shift(v: GradedModule, m: int) -> GradedModule:
 
 
 def direct_sum(v: GradedModule, w: GradedModule) -> GradedModule:
+    """V + W, V's basis first in each degree.  Every action matrix is
+    block diagonal, so each identity holds as it does in V and in W: the
+    sum is assembled without a re-check."""
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in direct sum")
     lo, hi = min(v.lo, w.lo), max(v.hi, w.hi)
@@ -342,7 +352,7 @@ def direct_sum(v: GradedModule, w: GradedModule) -> GradedModule:
                 for e in range(v.alg.dim1)
             )
         )
-    return make_module(v.alg, lo, hi, dims, rho0, odd)
+    return _assemble(v.alg, lo, hi, dims, rho0, odd)
 
 
 def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
@@ -350,10 +360,11 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
 
     The degree-l component is the direct sum over ascending i of
     V^i (x) W^(l-i), blocks assembled with the lexicographic Kronecker
-    convention.
+    convention.  It is assembled without a re-check: x acts by
+    x (x) 1 + 1 (x) x, whose terms commute; e by e (x) 1 + (-1)^i 1 (x) e on
+    V^i (x) W, so equivariance holds factor by factor, and in ef + fe the
+    Koszul sign cancels the cross terms ev (x) fw and fv (x) ew.
     """
-    from .linalg import kron
-
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in tensor product")
     alg = v.alg
@@ -401,7 +412,7 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
                 c0 += v.dim_at(i) * w.dim_at(j)
             mats.append(Matrix.place(run, dims[l - lo], placed))
         odd.append(tuple(mats))
-    return make_module(alg, lo, hi, dims, rho0, odd)
+    return _assemble(alg, lo, hi, dims, rho0, odd)
 
 
 def dual(v: GradedModule) -> GradedModule:
@@ -410,7 +421,10 @@ def dual(v: GradedModule) -> GradedModule:
     Even action is minus transpose; the odd action carries the super
     sign (-1)^i on degree i.  (The source text's dual-action formula
     lacks the Lie-theoretic minus sign; without it the even components
-    would not be representations.)
+    would not be representations.)  It is assembled without a re-check:
+    transposition turns each identity of V into the one of V*, as a
+    product of odd matrices on adjacent degrees carries the same sign
+    (-1)^i (-1)^(i+1) = -1 in both terms of ef + fe.
     """
     alg = v.alg
     lo, hi = -v.hi, -v.lo
@@ -419,18 +433,13 @@ def dual(v: GradedModule) -> GradedModule:
         tuple((-v.rho_at(-i, x)).transpose() for x in range(alg.dim0))
         for i in range(lo, hi + 1)
     )
-    odd = []
-    for i in range(lo, hi + 1):
-        sgn = -1 if i % 2 else 1
-        row = []
-        for e in range(alg.dim1):
-            if i < hi:
-                a = v.odd_at(-i - 1, e)  # V^(-i-1) -> V^(-i)
-                row.append(a.transpose().scale(sgn))
-            else:
-                row.append(Matrix.zero(0, dims[i - lo]))
-        odd.append(tuple(row))
-    return make_module(alg, lo, hi, dims, rho0, tuple(odd))
+    # V^(-i-1) -> V^(-i), transposed: at i = hi it leaves V's window, and
+    # odd_at gives the empty matrix the top degree needs
+    odd = tuple(
+        tuple(v.odd_at(-i - 1, e).transpose().scale(-1 if i % 2 else 1) for e in range(alg.dim1))
+        for i in range(lo, hi + 1)
+    )
+    return _assemble(alg, lo, hi, dims, rho0, odd)
 
 
 def graded_map_system(v: GradedModule, w: GradedModule, name: str = "f") -> LinearSystem:
@@ -552,67 +561,28 @@ def exterior_even_action(alg: SuperAlgebra):
 
 
 def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
-    """The direct sum over j of Lambda(g1) (x) reps[j] graded by exterior
-    degree + j, built and validated as one module (each Rep is checked).
+    """The direct sum over ascending j of Lambda(g1) (x) reps[j], with
+    reps[j] placed in degree j (each Rep is checked).
 
     Odd generators act by left wedge on the exterior factor; even ones by
     the derivation action on Lambda(g1) plus the given action on Q.  The
     window is [min j, max j + dim1], and the basis is that of
-    `induced_blocks`: the order of the direct sum of the single induced
-    modules taken in ascending j.
+    `induced_blocks`.  Only Lambda(g1) is validated here: Q_j in one
+    degree with zero odd action is a module because reps[j] is a
+    representation, and `tensor` and `direct_sum` preserve validity.
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
     n = alg.dim1
-    check_exterior_size(n, sum(q.dim for q in reps.values()), "the induced module")
+    check_exterior_size(n, max(1, sum(q.dim for q in reps.values())), "the induced module")
     for q in reps.values():
         q.check()
-    wedge = [[m.sparse_rows() for m in per] for per in exterior_odd_action(n)]
-    deriv = [[m.sparse_rows() for m in per] for per in exterior_even_action(alg)]
-    qmats = {j: [m.sparse_rows() for m in q.mats] for j, q in reps.items()}
-    layout = induced_blocks(n, reps)
-    lo, hi = min(reps), max(reps) + n
-    offsets, dims = [], []  # per degree: {j: offset of the j-th summand}, dim
-    for l in range(lo, hi + 1):
-        off, run = {}, 0
-        for j, _ in layout.get(l, ()):
-            off.setdefault(j, run)
-            run += reps[j].dim
-        offsets.append(off)
-        dims.append(run)
-    rho0, odd = [], []
-    for k, off in enumerate(offsets):
-        l = lo + k
-        d, d_next = dims[k], dims[k + 1] if l < hi else 0
-        per_even, per_odd = [], []
-        for i in range(alg.dim0):
-            # kron(derivation, I_Q) + kron(I_Lambda, Q action) per summand
-            out = [[_ZERO] * d for _ in range(d)]
-            for j, o in off.items():
-                qd = reps[j].dim
-                for a, d_row in enumerate(deriv[l - j][i]):
-                    for b, q_row in enumerate(qmats[j][i]):
-                        row = out[o + a * qd + b]
-                        for a2, x in d_row.items():
-                            row[o + a2 * qd + b] += x
-                        for b2, y in q_row.items():
-                            row[o + a * qd + b2] += y
-            per_even.append(Matrix(d, d, out))
-        for e in range(n):
-            # kron(wedge, I_Q) from each summand into its next degree
-            out = [[_ZERO] * d for _ in range(d_next)]
-            for j, o in off.items():
-                if l - j == n:
-                    continue
-                qd, r0 = reps[j].dim, offsets[k + 1][j]
-                for a, w_row in enumerate(wedge[l - j][e]):
-                    for a2, x in w_row.items():
-                        for b in range(qd):
-                            out[r0 + a * qd + b][o + a2 * qd + b] = x
-            per_odd.append(Matrix(d_next, d, out))
-        rho0.append(tuple(per_even))
-        odd.append(tuple(per_odd))
-    return make_module(alg, lo, hi, dims, rho0, odd)
+    lam = make_module(alg, 0, n, [len(s) for s in _positions(n)],
+                      exterior_even_action(alg), exterior_odd_action(n))
+    return reduce(direct_sum, (
+        tensor(lam, _assemble(alg, j, j, (q.dim,), (q.mats,), ((Matrix.zero(0, q.dim),) * n,)))
+        for j, q in sorted(reps.items())
+    ))
 
 
 def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedModule:

@@ -371,18 +371,15 @@ def vanishes(terms, nrows: int) -> bool:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with (i_a, i_b) lexicographic index convention."""
-    out = [[Fraction(0)] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for ia in range(a.rows):
-        for ja in range(a.cols):
-            x = a.data[ia][ja]
-            if x == 0:
-                continue
-            for ib in range(b.rows):
-                brow = b.data[ib]
-                orow = out[ia * b.rows + ib]
-                for jb in range(b.cols):
-                    if brow[jb] != 0:
-                        orow[ja * b.cols + jb] = x * brow[jb]
+    out = [[_ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    bs = b.sparse_rows()
+    for ia, arow in enumerate(a.data):
+        for ja, x in enumerate(arow):
+            if x:
+                for ib, brow in enumerate(bs):
+                    orow = out[ia * b.rows + ib]
+                    for jb, y in brow.items():
+                        orow[ja * b.cols + jb] = x * y
     return Matrix(a.rows * b.rows, a.cols * b.cols, out)
 
 

@@ -20,7 +20,7 @@ from .algebra import (
     builtin_algebra,
     validate,
 )
-from .gradedmod import GradedMap, GradedModule, Rep, make_map, make_module
+from .gradedmod import MAX_EXTERIOR_SIZE, GradedMap, GradedModule, Rep, make_map, make_module
 from .linalg import Matrix, Polynomial
 from .rigid import RigidComplex, make_complex
 
@@ -92,8 +92,9 @@ def matrix_to_json(m: Matrix):
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
     if isinstance(obj, dict):
-        r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0)
-        c = int_from_json(_field(obj, "cols", "sparse matrix"), "matrix cols", lo=0)
+        # no larger than the expected shape, which bounds the allocation
+        r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0, hi=rows)
+        c = int_from_json(_field(obj, "cols", "sparse matrix"), "matrix cols", lo=0, hi=cols)
         data = [[Fraction(0)] * c for _ in range(r)]
         for entry in _array(obj.get("entries", []), "sparse matrix entries"):
             i, j, v = _array(entry, "sparse matrix entry [row, column, value]", 3)
@@ -197,7 +198,8 @@ def rep_to_json(q: Rep):
 
 
 def rep_from_json(obj, g0: LieAlgebraEven) -> Rep:
-    dim = int_from_json(_field(obj, "dim", "representation"), "dim", lo=0)
+    # bounded before any matrix is built, as a module's total dimension is
+    dim = int_from_json(_field(obj, "dim", "representation"), "dim", lo=0, hi=MAX_EXTERIOR_SIZE)
     mats = tuple(matrix_from_json(m, dim, dim) for m in _array(obj.get("mats", []), "mats"))
     if len(mats) != g0.dim0:
         raise FormatError("need one representation matrix per even basis element")
@@ -237,6 +239,10 @@ def _graded_families(obj, alg, key, what):
     dims = [int_from_json(d, "dims entry", lo=0) for d in _array(_field(obj, "dims", what), "dims")]
     if len(dims) != hi - lo + 1:
         raise FormatError("dims length does not match the degree window")
+    # an empty array stands for a zero matrix of any size, so a short file
+    # can ask for a huge module: refuse it before any matrix is built
+    if sum(dims) > MAX_EXTERIOR_SIZE:
+        raise FormatError(f"the {what} has total dimension {sum(dims)}, over the limit of {MAX_EXTERIOR_SIZE}")
     rho0 = []
     for jx, per in enumerate(_array(_field(obj, "rho0", what), "rho0", len(dims))):
         d = dims[jx]
@@ -299,7 +305,8 @@ def _read(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bad UTF-8; RecursionError deep nesting
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 

@@ -1,9 +1,12 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superstable.cli import main
 from superstable.corpus import corpus_modules, corpus_morphisms
@@ -471,3 +474,181 @@ def test_koszul_refuses_another_algebra_exit_2(capsys, files):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: koszul: --algebra sl2_adjoint is not the algebra")
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# inputs that used to end in a traceback or a blow-up: each is refused with
+# its exit code and message, well inside the cap
+
+
+def _refused(argv, code, message):
+    import time
+
+    t0 = time.monotonic()
+    out = _run_capped(argv)
+    assert out.returncode == code, (argv, out.stderr)
+    assert out.stderr.startswith(message), out.stderr
+    assert "Traceback" not in out.stderr
+    assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize("cmd", [["module-info"], ["ds", "--point", "1"]])
+def test_deeply_nested_json_exit_2(tmp_path, cmd):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    argv = [cmd[0], "--module", str(path), *cmd[1:]]
+    _refused(argv, 2, f"input error: cannot read {path}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("cmd", ["module-info", "is-reduced", "decompose"])
+def test_module_over_the_size_limit_exit_2(tmp_path, cmd):
+    from superstable.gradedmod import MAX_EXTERIOR_SIZE
+
+    def zero_module_file(dim):
+        # 99 bytes at dim 30000: empty arrays stand for zero matrices of any size
+        path = tmp_path / f"big{dim}.json"
+        path.write_text('{"algebra": "grassmann(1)", "lo": 0, "hi": 0, "dims": [%d], '
+                        '"rho0": [[]], "odd": [[[]]]}' % dim)
+        return str(path)
+
+    if cmd == "module-info":  # the limit itself loads; decompose on it takes seconds
+        out = _run_capped([cmd, "--module", zero_module_file(MAX_EXTERIOR_SIZE)])
+        assert out.returncode == 0 and "total dim: 1024" in out.stdout, out.stderr
+    _refused([cmd, "--module", zero_module_file(30000)], 2,
+             f"input error: the module has total dimension 30000, over the limit of {MAX_EXTERIOR_SIZE}")
+
+
+def test_rep_over_the_size_limit_exit_2(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text('{"dim": 30000, "mats": [[], [], []]}')
+    _refused(["ce", "--algebra", "sl2_trivial(1)", "--module", str(path)], 2,
+             "input error: dim must be in [0, 1024], got 30000")
+
+
+def test_sparse_matrix_larger_than_its_slot_exit_2(tmp_path):
+    # the header alone would allocate 10^9 empty rows
+    path = tmp_path / "m.json"
+    path.write_text('{"algebra": "grassmann(1)", "lo": 0, "hi": 0, "dims": [1], "rho0": [[]], '
+                    '"odd": [[{"rows": 1000000000, "cols": 0}]]}')
+    _refused(["module-info", "--module", str(path)], 2,
+             "input error: matrix rows must be in [0, 0], got 1000000000")
+
+
+@pytest.mark.parametrize("cmd", ["cech", "ext"])
+def test_cech_at_and_over_the_size_limit(cmd):
+    from superstable.cohomology import MAX_CECH_SIZE, cech_size
+
+    # P^8: O(3) is the last twist under the limit; P^12 with O(2) once hung
+    assert cech_size(8, 3) <= MAX_CECH_SIZE < cech_size(8, 4)
+    args = {"cech": lambda d, r: ["-r", str(r), "-d", str(d)],
+            "ext": lambda d, r: ["-i", "0", "-j", str(d), "-r", str(r)]}[cmd]
+    if cmd == "cech":
+        out = _run_capped(["cech", *args(3, 8)])
+        assert out.returncode == 0 and "O(3)" in out.stdout, out.stderr
+    for d, r in ((4, 8), (2, 12)):
+        _refused([cmd, *args(d, r)], 1,
+                 f"error: the Cech complex of O({d}) on P^{r} has size {cech_size(r, d)}, "
+                 f"over the limit of {MAX_CECH_SIZE}")
+
+
+def test_koszul_at_and_over_the_limits(tmp_path):
+    from superstable.cohomology import MAX_KOSZUL_DEGREE, MAX_KOSZUL_ENTRIES, koszul_size
+
+    mods = corpus_modules()
+    paths = {}
+    for name in ("sl2_adjoint_natural", "grassmann1_trivial"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        dump(module_to_json(mods[name].module), paths[name])
+    big = mods["sl2_adjoint_natural"].module
+    assert koszul_size(big, 11) <= MAX_KOSZUL_ENTRIES < koszul_size(big, 12)
+
+    def koszul(name, pmax):
+        alg = mods[name].module.alg.name
+        return ["koszul", "--algebra", alg, "--module", paths[name], "--pmax", str(pmax)]
+
+    for argv in (koszul("sl2_adjoint_natural", 11), koszul("grassmann1_trivial", MAX_KOSZUL_DEGREE)):
+        out = _run_capped(argv)
+        assert out.returncode == 0 and out.stdout.startswith("H^p: {0: "), out.stderr
+    for pmax in (12, 30):
+        _refused(koszul("sl2_adjoint_natural", pmax), 1,
+                 f"error: the Koszul complex up to p_max = {pmax} has {koszul_size(big, pmax)} "
+                 f"differential entries, over the limit of {MAX_KOSZUL_ENTRIES}")
+    _refused(koszul("grassmann1_trivial", MAX_KOSZUL_DEGREE + 1), 1,
+             f"error: p_max must be in [1, {MAX_KOSZUL_DEGREE}]")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a corpus module file with one field mutated never escapes as an
+# exception, whatever the command
+
+
+DEEP_NESTING = "[" * 200_000
+HUGE_ZERO_MODULE = (
+    '{"algebra": "grassmann(1)", "lo": 0, "hi": 0, "dims": [30000], "rho0": [[]], "odd": [[[]]]}'
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_module_files():
+    return {name: (module_to_json(e.module), e.module.alg.dim1)
+            for name, e in sorted(corpus_modules().items()) if e.module.total_dim <= 8}
+
+
+def _matrices(obj):
+    """The matrices of a module object, as (family, degree index, element index)."""
+    return [(fam, k, i) for fam in ("rho0", "odd") for k, per in enumerate(obj[fam])
+            for i in range(len(per))]
+
+
+@st.composite
+def mutated_module_files(draw):
+    """(file text, dim g1): a small corpus module with one field mutated."""
+    name = draw(st.sampled_from(sorted(_small_module_files())))
+    obj, dim1 = _small_module_files()[name]
+    obj = json.loads(json.dumps(obj))
+    kind = draw(st.sampled_from(["delete", "type", "window", "entry", "row"]))
+    if kind == "delete":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "type":
+        key = draw(st.sampled_from(sorted(obj)))
+        obj[key] = draw(st.sampled_from([None, True, 2.5, 7, "x", [], {}, [[1]]]).filter(
+            lambda x: type(x) is not type(obj[key])))
+    elif kind == "window":
+        value = draw(st.sampled_from([-1, 0, 10**6]))
+        key = draw(st.sampled_from(["dims", "lo", "hi"]))
+        if key == "dims":
+            obj["dims"][draw(st.integers(0, len(obj["dims"]) - 1))] = value
+        else:
+            obj[key] = value
+    else:
+        fam, k, i = draw(st.sampled_from(_matrices(obj)))
+        m = obj[fam][k][i]
+        if kind == "entry" and m and m[0]:
+            r, c = draw(st.integers(0, len(m) - 1)), draw(st.integers(0, len(m[0]) - 1))
+            m[r][c] = draw(st.sampled_from([0.5, "1/0", ["1"]]))
+        elif m and draw(st.booleans()):
+            del m[draw(st.integers(0, len(m) - 1))]
+        else:
+            m.append(["0"] * (len(m[0]) if m else 1))
+    return json.dumps(obj), dim1
+
+
+@given(mutated_module_files())
+@example((DEEP_NESTING, 1))
+@example((HUGE_ZERO_MODULE, 1))
+@settings(max_examples=150, deadline=None)
+def test_cli_survives_mutated_module_files(case):
+    import contextlib
+    import io
+    import tempfile
+
+    text, dim1 = case
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        point = ",".join(["1"] * max(dim1, 1))
+        for argv in (["module-info"], ["ds", "--point", point], ["is-reduced"], ["decompose"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], "--module", path, *argv[1:]])
+            assert code in (0, 1, 2), (argv, code)

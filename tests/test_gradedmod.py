@@ -19,6 +19,7 @@ from superstable.gradedmod import (
     exterior_odd_action,
     hom_graded,
     identity_map,
+    induced_blocks,
     induced_module,
     induced_sum,
     make_map,
@@ -499,3 +500,77 @@ def test_total_matrix_matches_hand_placement(pair, rng):
     assert phi.total_matrix() == total_matrix_oracle(phi)
     s = direct_sum(v, w)
     assert identity_map(s).total_matrix() == total_matrix_oracle(identity_map(s))
+
+
+# ---------------------------------------------------------------------------
+# validate once: direct_sum, tensor, dual, shift and induced_sum assemble
+# their output without re-checking it, so the dense oracle sweeps it here
+
+
+@functools.lru_cache(maxsize=None)
+def modules_by_algebra():
+    pool = {}
+    for v in small_modules().values():
+        pool.setdefault(v.alg.name, []).append(v)
+    return pool
+
+
+def summand_inclusions(alg, reps, total):
+    """Each Lambda(g1) (x) reps[j], built by dense kron and validated, with
+    its inclusion into `total` at the blocks `induced_blocks` gives it."""
+    layout = induced_blocks(alg.dim1, reps)
+    for j in sorted(reps):
+        part = induced_module_oracle(alg, reps[j], j)
+        comps = {}
+        for l in part.degrees():
+            off = sum(reps[i].dim for i, _ in layout[l] if i < j)
+            comps[l] = Matrix.place(total.dim_at(l), part.dim_at(l),
+                                    [(off, 0, 1, Matrix.identity(part.dim_at(l)))])
+        yield GradedMap(part, total, comps)
+
+
+@st.composite
+def constructions(draw):
+    """(name, inputs, output) of one category operation on small corpus
+    and random modules, or of induced_sum on corpus-style reps."""
+    op = draw(st.sampled_from(["direct_sum", "tensor", "dual", "shift", "induced_sum"]))
+    if op == "induced_sum":
+        if draw(st.booleans()):
+            alg, reps = draw(algebra_and_reps())
+        else:
+            e = draw(st.sampled_from(sorted(corpus_reps().items())))[1]
+            degrees = draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3))
+            alg, reps = e.alg, {j: e.rep for j in degrees}
+        return op, (alg, reps), induced_sum(alg, reps)
+    if draw(st.booleans()):
+        from superstable.corpus import random_module
+
+        v = random_module(draw(st.integers(0, 10**6)), 8)
+        pool = [v] + modules_by_algebra().get(v.alg.name, [])
+    else:
+        pool = draw(st.sampled_from(sorted(modules_by_algebra().items())))[1]
+        v = draw(st.sampled_from(pool))
+    if op == "dual":
+        return op, v, dual(v)
+    if op == "shift":
+        return op, v, shift(v, draw(st.integers(-3, 3)))
+    if op == "tensor":  # the dense oracle on a product over 32 dims takes seconds
+        pool = [m for m in pool if m.total_dim * v.total_dim <= 32] or [trivial_module(v.alg)]
+    w = shift(draw(st.sampled_from(pool)), draw(st.integers(-2, 2)))
+    return op, (v, w), (direct_sum if op == "direct_sum" else tensor)(v, w)
+
+
+@given(constructions())
+@settings(max_examples=60, deadline=None)
+def test_assembled_modules_pass_the_dense_oracle(case):
+    op, args, out = case
+    assert dense_module_failure(out) is None, op
+    if op == "dual":
+        # V -> V**, (-1)^j in degree j, is a g-map only with the sign (-1)^i
+        dd = dual(out)
+        signs = {j: Matrix.identity(args.dim_at(j)).scale(-1 if j % 2 else 1) for j in args.degrees()}
+        assert dense_map_failure(GradedMap(args, dd, signs)) is None
+    if op == "induced_sum":
+        # each summand sits in the blocks of `induced_blocks`
+        for incl in summand_inclusions(*args, out):
+            assert dense_map_failure(incl) is None
