@@ -173,6 +173,25 @@ def is_semisimple(g0: LieAlgebraEven) -> bool:
     return killing_form(g0).rank() == g0.dim0
 
 
+# largest dim0^3 + dim0 * dim1^2, the entries of the bracket table and of
+# the odd action matrices, of a built-in or inline algebra.  The Jacobi
+# check costs dim0^5, so it sets the limit.  Measured with CLI `validate`
+# on a 2-CPU host: sl3 in a basis with a dense bracket (dim0 = 8, at the
+# limit) took 1.3 s, so(5) likewise (dim0 = 10) 3.2 s; sl2_trivial(12),
+# 459 entries, 0.2 s.  Dense matrices alone would allow about 10^6.
+MAX_ALGEBRA_ENTRIES = 512
+
+
+def check_algebra_size(dim0: int, dim1: int, what: str):
+    """Refuse `what` when its bracket table and odd action matrices would
+    hold more than `MAX_ALGEBRA_ENTRIES` entries, before any is built."""
+    entries = dim0 ** 3 + dim0 * dim1 ** 2
+    if entries > MAX_ALGEBRA_ENTRIES:
+        raise ValueError(
+            f"{what} has {entries} bracket and action entries, over the limit of {MAX_ALGEBRA_ENTRIES}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # built-in algebras
 
@@ -206,6 +225,7 @@ def grassmann(n: int) -> SuperAlgebra:
 
 def sl2_trivial(n: int) -> SuperAlgebra:
     """g0 = sl2 acting trivially on an n-dimensional odd part."""
+    check_algebra_size(3, n, f"builtin algebra sl2_trivial({n})")
     return SuperAlgebra(
         sl2(), OddPart(n, tuple(Matrix.zero(n, n) for _ in range(3))), name=f"sl2_trivial({n})"
     )
@@ -219,6 +239,7 @@ def sl2_adjoint() -> SuperAlgebra:
 
 def sl2_natural_sum(m: int) -> SuperAlgebra:
     """g0 = sl2 with g1 a direct sum of m copies of the natural module."""
+    check_algebra_size(3, 2 * m, f"builtin algebra sl2_natural_sum({m})")
     acts = tuple(Matrix.block_diag([SL2_NATURAL[i]] * m) for i in range(3))
     return SuperAlgebra(sl2(), OddPart(2 * m, acts), name=f"sl2_natural_sum({m})")
 
@@ -238,8 +259,8 @@ def builtin_algebra(spec: str) -> SuperAlgebra:
     """Parse names like "grassmann(2)", "sl2_adjoint".
 
     Raises KeyError when `spec` does not name a built-in, and ValueError
-    when it does but the argument is missing, extra, or not a
-    non-negative integer.
+    when it does but the argument is missing, extra, not a non-negative
+    integer, or too large (`check_algebra_size`).
     """
     m = _BUILTIN_SPEC.fullmatch(spec)
     fn = BUILTIN_ALGEBRAS.get(m.group(1)) if m else None

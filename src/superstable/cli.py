@@ -226,7 +226,7 @@ def _cmd_ds(args):
 def _cmd_variety(args):
     v = load_module(args.module)
     if args.ideal:
-        ideal = variety_ideal(v, max_dim=args.max_minor_dim)
+        ideal = variety_ideal(v)
         lines = [f"ideal generators: {len(ideal.generators)}"]
         gens = [polynomial_to_json(p) for p in ideal.generators]
         return EXIT_OK, _report(
@@ -451,14 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-minor-dim", type=int, default=12, dest="max_minor_dim")
     # the same globals are accepted after the subcommand as well
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument(
-        "--max-minor-dim", type=int, default=argparse.SUPPRESS, dest="max_minor_dim"
-    )
     sub = ap.add_subparsers(dest="cmd", required=True, parser_class=argparse.ArgumentParser)
 
     def add_parser(name):

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import LieAlgebraEven, SuperAlgebra
-from .gradedmod import GradedModule, Rep, merge_sign
+from .gradedmod import GradedModule, Rep, concentrated, dual, merge_sign, tensor
 from .linalg import Matrix
 from .rigid import CohomologyTable
 
@@ -305,7 +305,8 @@ def nonfullness_ext(alg: SuperAlgebra, v: Rep, w: Rep, i: int, j: int) -> int:
 
     Nonzero only when m = i - j - dim1 >= 0 and the cohomological degree
     p = m + 1 fits inside [0, dim g0]; the space is then
-    H^p(g0, V* (x) S^m(g1) (x) W).
+    H^p(g0, V* (x) S^m(g1) (x) W), the coefficients the degree-0 part of
+    the graded dual and tensor products of the three in degree 0.
     """
     v.check()
     w.check()
@@ -314,6 +315,7 @@ def nonfullness_ext(alg: SuperAlgebra, v: Rep, w: Rep, i: int, j: int) -> int:
     p = m + 1
     if m < 0 or p < 0 or p > alg.dim0:
         return 0
-    g1_rep = Rep(alg.even, n, tuple(alg.odd.action))
-    coeff = v.dual().tensor(sym_power(g1_rep, m)).tensor(w)
+    sym = sym_power(Rep(alg.even, n, tuple(alg.odd.action)), m)
+    v0, s0, w0 = (concentrated(alg, q, 0) for q in (v, sym, w))
+    coeff = tensor(tensor(dual(v0), s0), w0).rep_at(0)
     return chevalley_eilenberg(alg.even, coeff).dim(p)

@@ -21,7 +21,8 @@ from .linalg import LinearSystem, Matrix, kron, vanishes
 _ZERO = Fraction(0)
 
 # largest 2^dim(g1) * dim allowed for a build or sum over the exterior
-# algebra: the induced modules, the Frobenius comparison and the trace sum
+# algebra (the induced modules, the Frobenius comparison and the trace
+# sum), and the largest total dimension of a tensor product
 MAX_EXTERIOR_SIZE = 1024
 
 
@@ -66,24 +67,6 @@ class Rep:
     @staticmethod
     def trivial(g0: LieAlgebraEven, dim: int) -> "Rep":
         return Rep(g0, dim, tuple(Matrix.zero(dim, dim) for _ in range(g0.dim0)))
-
-    def dual(self) -> "Rep":
-        return Rep(self.g0, self.dim, tuple((-m).transpose() for m in self.mats))
-
-    def tensor(self, other: "Rep") -> "Rep":
-        d = self.dim * other.dim
-        mats = tuple(
-            kron(a, Matrix.identity(other.dim)) + kron(Matrix.identity(self.dim), b)
-            for a, b in zip(self.mats, other.mats)
-        )
-        return Rep(self.g0, d, mats)
-
-    def direct_sum(self, other: "Rep") -> "Rep":
-        return Rep(
-            self.g0,
-            self.dim + other.dim,
-            tuple(Matrix.block_diag([a, b]) for a, b in zip(self.mats, other.mats)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +192,17 @@ def make_module(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedM
     return v
 
 
+def concentrated(alg: SuperAlgebra, q: Rep, degree: int) -> GradedModule:
+    """The g0-representation q as a graded module in one degree, with
+    zero odd action.  It is assembled without a re-check: the odd
+    identities read 0 = 0, and the even one is q's, so q must be a
+    representation (checked, or built as one)."""
+    return _assemble(alg, degree, degree, (q.dim,), (q.mats,), ((Matrix.zero(0, q.dim),) * alg.dim1,))
+
+
 def trivial_module(alg: SuperAlgebra, degree: int = 0, dim: int = 1) -> GradedModule:
     """dim copies of k concentrated in one degree, all actions zero."""
-    return make_module(
-        alg,
-        degree,
-        degree,
-        (dim,),
-        ((Matrix.zero(dim, dim),) * alg.dim0,),
-        ((Matrix.zero(0, dim),) * alg.dim1,),
-    )
+    return concentrated(alg, Rep.trivial(alg.even, dim), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -280,28 +264,35 @@ class GradedMap:
         return Matrix.block_diag(self.comp_at(j) for j in degs)
 
 
+def _squares(v: GradedModule, w: GradedModule):
+    """Every square a graded g-map f: v -> w must close, f_k A = B f_j
+    with A acting on v^j and B on w^j, as (kind, j, k, A, B): per degree
+    j, the even ones (k = j, one per even basis element), then the odd
+    ones (k = j + 1, one per odd basis element).  Squares whose corner
+    w^k or v^j is zero hold trivially and are left out."""
+    for j in sorted(set(v.degrees()) | set(w.degrees())):
+        if v.dim_at(j) and w.dim_at(j):
+            for i in range(v.alg.dim0):
+                yield "even", j, j, v.rho_at(j, i), w.rho_at(j, i)
+        if v.dim_at(j) and w.dim_at(j + 1):
+            for e in range(v.alg.dim1):
+                yield "odd", j, j + 1, v.odd_at(j, e), w.odd_at(j, e)
+
+
 def check_map(phi: GradedMap):
-    """Verify phi commutes with every even and odd action."""
+    """Verify phi commutes with every even and odd action: the one check
+    that a map is equivariant."""
     v, w = phi.source, phi.target
     if v.alg != w.alg:
         raise ModuleError("source and target live over different algebras")
-    degs = sorted(set(v.degrees()) | set(w.degrees()))
-    comp = {j: phi.comp_at(j).sparse_rows() for j in {*degs, *(d + 1 for d in degs)}}
-    for j in degs:
-        for i in range(v.alg.dim0):
-            terms = [
-                (1, (comp[j], v.rho_at(j, i).sparse_rows())),
-                (-1, (w.rho_at(j, i).sparse_rows(), comp[j])),
-            ]
-            if not vanishes(terms, w.dim_at(j)):
-                raise ModuleError(f"map fails to commute with even action at degree {j}")
-        for e in range(v.alg.dim1):
-            terms = [
-                (1, (comp[j + 1], v.odd_at(j, e).sparse_rows())),
-                (-1, (w.odd_at(j, e).sparse_rows(), comp[j])),
-            ]
-            if not vanishes(terms, w.dim_at(j + 1)):
-                raise ModuleError(f"map fails to commute with odd action at degree {j}")
+    comp = {}
+    for kind, j, k, a, b in _squares(v, w):
+        for d in (j, k):
+            if d not in comp:
+                comp[d] = phi.comp_at(d).sparse_rows()
+        terms = [(1, (comp[k], a.sparse_rows())), (-1, (b.sparse_rows(), comp[j]))]
+        if not vanishes(terms, w.dim_at(k)):
+            raise ModuleError(f"map fails to commute with {kind} action at degree {j}")
     return phi
 
 
@@ -327,6 +318,14 @@ def zero_map(v: GradedModule, w: GradedModule) -> GradedMap:
 def shift(v: GradedModule, m: int) -> GradedModule:
     """Degree shift: the new degree-i component is the old degree-(i-m) one."""
     return GradedModule(v.alg, v.lo + m, v.hi + m, v.dims, v.rho0, v.odd)
+
+
+def restrict(v: GradedModule) -> GradedModule:
+    """Res to g0: V's even action with a zero odd action, a module as
+    every odd identity then reads 0 = 0.  A g-map between restrictions
+    is a graded g0-map."""
+    odd = tuple((Matrix.zero(v.dim_at(j + 1), v.dim_at(j)),) * v.alg.dim1 for j in v.degrees())
+    return _assemble(v.alg, v.lo, v.hi, v.dims, v.rho0, odd)
 
 
 def direct_sum(v: GradedModule, w: GradedModule) -> GradedModule:
@@ -367,6 +366,11 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     """
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in tensor product")
+    if v.total_dim * w.total_dim > MAX_EXTERIOR_SIZE:
+        raise ModuleError(
+            f"the tensor product has total dimension {v.total_dim * w.total_dim}, "
+            f"over the limit of {MAX_EXTERIOR_SIZE}"
+        )
     alg = v.alg
     lo, hi = v.lo + w.lo, v.hi + w.hi
 
@@ -442,33 +446,24 @@ def dual(v: GradedModule) -> GradedModule:
     return _assemble(alg, lo, hi, dims, rho0, odd)
 
 
-def graded_map_system(v: GradedModule, w: GradedModule, name: str = "f") -> LinearSystem:
-    """LinearSystem whose unknowns `{name}{j}` are the components of a
-    graded g-map v -> w, one per degree where both are nonzero, with the
-    constraints that it commute with every even and odd action."""
-    degs = sorted(set(v.degrees()) | set(w.degrees()))
+def graded_map_system(v: GradedModule, w: GradedModule) -> LinearSystem:
+    """LinearSystem whose unknowns, named by their degree j, are the
+    components f_j of a graded g-map v -> w, one per degree where both
+    are nonzero, with the constraint that it close every square of
+    `_squares`.  The one builder of a `LinearSystem`: a solution is the
+    map's component dict, and a caller adds its own constraints.  A
+    g0-map v -> w of degree -n is a g-map restrict(v) -> shift(restrict(w), n)."""
     sys = LinearSystem()
-    live = [j for j in degs if v.dim_at(j) and w.dim_at(j)]
-    for j in live:
-        sys.add_unknown(f"{name}{j}", w.dim_at(j), v.dim_at(j))
-    for j in live:
-        for i in range(v.alg.dim0):
-            sys.add_constraint(
-                [(1, f"{name}{j}", v.rho_at(j, i)), (w.rho_at(j, i), f"{name}{j}", -1)],
-                Matrix.zero(w.dim_at(j), v.dim_at(j)),
-            )
-    for j in degs:
-        # odd-action square at each degree, over whichever components exist
-        if not (w.dim_at(j + 1) and v.dim_at(j)):
-            continue
-        for e in range(v.alg.dim1):
-            terms = []
-            if j + 1 in live:
-                terms.append((1, f"{name}{j+1}", v.odd_at(j, e)))
-            if j in live:
-                terms.append((w.odd_at(j, e), f"{name}{j}", -1))
-            if terms:
-                sys.add_constraint(terms, Matrix.zero(w.dim_at(j + 1), v.dim_at(j)))
+    for j in sorted(set(v.degrees()) | set(w.degrees())):
+        if v.dim_at(j) and w.dim_at(j):
+            sys.add_unknown(j, w.dim_at(j), v.dim_at(j))
+    for _, j, k, a, b in _squares(v, w):
+        # an odd square may meet only one component, or none
+        terms = [(1, k, a)] if k in sys.shapes else []
+        if j in sys.shapes:
+            terms.append((b, j, -1))
+        if terms:
+            sys.add_constraint(terms, Matrix.zero(w.dim_at(k), v.dim_at(j)))
     return sys
 
 
@@ -476,9 +471,7 @@ def hom_graded(v: GradedModule, w: GradedModule) -> list:
     """Deterministic basis of the degree-preserving g-homomorphisms V -> W."""
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in hom")
-    live = [j for j in sorted(set(v.degrees()) | set(w.degrees())) if v.dim_at(j) and w.dim_at(j)]
-    basis = graded_map_system(v, w).solution_basis()
-    return [make_map(v, w, {j: sol[f"f{j}"] for j in live}) for sol in basis]
+    return [make_map(v, w, sol) for sol in graded_map_system(v, w).solution_basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +572,7 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
         q.check()
     lam = make_module(alg, 0, n, [len(s) for s in _positions(n)],
                       exterior_even_action(alg), exterior_odd_action(n))
-    return reduce(direct_sum, (
-        tensor(lam, _assemble(alg, j, j, (q.dim,), (q.mats,), ((Matrix.zero(0, q.dim),) * n,)))
-        for j, q in sorted(reps.items())
-    ))
+    return reduce(direct_sum, (tensor(lam, concentrated(alg, q, j)) for j, q in sorted(reps.items())))
 
 
 def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedModule:

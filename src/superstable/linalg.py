@@ -4,9 +4,9 @@ Everything downstream (module validation, rank tests, lifting solvers)
 is a client of this module.  All arithmetic uses ``fractions.Fraction``,
 so no operation ever rounds.
 
-`Matrix` stores its entries densely, but every elimination (rank, rref,
-nullspace, solve_affine, solve_matrix and the `LinearSystem` solvers)
-runs one sparse Gauss-Jordan kernel, `gauss_jordan`, over rows held as
+`Matrix` stores its entries densely, but every elimination (rank,
+nullspace, solve_matrix and the `LinearSystem` solvers) runs one
+sparse Gauss-Jordan kernel, `gauss_jordan`, over rows held as
 dicts {column: nonzero}.  It takes pivot columns in increasing order,
 so what it returns is the unique reduced row echelon form: particular
 solutions have every free variable zero and kernel bases have one
@@ -66,11 +66,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def column(entries) -> "Matrix":
-        entries = list(entries)
-        return Matrix(len(entries), 1, [[x] for x in entries])
 
     # -- basics ------------------------------------------------------
 
@@ -137,9 +132,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows and self.cols else [[] for _ in range(self.cols)])
 
-    def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
@@ -178,13 +170,6 @@ class Matrix:
         """Rows as dicts {column: nonzero entry}."""
         return [{j: x for j, x in enumerate(row) if x} for row in self.data]
 
-    def rref(self):
-        """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-        pivots, reduced = gauss_jordan(self.sparse_rows(), self.cols)
-        data = [_dense(r, self.cols) for r in reduced]
-        data += [[_ZERO] * self.cols for _ in range(self.rows - len(reduced))]
-        return Matrix(self.rows, self.cols, data), pivots
-
     def rank(self) -> int:
         """Rank over the rationals, computed exactly."""
         return len(gauss_jordan(self.sparse_rows(), self.cols, reduce=False)[0])
@@ -198,22 +183,6 @@ class Matrix:
         vecs = _kernel_basis(*gauss_jordan(self.sparse_rows(), self.cols), self.cols)
         data = [list(r) for r in zip(*vecs)] if vecs else [[] for _ in range(self.cols)]
         return Matrix(self.cols, len(vecs), data)
-
-    def solve_affine(self, b):
-        """Some x with self*x = b, or None if inconsistent.
-
-        Deterministic particular solution: free variables set to 0 after
-        reduced row-echelon reduction.
-        """
-        b = [scalar(x) for x in b]
-        if len(b) != self.rows:
-            raise ValueError("dimension mismatch in solve_affine")
-        rows = self.sparse_rows()
-        for row, bb in zip(rows, b):
-            if bb:
-                row[self.cols] = bb
-        x = _solve(rows, self.cols, 1)
-        return None if x is None else x[0]
 
     def solve_matrix(self, b: "Matrix"):
         """X with self*X = b (free variables zero), or None if inconsistent."""
@@ -511,7 +480,8 @@ def _factor_lines(f, n: int, by_col: bool) -> list:
 
 
 class LinearSystem:
-    """Joint linear system over several unknown matrices.
+    """Joint linear system over several unknown matrices, each named by
+    any hashable value.
 
     Constraints have the form  sum_t A_t * X_{name_t} * B_t = C.  A factor
     A_t or B_t is a `Matrix` or an int c, which stands for c times the
@@ -540,7 +510,7 @@ class LinearSystem:
         """Dense coefficient rows, one list of `size` entries per row."""
         return [_dense(r, self.size) for r in self._rows]
 
-    def add_unknown(self, name: str, rows: int, cols: int):
+    def add_unknown(self, name, rows: int, cols: int):
         if name in self.shapes:
             raise ValueError(f"duplicate unknown {name}")
         self.shapes[name] = (rows, cols)

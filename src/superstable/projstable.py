@@ -22,17 +22,22 @@ from .gradedmod import (
     ModuleError,
     Rep,
     check_exterior_size,
+    check_map,
+    concentrated,
+    direct_sum,
     graded_map_system,
     identity_map,
     induced_blocks,
     induced_sum,
     make_map,
-    make_module,
     merge_sign,
+    restrict,
+    shift,
     submodule,
     subsets,
+    trivial_module,
 )
-from .linalg import LinearSystem, Matrix, gauss_jordan, vanishes
+from .linalg import Matrix, gauss_jordan, vanishes
 
 
 class HypothesisError(ValueError):
@@ -60,9 +65,6 @@ class TopOddOperator:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks.values())
-
-    def rank(self) -> int:
-        return sum(m.rank() for m in self.blocks.values())
 
     def kernel_basis(self) -> dict:
         """Per-degree basis of K = ker E."""
@@ -117,18 +119,6 @@ class Decomposition:
         return sum(b.cols for b in self.q_basis.values())
 
 
-def _zero_module(v: GradedModule) -> GradedModule:
-    ndeg = v.hi - v.lo + 1
-    return make_module(
-        v.alg,
-        v.lo,
-        v.hi,
-        (0,) * ndeg,
-        ((Matrix.zero(0, 0),) * v.alg.dim0,) * ndeg,
-        ((Matrix.zero(0, 0),) * v.alg.dim1,) * ndeg,
-    )
-
-
 def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     """g0-stable complement of a g0-stable subspace of V^j, by the linear
     section method: equivariance of a section of the quotient map is a
@@ -140,7 +130,7 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     k = k_cols.cols
     q = d - k
     if q == 0:
-        return Matrix.zero(d, 0), Rep(v.alg.even, 0, tuple(Matrix.zero(0, 0) for _ in range(v.alg.dim0)))
+        return Matrix.zero(d, 0), Rep.trivial(v.alg.even, 0)
     comp_idx = _coordinate_complement(k_cols)
     picks = [[1 if i == c else 0 for c in comp_idx] for i in range(d)]
     t = k_cols.hstack(Matrix(d, len(comp_idx), picks))
@@ -150,16 +140,13 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     for i in range(v.alg.dim0):
         full = tinv * v.rho_at(j, i) * t
         rho_q.append(Matrix(q, q, [row[k:] for row in full.data[k:]]))
-    sys = LinearSystem()
-    sys.add_unknown("s", d, q)
-    sys.add_constraint([(pi, "s", 1)], Matrix.identity(q))
-    for i in range(v.alg.dim0):
-        sys.add_constraint([(v.rho_at(j, i), "s", 1), (-1, "s", rho_q[i])], Matrix.zero(d, q))
+    rep_q = Rep(v.alg.even, q, tuple(rho_q))
+    sys = graded_map_system(concentrated(v.alg, rep_q, j), concentrated(v.alg, v.rep_at(j), j))
+    sys.add_constraint([(pi, j, 1)], Matrix.identity(q))
     sol = sys.solve()
     if sol is None:
         raise ModuleError("no equivariant section found; upstream invariant violated")
-    s = sol["s"]
-    return s, Rep(v.alg.even, q, tuple(rho_q))
+    return sol[j], rep_q
 
 
 def _complement(n: int, s: tuple) -> tuple:
@@ -207,7 +194,9 @@ def _induced_on(v: GradedModule, reps: dict) -> GradedModule:
     exterior factor kron the basis of reps[j]; the zero module on v's
     window if every rep is zero."""
     live = {j: q for j, q in reps.items() if q.dim}
-    return induced_sum(v.alg, live) if live else _zero_module(v)
+    if live:
+        return induced_sum(v.alg, live)
+    return direct_sum(trivial_module(v.alg, v.lo, 0), trivial_module(v.alg, v.hi, 0))
 
 
 def decompose(v: GradedModule) -> Decomposition:
@@ -231,19 +220,16 @@ def decompose(v: GradedModule) -> Decomposition:
     if ind.total_dim and emb.total_matrix().rank() != ind.total_dim:
         raise ModuleError("evaluation map unexpectedly fails to be injective")
     # retraction r: V -> Ind with r o emb = id
-    sys = graded_map_system(v, ind, name="r")
+    sys = graded_map_system(v, ind)
     for j in ind.degrees():
         if ind.dim_at(j) and v.dim_at(j):
-            sys.add_constraint([(1, f"r{j}", emb.comp_at(j))], Matrix.identity(ind.dim_at(j)))
+            sys.add_constraint([(1, j, emb.comp_at(j))], Matrix.identity(ind.dim_at(j)))
         elif ind.dim_at(j):
             raise ModuleError("induced part exceeds the module in some degree")
     sol = sys.solve()
     if sol is None:
         raise ModuleError("no equivariant retraction found; upstream invariant violated")
-    r_comps = {
-        j: sol[f"r{j}"] for j in v.degrees() if v.dim_at(j) and ind.dim_at(j)
-    }
-    projector = make_map(v, ind, r_comps)
+    projector = make_map(v, ind, sol)
     red_basis = {}
     for j in v.degrees():
         red_basis[j] = projector.comp_at(j).nullspace()
@@ -272,23 +258,17 @@ def _trace_preimage(h: GradedMap):
     = `merge_sign(S, S^c)` and n = dim g1.  Lambda(g1) x U(g0) is a
     Frobenius extension of U(g0), so by Higman's criterion h: V -> W
     factors through a projective exactly when such a tau exists (g0
-    semisimple or zero).  Returns {j: tau_j: V^j -> W^(j-n)} over the
-    degrees where both spaces are nonzero; the solution found is
-    re-checked, and a failure raises ModuleError.
+    semisimple or zero).  tau is a graded map restrict(V) -> W shifted by
+    n, found by `graded_map_system`; returns {j: tau_j: V^j -> W^(j-n)}
+    over the degrees where both spaces are nonzero.  The solution is
+    re-checked (`check_map`, and its trace), and a failure raises
+    ModuleError.
     """
     v, w = h.source, h.target
     n = v.alg.dim1
     check_exterior_size(n, max(v.total_dim, w.total_dim), "the trace sum")
-    live = [j for j in v.degrees() if v.dim_at(j) and w.dim_at(j - n)]
-    sys = LinearSystem()
-    for j in live:
-        sys.add_unknown(f"t{j}", w.dim_at(j - n), v.dim_at(j))
-    for j in live:
-        for i in range(v.alg.dim0):
-            sys.add_constraint(
-                [(1, f"t{j}", v.rho_at(j, i)), (w.rho_at(j - n, i), f"t{j}", -1)],
-                Matrix.zero(w.dim_at(j - n), v.dim_at(j)),
-            )
+    source, target = restrict(v), shift(restrict(w), n)
+    sys = graded_map_system(source, target)
     a_v, a_w = _odd_words(v), _odd_words(w)
     trace_terms = {}  # degree d -> [(eps, a^W_{S^c}, j, a^V_S)] with j = d + |S|
     for d in v.degrees():
@@ -297,25 +277,15 @@ def _trace_preimage(h: GradedMap):
         terms = []
         for s in subsets(n):
             j, sc = d + len(s), _complement(n, s)
-            if v.dim_at(j) and w.dim_at(j - n):
+            if j in sys.shapes:
                 terms.append((merge_sign(s, sc), a_w(j - n, sc), j, a_v(d, s)))
         trace_terms[d] = terms
-        sys.add_constraint(
-            [(aw.scale(eps), f"t{j}", av) for eps, aw, j, av in terms], h.comp_at(d)
-        )
-    sol = sys.solve()
-    if sol is None:
+        sys.add_constraint([(aw.scale(eps), j, av) for eps, aw, j, av in terms], h.comp_at(d))
+    tau = sys.solve()
+    if tau is None:
         return None
-    tau = {j: sol[f"t{j}"] for j in live}
+    check_map(GradedMap(source, target, tau))
     sparse = {j: t.sparse_rows() for j, t in tau.items()}
-    for j in live:
-        for i in range(v.alg.dim0):
-            terms = [
-                (1, (sparse[j], v.rho_at(j, i).sparse_rows())),
-                (-1, (w.rho_at(j - n, i).sparse_rows(), sparse[j])),
-            ]
-            if not vanishes(terms, w.dim_at(j - n)):
-                raise ModuleError(f"trace preimage fails g0-equivariance at degree {j}")
     for d, terms in trace_terms.items():
         checks = [(eps, (aw.sparse_rows(), sparse[j], av.sparse_rows())) for eps, aw, j, av in terms]
         checks.append((-1, (h.comp_at(d).sparse_rows(),)))

@@ -18,6 +18,7 @@ from .algebra import (
     OddPart,
     SuperAlgebra,
     builtin_algebra,
+    check_algebra_size,
     validate,
 )
 from .gradedmod import MAX_EXTERIOR_SIZE, GradedMap, GradedModule, Rep, make_map, make_module
@@ -168,6 +169,10 @@ def algebra_from_json(obj) -> SuperAlgebra:
             raise FormatError(exc.args[0]) from exc
     dim0 = int_from_json(_field(obj, "dim0", "algebra"), "dim0", lo=0)
     dim1 = int_from_json(_field(obj, "dim1", "algebra"), "dim1", lo=0)
+    try:
+        check_algebra_size(dim0, dim1, "the algebra")
+    except ValueError as exc:
+        raise FormatError(exc.args[0]) from exc
     c = [[[Fraction(0)] * dim0 for _ in range(dim0)] for _ in range(dim0)]
     for t in _array(obj.get("bracket", []), "bracket"):
         i, j, k, v = _array(t, "bracket entry [i, j, k, value]", 4)

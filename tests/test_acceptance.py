@@ -86,7 +86,7 @@ def test_criterion_04_determinantal_variety():
         v = e.module
         if v.total_dim > 12:
             continue
-        ideal = variety_ideal(v, max_dim=12)
+        ideal = variety_ideal(v)
         for x in random_points(v.alg.dim1, 50, seed=909):
             ok = ok and ideal.vanishes_at(x.coords) == in_variety(v, x)
     _verdict(4, "ideal vanishing iff rank deficiency", ok)

@@ -577,6 +577,66 @@ def test_koszul_at_and_over_the_limits(tmp_path):
              f"error: p_max must be in [1, {MAX_KOSZUL_DEGREE}]")
 
 
+def test_variety_ideal_over_the_minor_cap_exit_1(tmp_path):
+    from superstable.dsvariety import MAX_MINOR_DIM
+
+    path = str(tmp_path / "adjoint_natural.json")
+    dump(module_to_json(corpus_modules()["sl2_adjoint_natural"].module), path)
+    _refused(["variety", "--module", path, "--ideal"], 1,
+             f"error: total dimension 16 exceeds the minor-enumeration cap {MAX_MINOR_DIM}")
+    # the cap is a constant: there is no flag to raise it
+    assert main(["--max-minor-dim", "100", "variety", "--module", path, "--ideal"]) == 2
+
+
+def test_algebra_at_and_over_the_size_limit(tmp_path):
+    from superstable.algebra import MAX_ALGEBRA_ENTRIES
+
+    def inline(dim0, dim1):
+        path = tmp_path / f"alg_{dim0}_{dim1}.json"
+        path.write_text(json.dumps({"dim0": dim0, "dim1": dim1, "action": [[]] * dim0}))
+        return str(path)
+
+    # dim0 = 8 holds 8^3 = 512 bracket entries, the limit itself
+    assert MAX_ALGEBRA_ENTRIES == 8 ** 3
+    out = _run_capped(["validate", "--algebra", inline(8, 0)])
+    assert out.returncode == 0 and "jacobi: ok" in out.stdout, out.stderr
+    for spec, entries in (("grassmann(40)", 0), ("sl2_trivial(12)", 459), ("sl2_natural_sum(6)", 459)):
+        assert entries <= MAX_ALGEBRA_ENTRIES
+        assert main(["validate", "--algebra", spec]) == 0, spec
+    for spec, entries in (("sl2_trivial(13)", 534), ("sl2_trivial(30000)", 2_700_000_027),
+                          ("sl2_natural_sum(7)", 615)):
+        _refused(["validate", "--algebra", spec], 2,
+                 f"input error: builtin algebra {spec} has {entries} bracket and action entries, "
+                 f"over the limit of {MAX_ALGEBRA_ENTRIES}")
+    for dim0, dim1, entries in ((9, 0, 729), (3000, 0, 27 * 10 ** 9), (1, 30000, 900_000_001)):
+        _refused(["validate", "--algebra", inline(dim0, dim1)], 2,
+                 f"input error: the algebra has {entries} bracket and action entries, "
+                 f"over the limit of {MAX_ALGEBRA_ENTRIES}")
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"algebra": {"dim0": 1, "dim1": 30000, "action": [[]]}, "lo": 0,
+                                  "hi": 0, "dims": [1], "rho0": [[[]]], "odd": [[]]}))
+    _refused(["module-info", "--module", str(module)], 2,
+             "input error: the algebra has 900000001 bracket and action entries")
+
+
+def test_tensor_at_and_over_the_size_limit(tmp_path):
+    from superstable.gradedmod import MAX_EXTERIOR_SIZE
+
+    def zero_module_file(dim):
+        path = tmp_path / f"zero{dim}.json"
+        path.write_text('{"algebra": "grassmann(1)", "lo": 0, "hi": 0, "dims": [%d], '
+                        '"rho0": [[]], "odd": [[[]]]}' % dim)
+        return str(path)
+
+    out = _run_capped(["tensor", "--module", zero_module_file(32), "--other", zero_module_file(32)])
+    assert out.returncode == 0 and out.stdout.startswith("tensor product: "), out.stderr
+    assert json.loads(out.stdout[len("tensor product: "):])["dims"] == [MAX_EXTERIOR_SIZE]
+    for a, b in ((32, 33), (MAX_EXTERIOR_SIZE, MAX_EXTERIOR_SIZE)):
+        _refused(["tensor", "--module", zero_module_file(a), "--other", zero_module_file(b)], 1,
+                 f"error: the tensor product has total dimension {a * b}, "
+                 f"over the limit of {MAX_EXTERIOR_SIZE}")
+
+
 # ---------------------------------------------------------------------------
 # fuzz: a corpus module file with one field mutated never escapes as an
 # exception, whatever the command

@@ -2,7 +2,15 @@ from math import comb
 
 import pytest
 
-from superstable.algebra import SL2_NATURAL, grassmann, sl2, sl2_trivial
+from superstable.algebra import (
+    SL2_NATURAL,
+    LieAlgebraEven,
+    OddPart,
+    SuperAlgebra,
+    grassmann,
+    sl2,
+    sl2_trivial,
+)
 from superstable.cohomology import (
     cech_closed_form,
     cech_line_bundle,
@@ -12,8 +20,9 @@ from superstable.cohomology import (
     nonfullness_ext,
     sym_power,
 )
-from superstable.corpus import corpus_modules, nonfullness_witness
+from superstable.corpus import corpus_modules, corpus_reps, nonfullness_witness
 from superstable.gradedmod import Rep
+from superstable.linalg import Matrix, kron
 
 
 def test_cech_against_closed_form_full_sweep():
@@ -133,3 +142,59 @@ def test_nonfullness_vanishing_cases():
     assert nonfullness_ext(alg, k, k, 2, 0) == 0
     # p beyond dim g0
     assert nonfullness_ext(alg, k, k, 5, 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# nonfullness_ext against the product of g0-representations it replaced,
+# kept here as the oracle
+
+
+def rep_dual(q):
+    return Rep(q.g0, q.dim, tuple((-m).transpose() for m in q.mats))
+
+
+def rep_tensor(a, b):
+    mats = tuple(
+        kron(x, Matrix.identity(b.dim)) + kron(Matrix.identity(a.dim), y)
+        for x, y in zip(a.mats, b.mats)
+    )
+    return Rep(a.g0, a.dim * b.dim, mats)
+
+
+def nonfullness_oracle(alg, v, w, i, j):
+    n = alg.dim1
+    m = i - j - n
+    if m < 0 or m + 1 > alg.dim0:
+        return 0
+    coeff = rep_tensor(rep_tensor(rep_dual(v), sym_power(Rep(alg.even, n, alg.odd.action), m)), w)
+    return chevalley_eilenberg(alg.even, coeff).dim(m + 1)
+
+
+def _abelian_line():
+    """g0 = k x, abelian, acting on a one-dimensional g1 by 1: its
+    representations are not self-dual (x by 1 and by -1 differ), unlike
+    those of sl2, so the dual changes the answer."""
+    g0 = LieAlgebraEven.from_constants(1, [[[0]]])
+    alg = SuperAlgebra(g0, OddPart(1, (Matrix.from_rows([[1]]),)), name="abelian_line")
+    reps = {
+        f"x={c}": Rep(g0, 1, (Matrix.from_rows([[c]]),)) for c in (1, -1, 2)
+    }
+    reps["jordan"] = Rep(g0, 2, (Matrix.from_rows([[1, 1], [0, 1]]),))
+    return alg, reps
+
+
+def test_nonfullness_matches_rep_product_oracle():
+    groups = {}
+    for e in corpus_reps().values():
+        groups.setdefault(e.alg, {})[e.name] = e.rep
+    groups.update([_abelian_line()])
+    nonzero = 0
+    for alg, reps in groups.items():
+        for v in reps.values():
+            for w in reps.values():
+                for i in range(-1, alg.dim1 + alg.dim0 + 2):
+                    for j in (-1, 0, 1):
+                        got = nonfullness_ext(alg, v, w, i, j)
+                        assert got == nonfullness_oracle(alg, v, w, i, j), (alg.name, i, j)
+                        nonzero += got > 0
+    assert nonzero

@@ -151,7 +151,7 @@ def test_variety_ideal_generators_monic_and_unique():
 def test_variety_ideal_cap():
     v = corpus_modules()["sl2_adjoint_natural"].module
     with pytest.raises(ValueError, match="cap"):
-        variety_ideal(v, max_dim=12)
+        variety_ideal(v)
 
 
 def test_random_points_reproducible_and_nonzero():

@@ -254,19 +254,18 @@ def lift_oracle(h):
     v = h.source
     ev = _evaluation_onto(h.target)
     ind = ev.source
-    sys = graded_map_system(v, ind, name="s")
+    sys = graded_map_system(v, ind)
     for j in v.degrees():
         if not v.dim_at(j):
             continue
         if ind.dim_at(j):
-            sys.add_constraint([(ev.comp_at(j), f"s{j}", 1)], h.comp_at(j))
+            sys.add_constraint([(ev.comp_at(j), j, 1)], h.comp_at(j))
         elif not h.comp_at(j).is_zero():
             return None
     sol = sys.solve()
     if sol is None:
         return None
-    comps = {j: sol[f"s{j}"] for j in v.degrees() if v.dim_at(j) and ind.dim_at(j)}
-    return make_map(v, ind, comps)
+    return make_map(v, ind, sol)
 
 
 def _evaluation_onto(w):
