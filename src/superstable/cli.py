@@ -326,8 +326,9 @@ def _cmd_stable_eq(args):
     paths = [p for p in (args.f, args.g) if p] + (args.map or [])
     if len(paths) != 2:
         raise FormatError("stable-eq needs exactly two maps (--f/--g or --map twice)")
-    f = load_map(paths[0])
-    g = load_map(paths[1])
+    seen = {}  # f and g usually share their modules: validate each once
+    f = load_map(paths[0], seen)
+    g = load_map(paths[1], seen)
     lift = stable_equal_certificate(f, g)
     equal = lift is not None
     lines = [f"result: {'stably equal' if equal else 'NOT stably equal'}"]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 
 from .algebra import LieAlgebraEven, SuperAlgebra, representation_failure
@@ -328,26 +327,28 @@ def restrict(v: GradedModule) -> GradedModule:
     return _assemble(v.alg, v.lo, v.hi, v.dims, v.rho0, odd)
 
 
-def direct_sum(v: GradedModule, w: GradedModule) -> GradedModule:
-    """V + W, V's basis first in each degree.  Every action matrix is
-    block diagonal, so each identity holds as it does in V and in W: the
-    sum is assembled without a re-check."""
-    if v.alg != w.alg:
+def direct_sum(v: GradedModule, *ws: GradedModule) -> GradedModule:
+    """V + W_1 + ... + W_k, the summands' bases in argument order in each
+    degree.  Every action matrix is block diagonal, so each identity
+    holds as it does in each summand: the sum is assembled without a
+    re-check."""
+    mods = (v,) + ws
+    if any(w.alg != v.alg for w in ws):
         raise ModuleError("algebra mismatch in direct sum")
-    lo, hi = min(v.lo, w.lo), max(v.hi, w.hi)
+    lo, hi = min(m.lo for m in mods), max(m.hi for m in mods)
     dims, rho0, odd = [], [], []
     for j in range(lo, hi + 1):
-        dims.append(v.dim_at(j) + w.dim_at(j))
+        dims.append(sum(m.dim_at(j) for m in mods))
         rho0.append(
             tuple(
-                Matrix.block_diag([v.rho_at(j, i), w.rho_at(j, i)])
+                Matrix.block_diag([m.rho_at(j, i) for m in mods])
                 for i in range(v.alg.dim0)
             )
         )
         # odd_at(j, e) has dim_at(j + 1) rows, so the block rows match
         odd.append(
             tuple(
-                Matrix.block_diag([v.odd_at(j, e), w.odd_at(j, e)])
+                Matrix.block_diag([m.odd_at(j, e) for m in mods])
                 for e in range(v.alg.dim1)
             )
         )
@@ -563,6 +564,8 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
     `induced_blocks`.  Only Lambda(g1) is validated here: Q_j in one
     degree with zero odd action is a module because reps[j] is a
     representation, and `tensor` and `direct_sum` preserve validity.
+    The summands are added by one `direct_sum`, so each block is copied
+    once.
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
@@ -572,7 +575,7 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
         q.check()
     lam = make_module(alg, 0, n, [len(s) for s in _positions(n)],
                       exterior_even_action(alg), exterior_odd_action(n))
-    return reduce(direct_sum, (tensor(lam, concentrated(alg, q, j)) for j, q in sorted(reps.items())))
+    return direct_sum(*(tensor(lam, concentrated(alg, q, j)) for j, q in sorted(reps.items())))
 
 
 def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedModule:

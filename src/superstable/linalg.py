@@ -23,6 +23,9 @@ from fractions import Fraction
 
 Scalar = Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def scalar(x) -> Fraction:
     """Coerce ints, strings like "3/4", and Fractions to an exact scalar."""
@@ -36,7 +39,9 @@ def scalar(x) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of Fractions, row-major.  The constructor,
+    for data from outside, coerces every entry (`scalar`) and checks the
+    shape; operations on Matrices build their results with `_of`."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -50,6 +55,14 @@ class Matrix:
         self.cols = cols
         self.data = data
 
+    @staticmethod
+    def _of(rows: int, cols: int, data) -> "Matrix":
+        """A Matrix owning `data`, fresh rows (never another Matrix's) of
+        this shape that hold only Fractions: nothing is coerced or checked."""
+        m = object.__new__(Matrix)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -61,11 +74,11 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[0] * cols for _ in range(rows)])
+        return Matrix._of(rows, cols, [[_ZERO] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._of(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     # -- basics ------------------------------------------------------
 
@@ -96,7 +109,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return Matrix(
+        return Matrix._of(
             self.rows,
             self.cols,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
@@ -110,7 +123,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = scalar(c)
-        return Matrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        return Matrix._of(self.rows, self.cols, [[c * x for x in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -118,7 +131,7 @@ class Matrix:
         ot = other.data
         out = []
         for row in self.data:
-            acc = [Fraction(0)] * other.cols
+            acc = [_ZERO] * other.cols
             for k, a in enumerate(row):
                 if a == 0:
                     continue
@@ -127,33 +140,38 @@ class Matrix:
                     if ok[j] != 0:
                         acc[j] += a * ok[j]
             out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+        return Matrix._of(self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows and self.cols else [[] for _ in range(self.cols)])
+        return Matrix._of(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows and self.cols else [[] for _ in range(self.cols)])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Matrix._of(self.rows, self.cols + other.cols, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols, self.copy_data() + other.copy_data())
+        return Matrix._of(self.rows + other.rows, self.cols, self.copy_data() + other.copy_data())
 
     @staticmethod
     def place(rows: int, cols: int, blocks) -> "Matrix":
         """The rows x cols matrix that is the sum, over (r0, c0, c, B) in
-        `blocks`, of c * B placed with its top left entry at (r0, c0)."""
+        `blocks`, of c * B placed with its top left entry at (r0, c0).  An
+        entry of B is written into an empty slot, and added where blocks
+        overlap."""
         out = [[_ZERO] * cols for _ in range(rows)]
         for r0, c0, c, b in blocks:
             for i, row in enumerate(b.data):
                 orow = out[r0 + i]
                 for j, x in enumerate(row):
                     if x:
-                        orow[c0 + j] += c * x
-        return Matrix(rows, cols, out)
+                        if c != 1:
+                            x = c * x
+                        y = orow[c0 + j]
+                        orow[c0 + j] = y + x if y else x
+        return Matrix._of(rows, cols, out)
 
     @staticmethod
     def block_diag(blocks) -> "Matrix":
@@ -182,7 +200,7 @@ class Matrix:
         """
         vecs = _kernel_basis(*gauss_jordan(self.sparse_rows(), self.cols), self.cols)
         data = [list(r) for r in zip(*vecs)] if vecs else [[] for _ in range(self.cols)]
-        return Matrix(self.cols, len(vecs), data)
+        return Matrix._of(self.cols, len(vecs), data)
 
     def solve_matrix(self, b: "Matrix"):
         """X with self*X = b (free variables zero), or None if inconsistent."""
@@ -197,16 +215,13 @@ class Matrix:
         if xs is None:
             return None
         if not xs:
-            return Matrix(self.cols, 0, [[] for _ in range(self.cols)])
-        return Matrix(self.cols, b.cols, [list(r) for r in zip(*xs)])
+            return Matrix._of(self.cols, 0, [[] for _ in range(self.cols)])
+        return Matrix._of(self.cols, b.cols, [list(r) for r in zip(*xs)])
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
-
-_ZERO = Fraction(0)
+        return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
 
 def _dense(row: dict, n: int) -> list:
@@ -287,7 +302,7 @@ def _kernel_basis(pivots, reduced, ncols: int) -> list:
     vecs = {}
     for fc in range(ncols):
         if fc not in pivot_set:
-            vecs[fc] = _dense({fc: Fraction(1)}, ncols)
+            vecs[fc] = _dense({fc: _ONE}, ncols)
     for pc, row in zip(pivots, reduced):
         for j, x in row.items():
             if j != pc:
@@ -349,7 +364,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     orow = out[ia * b.rows + ib]
                     for jb, y in brow.items():
                         orow[ja * b.cols + jb] = x * y
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+    return Matrix._of(a.rows * b.rows, a.cols * b.cols, out)
 
 
 # ---------------------------------------------------------------------------
@@ -571,5 +586,5 @@ class LinearSystem:
         out = {}
         for name, (r, c) in self.shapes.items():
             off = self.offsets[name]
-            out[name] = Matrix(r, c, [vec[off + i * c : off + (i + 1) * c] for i in range(r)])
+            out[name] = Matrix._of(r, c, [vec[off + i * c : off + (i + 1) * c] for i in range(r)])
         return out

@@ -183,7 +183,7 @@ def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> Grad
     comps = {}
     for l, blocks in induced_blocks(v.alg.dim1, live).items():
         cols = [c for j, s in blocks for c in (word(j, s) * live[j]).transpose().data]
-        comps[l] = Matrix(v.dim_at(l), len(cols), [list(r) for r in zip(*cols)])
+        comps[l] = Matrix._of(v.dim_at(l), len(cols), [list(r) for r in zip(*cols)])
     return make_map(ind, v, comps)
 
 

@@ -92,16 +92,22 @@ def matrix_to_json(m: Matrix):
 
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
+    # every entry is checked by scalar_from_str, so nothing is coerced twice
     if isinstance(obj, dict):
         # no larger than the expected shape, which bounds the allocation
         r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0, hi=rows)
         c = int_from_json(_field(obj, "cols", "sparse matrix"), "matrix cols", lo=0, hi=cols)
         data = [[Fraction(0)] * c for _ in range(r)]
+        given = set()
         for entry in _array(obj.get("entries", []), "sparse matrix entries"):
             i, j, v = _array(entry, "sparse matrix entry [row, column, value]", 3)
             i = int_from_json(i, "matrix entry row", lo=0, hi=r - 1)
-            data[i][int_from_json(j, "matrix entry column", lo=0, hi=c - 1)] = scalar_from_str(v)
-        m = Matrix(r, c, data)
+            j = int_from_json(j, "matrix entry column", lo=0, hi=c - 1)
+            if (i, j) in given:
+                raise FormatError(f"sparse matrix entry ({i}, {j}) is given twice")
+            given.add((i, j))
+            data[i][j] = scalar_from_str(v)
+        m = Matrix._of(r, c, data)
     else:
         if not isinstance(obj, list):
             raise FormatError("matrix must be a nested array or a sparse object")
@@ -111,7 +117,7 @@ def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
         c = len(obj[0]) if r else (cols if cols is not None else 0)
         if any(len(row) != c for row in obj):
             raise FormatError("ragged matrix rows")
-        m = Matrix(r, c, [[scalar_from_str(x) for x in row] for row in obj])
+        m = Matrix._of(r, c, [[scalar_from_str(x) for x in row] for row in obj])
     if rows is not None and (m.rows, m.cols) != (rows, cols):
         # empty nested arrays cannot carry their column count
         if m.rows == 0 or m.cols == 0:
@@ -280,6 +286,15 @@ def complex_from_json(obj) -> RigidComplex:
     return make_complex(alg, lo, hi, dims, rho0, diff)
 
 
+def _module_once(obj, seen: dict) -> GradedModule:
+    """module_from_json(obj), built once per canonical JSON text in `seen`
+    (text, unlike ==, tells true from 1)."""
+    key = json.dumps(obj, sort_keys=True)
+    if key not in seen:
+        seen[key] = module_from_json(obj)
+    return seen[key]
+
+
 def map_to_json(phi: GradedMap):
     return {
         "source": module_to_json(phi.source),
@@ -292,9 +307,13 @@ def map_to_json(phi: GradedMap):
     }
 
 
-def map_from_json(obj) -> GradedMap:
-    src = module_from_json(_field(obj, "source", "map"))
-    tgt = module_from_json(_field(obj, "target", "map"))
+def map_from_json(obj, seen=None) -> GradedMap:
+    """The checked map; its modules are built through `seen` (see
+    `_module_once`), which callers may share between maps, so each
+    distinct module object is validated once."""
+    seen = {} if seen is None else seen
+    src = _module_once(_field(obj, "source", "map"), seen)
+    tgt = _module_once(_field(obj, "target", "map"), seen)
     comps = {}
     for j, m in _obj(obj.get("comps", {}), "map comps").items():
         j = int_from_json(j, "component degree")
@@ -334,8 +353,8 @@ def load_complex(path: str) -> RigidComplex:
     return complex_from_json(_read(path))
 
 
-def load_map(path: str) -> GradedMap:
-    return map_from_json(_read(path))
+def load_map(path: str, seen=None) -> GradedMap:
+    return map_from_json(_read(path), seen)
 
 
 def load_rep(path: str, g0: LieAlgebraEven) -> Rep:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from superstable.cli import main
 from superstable.corpus import corpus_modules, corpus_morphisms
-from superstable.gradedmod import Rep, zero_map
-from superstable.serialize import dump, map_to_json, module_to_json, rep_to_json
+from superstable.gradedmod import ModuleError, Rep, zero_map
+from superstable.serialize import dump, map_to_json, module_from_json, module_to_json, rep_to_json
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,22 @@ def test_stable_eq_both_styles(capsys, files):
     assert code == 0 and "NOT" not in out and "stably equal" in out
 
 
+def test_stable_eq_validates_a_target_that_differs(capsys, files, tmp_path):
+    # g's source is f's, but its target breaks an identity that f's keeps:
+    # the modules the two maps share are built once, and the broken one
+    # is still built, and refused, on its own
+    with open(files["zero_m"]) as fh:
+        obj = json.load(fh)
+    m = obj["target"]["odd"][0][0]
+    m[0][0] = "7" if m[0][0] == "0" else "0"
+    with pytest.raises(ModuleError) as exc:
+        module_from_json(obj["target"])
+    path = str(tmp_path / "broken_target.json")
+    dump(obj, path)
+    assert main(["stable-eq", "--f", files["proj"], "--g", path]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 def test_frobenius_cli(capsys, files):
     code, out = run(
         capsys, "frobenius-check", "--algebra", "sl2_trivial(1)", "--q", files["rep_k"]
@@ -283,6 +299,18 @@ def test_sparse_entry_with_two_fields_exit_2(capsys, files, tmp_path):
     path = _malformed(files, tmp_path, edit)
     assert main(["module-info", "--module", path]) == 2
     assert "sparse matrix entry [row, column, value] must have 3 items" in capsys.readouterr().err
+
+
+def test_sparse_entry_given_twice_exit_2(capsys, files, tmp_path):
+    def edit(obj):
+        m = obj["odd"][0][0]
+        obj["odd"][0][0] = {"rows": len(m), "cols": len(m[0]),
+                            "entries": [[0, 0, "1"], [0, 0, "0"]]}
+
+    path = _malformed(files, tmp_path, edit)
+    assert main(["module-info", "--module", path]) == 2
+    err = capsys.readouterr().err
+    assert "sparse matrix entry (0, 0) is given twice" in err and "Traceback" not in err
 
 
 def test_module_validation_failure_still_exit_1(capsys, files, tmp_path):

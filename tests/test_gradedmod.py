@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
-from superstable.corpus import _adjoint_rep, _natural_rep, corpus_reps
+from superstable.corpus import _adjoint_rep, _natural_rep, corpus_modules, corpus_reps
 from superstable.gradedmod import (
     GradedMap,
     GradedModule,
@@ -484,6 +484,22 @@ def module_pairs(draw):
 def test_direct_sum_odd_blocks_match_hand_placement(pair):
     v, w = pair
     assert direct_sum(v, w).odd == direct_sum_odd_oracle(v, w)
+
+
+def test_direct_sum_of_several_matches_nested_sums():
+    by_alg = {}
+    for e in corpus_modules().values():
+        by_alg.setdefault(e.module.alg.name, []).append(e.module)
+        assert module_to_json(direct_sum(e.module)) == module_to_json(e.module)
+    triples = [mods[:3] for mods in by_alg.values() if len(mods) >= 3]
+    assert len(triples) >= 3
+    for a, b, c in triples:
+        b = shift(b, 1)
+        got = direct_sum(a, b, c)
+        assert got == direct_sum(direct_sum(a, b), c)
+        assert module_to_json(got) == module_to_json(direct_sum(a, direct_sum(b, c)))
+    with pytest.raises(ModuleError):
+        direct_sum(a, b, trivial_module(grassmann(4)))
 
 
 @given(module_pairs(), st.randoms(use_true_random=False))

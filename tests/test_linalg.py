@@ -391,3 +391,58 @@ def test_linear_system_int_factor_shapes():
         sys.add_constraint([(0.5, "x", 1)], Matrix.zero(2, 3))
     sys.add_constraint([(1, "x", -1)], Matrix.zero(2, 3))
     assert sys.rows == [[(-1 if i == j else 0) for j in range(6)] for i in range(6)]
+
+
+# ---------------------------------------------------------------------------
+# the public constructor coerces and checks; every operation on Matrices
+# builds its result without either, so each must hand over Fractions only,
+# in the shape it declares
+
+
+def test_public_constructor_coerces_and_checks_the_shape():
+    m = Matrix(2, 2, [[1, "1/2"], [Fraction(-3), "4"]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    assert m.data == [[1, Fraction(1, 2)], [-3, 4]]
+    for rows, cols, data in ((2, 2, [[1, 2]]), (1, 2, [[1, 2, 3]]), (-1, 0, [])):
+        with pytest.raises(ValueError):
+            Matrix(rows, cols, data)
+
+
+def place_oracle(rows, cols, blocks):
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for r0, c0, c, b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                out[r0 + i][c0 + j] += c * b.data[i][j]
+    return Matrix(rows, cols, out)
+
+
+def assert_exact(m):
+    assert all(type(x) is Fraction for row in m.data for x in row), m
+    assert Matrix(m.rows, m.cols, m.data) == m
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_operations_hand_over_fractions_in_their_shape(r, c, k, data):
+    a, b = data.draw(sparse_matrices(r, c)), data.draw(sparse_matrices(r, c))
+    d, e = data.draw(sparse_matrices(c, k)), data.draw(sparse_matrices(r, k))
+    x = data.draw(scalars)
+    # overlapping blocks with coefficients 1, -1 and x
+    blocks = [(0, 0, 1, a), (r, c, -1, d), (0, 0, x, b), (1, 0, -1, d)]
+    placed = Matrix.place(r + c + 1, c + k, blocks)
+    assert placed == place_oracle(r + c + 1, c + k, blocks)
+    results = [
+        Matrix.zero(r, c), Matrix.identity(r), a + b, a - b, -a, a.scale(x), a.scale(2),
+        a * d, a.transpose(), a.hstack(e), a.vstack(b), placed, Matrix.block_diag([a, d, b]),
+        kron(a, d), a.nullspace(),
+    ]
+    for rhs in (a * d, e):
+        sol = a.solve_matrix(rhs)
+        results += [sol] if sol is not None else []
+    sys = LinearSystem()
+    sys.add_unknown("x", c, k)
+    sys.add_constraint([(a, "x", 1)], Matrix.zero(r, k))
+    results += list(sys.solve().values()) + [m for s in sys.solution_basis() for m in s.values()]
+    for m in results:
+        assert_exact(m)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superstable import projstable
+from superstable import linalg, projstable
 from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
 from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps, random_module
 from superstable.gradedmod import (
@@ -313,3 +313,15 @@ def test_trace_criterion_matches_oracle(source, data):
         maps.append(combo)
     for h in maps:
         _agrees_with_oracle(h)
+
+
+def test_certificate_path_coerces_only_outside_data(monkeypatch):
+    # Ind(W) and the lift are built from Matrices, which hand their
+    # Fractions on uncoerced; what scalar() still sees (about 500 entries)
+    # is the lift's rows and the small matrices of g and of Lambda(g1).
+    # Coercing every entry of every operation would be over 75,000
+    calls = []
+    coerce = linalg.scalar
+    monkeypatch.setattr(linalg, "scalar", lambda x: calls.append(1) or coerce(x))
+    assert projective_certificate(corpus_modules()["sl2_adjoint_natural"].module) is not None
+    assert len(calls) < 2000

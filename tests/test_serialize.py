@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superstable import serialize
 from superstable.algebra import grassmann, sl2_adjoint, sl2_trivial
 from superstable.corpus import corpus_modules, corpus_morphisms
-from superstable.gradedmod import ModuleError, Rep
+from superstable.gradedmod import ModuleError, Rep, identity_map, zero_map
 from superstable.linalg import Matrix, Polynomial
 from superstable.rigid import L_of
 from superstable.serialize import (
@@ -55,6 +56,14 @@ def test_matrix_roundtrip_dense_and_sparse():
     assert matrix_from_json(matrix_to_json(m)) == m
     sparse = {"rows": 2, "cols": 2, "entries": [[0, 1, "1/2"], [1, 1, "-3"], [0, 0, "1"]]}
     assert matrix_from_json(sparse) == m
+
+
+def test_sparse_matrix_refuses_a_repeated_entry():
+    # a later value would overwrite the first, even with a zero
+    for value in ("5", "0", "1"):
+        obj = {"rows": 2, "cols": 2, "entries": [[0, 0, "1"], [1, 1, "2"], [0, "0", value]]}
+        with pytest.raises(FormatError, match=r"entry \(0, 0\) is given twice"):
+            matrix_from_json(obj, 2, 2)
 
 
 def test_matrix_shape_enforcement():
@@ -109,6 +118,30 @@ def test_module_map_complex_roundtrips():
         assert complex_from_json(complex_to_json(l)) == l
     for e in corpus_morphisms().values():
         assert map_from_json(map_to_json(e.map)) == e.map
+
+
+def test_map_loading_builds_each_distinct_module_once(monkeypatch):
+    built = []
+    build = serialize.module_from_json
+    monkeypatch.setattr(serialize, "module_from_json", lambda obj: built.append(1) or build(obj))
+    v = corpus_modules()["sl2_adjoint_natural"].module
+    phi = map_from_json(map_to_json(identity_map(v)))
+    assert phi.source is phi.target and phi == identity_map(v)
+    assert len(built) == 1
+    # two maps through one `seen` share their modules
+    seen = {}
+    f = map_from_json(map_to_json(identity_map(v)), seen)
+    g = map_from_json(map_to_json(zero_map(v, v)), seen)
+    assert f.source is f.target is g.source is g.target
+    assert len(built) == 2
+    # distinct modules are built apart
+    h = map_from_json(map_to_json(corpus_morphisms()["grassmann2_mixed_to_trivial"].map), seen)
+    assert h.source != h.target and len(built) == 4
+    # true == 1 in Python, but a target with true for a dimension is refused
+    obj = map_to_json(identity_map(corpus_modules()["grassmann1_trivial"].module))
+    obj["target"]["dims"] = [True]
+    with pytest.raises(FormatError, match="dims entry must be an integer"):
+        map_from_json(obj)
 
 
 def test_module_json_is_plain_data():
