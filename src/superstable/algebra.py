@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import Matrix, scalar, vanishes
 
@@ -74,6 +73,9 @@ class SuperAlgebra:
 
 @dataclass
 class ValidationReport:
+    """Which identities hold; `failures` lists (kind, (i, j)), the first
+    failing pair of even indices of each kind."""
+
     antisymmetry: bool = True
     jacobi: bool = True
     representation: bool = True
@@ -109,51 +111,25 @@ def representation_failure(g0: LieAlgebraEven, mats, dim: int):
 def validate(g: SuperAlgebra) -> ValidationReport:
     """Check antisymmetry, Jacobi, and the g0-representation property on g1.
 
-    Failures are data in the report; the first offending index triple of
-    each kind is recorded.
+    Failures are data in the report, the first offending index pair of
+    each kind.  Given antisymmetry, the Jacobi identity says exactly that
+    ad is a representation, [ad x_i, ad x_j] = ad [x_i, x_j], so a Jacobi
+    failure is the first pair (i, j) where that fails.
     """
+    c, n0 = g.even.bracket, g.dim0
+    # ad x_i as `Matrix.sparse_rows`: row k holds c_ij^k in column j
+    ads = [[{j: cij[k] for j, cij in enumerate(c[i]) if cij[k]} for k in range(n0)] for i in range(n0)]
+    found = {
+        "antisymmetry": next(((i, j) for i in range(n0) for j in range(n0)
+                              if any(x != -y for x, y in zip(c[i][j], c[j][i]))), None),
+        "jacobi": representation_failure(g.even, ads, n0),
+        "representation": representation_failure(g.even, [a.sparse_rows() for a in g.odd.action], g.dim1),
+    }
     rep = ValidationReport()
-    ev = g.even
-    n0 = ev.dim0
-    for i in range(n0):
-        for j in range(n0):
-            if any(
-                ev.bracket[i][j][k] != -ev.bracket[j][i][k] for k in range(n0)
-            ):
-                rep.antisymmetry = False
-                rep.failures.append(("antisymmetry", (i, j)))
-                break
-        if not rep.antisymmetry:
-            break
-    for i in range(n0):
-        broke = False
-        for j in range(n0):
-            for l in range(n0):
-                # [[x_i,x_j],x_l] + [[x_j,x_l],x_i] + [[x_l,x_i],x_j] = 0
-                total = [Fraction(0)] * n0
-                for m in range(n0):
-                    cij = ev.bracket[i][j][m]
-                    cjl = ev.bracket[j][l][m]
-                    cli = ev.bracket[l][i][m]
-                    for k in range(n0):
-                        total[k] += (
-                            cij * ev.bracket[m][l][k]
-                            + cjl * ev.bracket[m][i][k]
-                            + cli * ev.bracket[m][j][k]
-                        )
-                if any(x != 0 for x in total):
-                    rep.jacobi = False
-                    rep.failures.append(("jacobi", (i, j, l)))
-                    broke = True
-                    break
-            if broke:
-                break
-        if broke:
-            break
-    bad = representation_failure(ev, [a.sparse_rows() for a in g.odd.action], g.dim1)
-    if bad is not None:
-        rep.representation = False
-        rep.failures.append(("representation", bad))
+    for kind, bad in found.items():
+        if bad is not None:
+            setattr(rep, kind, False)
+            rep.failures.append((kind, bad))
     return rep
 
 
@@ -174,11 +150,12 @@ def is_semisimple(g0: LieAlgebraEven) -> bool:
 
 
 # largest dim0^3 + dim0 * dim1^2, the entries of the bracket table and of
-# the odd action matrices, of a built-in or inline algebra.  The Jacobi
-# check costs dim0^5, so it sets the limit.  Measured with CLI `validate`
-# on a 2-CPU host: sl3 in a basis with a dense bracket (dim0 = 8, at the
-# limit) took 1.3 s, so(5) likewise (dim0 = 10) 3.2 s; sl2_trivial(12),
-# 459 entries, 0.2 s.  Dense matrices alone would allow about 10^6.
+# the odd action matrices, of a built-in or inline algebra.  A dense
+# bracket sets the limit: the Jacobi check multiplies dim0^2 pairs of
+# ad matrices, each product dim0^3 work when they are dense.  Measured
+# in process on a 2-CPU host: sl4 with its sparse bracket (dim0 = 15)
+# validates in 48 ms, but sl3 in a dense rational basis (dim0 = 8, at
+# the limit) takes 0.6 s and sl4 likewise 17 s.
 MAX_ALGEBRA_ENTRIES = 512
 
 

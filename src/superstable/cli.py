@@ -107,7 +107,7 @@ def _report(command: str, lines, **results):
 
 
 def _cmd_validate(args):
-    g = load_algebra(args.algebra)
+    g = load_algebra(args.algebra, check=False)
     rep = validate_algebra(g)
     lines = [f"algebra: {g.name or '<inline>'} (dim0={g.dim0}, dim1={g.dim1})"]
     for key in ("antisymmetry", "jacobi", "representation"):

@@ -2,7 +2,10 @@
 
 Provides the category operations (shift, direct sum, tensor, dual),
 hom-space computation by linear solve, and induced modules built on the
-exterior algebra Lambda(g1) of the odd part.  This module owns the
+exterior algebra Lambda(g1) of the odd part.  Data are validated once,
+where they come in (`make_module`, `make_map`); what a construction or a
+solve here returns is assembled, and its docstring says why it is a
+module or a g-map.  This module owns the
 conventions of Lambda(g1): the (size, lex) order of its basis
 (`subsets`), the wedge sign (`merge_sign`) and the basis layout of an
 induced module (`induced_blocks`); every other module reads them here.
@@ -231,7 +234,8 @@ class GradedMap:
         return all(self.comp_at(j) == other.comp_at(j) for j in degs)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
+        """self after other, assembled without a re-check: a composite of
+        g-maps commutes with every action as each factor does."""
         if other.target != self.source:
             raise ModuleError("composition mismatch")
         comps = {
@@ -239,7 +243,7 @@ class GradedMap:
             for j in other.source.degrees()
             if self.target.dim_at(j) and other.source.dim_at(j)
         }
-        return make_map(other.source, self.target, comps)
+        return GradedMap(other.source, self.target, comps)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         comps = {
@@ -296,6 +300,8 @@ def check_map(phi: GradedMap):
 
 
 def make_map(source: GradedModule, target: GradedModule, comps: dict) -> GradedMap:
+    """Build a checked graded map: shapes, then `check_map`.  The one
+    validating constructor of maps, for components that come from outside."""
     for j, m in comps.items():
         if (m.rows, m.cols) != (target.dim_at(j), source.dim_at(j)):
             raise ModuleError(f"component shape mismatch at degree {j}")
@@ -386,15 +392,13 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     for l in range(lo, hi + 1):
         mats = []
         for x in range(alg.dim0):
-            mats.append(
-                Matrix.block_diag(
-                    [
-                        kron(v.rho_at(i, x), Matrix.identity(w.dim_at(j)))
-                        + kron(Matrix.identity(v.dim_at(i)), w.rho_at(j, x))
-                        for i, j in blocks(l)
-                    ]
-                )
-            )
+            # x (x) 1 and 1 (x) x, both placed in each diagonal block
+            placed, c0 = [], 0
+            for i, j in blocks(l):
+                placed.append((c0, c0, 1, kron(v.rho_at(i, x), Matrix.identity(w.dim_at(j)))))
+                placed.append((c0, c0, 1, kron(Matrix.identity(v.dim_at(i)), w.rho_at(j, x))))
+                c0 += v.dim_at(i) * w.dim_at(j)
+            mats.append(Matrix.place(c0, c0, placed))
         rho0.append(tuple(mats))
     odd = []
     for l in range(lo, hi + 1):
@@ -469,10 +473,12 @@ def graded_map_system(v: GradedModule, w: GradedModule) -> LinearSystem:
 
 
 def hom_graded(v: GradedModule, w: GradedModule) -> list:
-    """Deterministic basis of the degree-preserving g-homomorphisms V -> W."""
+    """Deterministic basis of the degree-preserving g-homomorphisms V -> W.
+    Each basis map is a solution of `graded_map_system`, so it closes
+    every square `check_map` would evaluate, and is returned as it is."""
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in hom")
-    return [make_map(v, w, sol) for sol in graded_map_system(v, w).solution_basis()]
+    return [GradedMap(v, w, sol) for sol in graded_map_system(v, w).solution_basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +567,14 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
     Odd generators act by left wedge on the exterior factor; even ones by
     the derivation action on Lambda(g1) plus the given action on Q.  The
     window is [min j, max j + dim1], and the basis is that of
-    `induced_blocks`.  Only Lambda(g1) is validated here: Q_j in one
-    degree with zero odd action is a module because reps[j] is a
-    representation, and `tensor` and `direct_sum` preserve validity.
-    The summands are added by one `direct_sum`, so each block is copied
-    once.
+    `induced_blocks`.  Only the Reps are checked here.  Lambda(g1) is
+    assembled: derivations extend the g0-representation g1 (checked
+    where the algebra came in) to one on each Lambda^l, left wedges
+    anticommute, and [x, e_i ^ -] = (x.e_i) ^ - as x acts by
+    derivations.  Q_j in one degree with zero odd action is a module
+    because reps[j] is a representation, and `tensor` and `direct_sum`
+    preserve validity.  The summands are added by one `direct_sum`, so
+    each block is copied once.
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
@@ -573,8 +582,8 @@ def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
     check_exterior_size(n, max(1, sum(q.dim for q in reps.values())), "the induced module")
     for q in reps.values():
         q.check()
-    lam = make_module(alg, 0, n, [len(s) for s in _positions(n)],
-                      exterior_even_action(alg), exterior_odd_action(n))
+    lam = _assemble(alg, 0, n, [len(s) for s in _positions(n)],
+                    exterior_even_action(alg), exterior_odd_action(n))
     return direct_sum(*(tensor(lam, concentrated(alg, q, j)) for j, q in sorted(reps.items())))
 
 

@@ -167,7 +167,9 @@ def algebra_to_json(g: SuperAlgebra):
     return out
 
 
-def algebra_from_json(obj) -> SuperAlgebra:
+def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
+    """The algebra of a file object: validated, unless `check` is false
+    (for a caller that reports the validation itself)."""
     if isinstance(obj, str):
         try:
             return builtin_algebra(obj)
@@ -194,8 +196,8 @@ def algebra_from_json(obj) -> SuperAlgebra:
     if not isinstance(name, str):
         raise FormatError(f"algebra name must be a string, got {json.dumps(name)[:40]}")
     g = SuperAlgebra(even, OddPart(dim1, action), name=name)
-    rep = validate(g)
-    if not rep.ok:
+    rep = validate(g) if check else None
+    if rep is not None and not rep.ok:
         raise FormatError(f"algebra fails validation: {rep.failures}")
     return g
 
@@ -334,15 +336,16 @@ def _read(path):
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
-def load_algebra(ref: str) -> SuperAlgebra:
-    """Accept a built-in name like "grassmann(2)" or a JSON file path."""
+def load_algebra(ref: str, check: bool = True) -> SuperAlgebra:
+    """Accept a built-in name like "grassmann(2)" or a JSON file path;
+    `check` as in `algebra_from_json`."""
     try:
         return builtin_algebra(ref)
     except KeyError:
         pass
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return algebra_from_json(_read(ref))
+    return algebra_from_json(_read(ref), check)
 
 
 def load_module(path: str) -> GradedModule:

@@ -21,7 +21,7 @@ from superstable.corpus import (
     random_modules,
 )
 from superstable.dsvariety import ds_at, in_variety, random_points, variety_ideal
-from superstable.gradedmod import Rep, zero_map
+from superstable.gradedmod import Rep, check_map, zero_map
 from superstable.projstable import (
     decompose,
     frobenius_check,
@@ -131,6 +131,8 @@ def test_criterion_07_decomposition_and_frobenius():
         if m_dim:
             ok = ok and top_operator(dec.reduced_part).is_zero()
         ok = ok and validate(dec.induced_part.alg).ok and validate(dec.reduced_part.alg).ok
+        for phi in (dec.projector, dec.induced_embedding, dec.reduced_embedding):
+            check_map(phi)  # raises on failure
         ok = ok and (is_projective(e.module) == (m_dim == 0))
     for e in corpus_reps().values():
         ok = ok and frobenius_check(e.alg, e.rep)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superstable.algebra import (
     LieAlgebraEven,
@@ -64,6 +66,68 @@ def test_validation_failure_recorded():
     g = SuperAlgebra(bad, OddPart(0, (Matrix.zero(0, 0),)))
     rep = validate(g)
     assert not rep.ok and rep.failures[0][0] == "antisymmetry"
+
+
+def jacobi_failure_oracle(g0):
+    """The former dim0^5 check: the first (i, j, l) with [[x_i,x_j],x_l] +
+    [[x_j,x_l],x_i] + [[x_l,x_i],x_j] != 0, or None."""
+    n, c = g0.dim0, g0.bracket
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for k in range(n):
+                    total = sum(c[i][j][m] * c[m][l][k] + c[j][l][m] * c[m][i][k]
+                                + c[l][i][m] * c[m][j][k] for m in range(n))
+                    if total:
+                        return (i, j, l)
+    return None
+
+
+def _dense_ad_failure(g0, i, j):
+    ads = [g0.ad(k) for k in range(g0.dim0)]
+    lhs = ads[i] * ads[j] - ads[j] * ads[i]
+    rhs = Matrix.zero(g0.dim0, g0.dim0)
+    for k, c in enumerate(g0.bracket[i][j]):
+        rhs = rhs + ads[k].scale(c)
+    return lhs != rhs
+
+
+# antisymmetric, with [x0, x1] = x1 and [x1, x2] = x0: the Jacobi sum of
+# (x0, x1, x2) is [x1, x2] + [x0, x0] + 0 = x0
+BROKEN_JACOBI = [[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                 [[0, -1, 0], [0, 0, 0], [1, 0, 0]],
+                 [[0, 0, 0], [-1, 0, 0], [0, 0, 0]]]
+
+
+def test_broken_jacobi_reported_as_a_pair():
+    g0 = LieAlgebraEven.from_constants(3, BROKEN_JACOBI)
+    rep = validate(SuperAlgebra(g0, OddPart(0, (Matrix.zero(0, 0),) * 3)))
+    assert rep.antisymmetry and rep.representation and not rep.jacobi and not rep.ok
+    assert jacobi_failure_oracle(g0) is not None
+    [(kind, (i, j))] = rep.failures
+    assert kind == "jacobi"
+    # ad fails to be a representation there, and at no earlier pair
+    assert _dense_ad_failure(g0, i, j)
+    assert not any(_dense_ad_failure(g0, a, b) for a in range(3) for b in range(3) if (a, b) < (i, j))
+
+
+def _antisymmetric(dim0, entries):
+    c = [[[0] * dim0 for _ in range(dim0)] for _ in range(dim0)]
+    for (i, j, k), x in zip(((i, j, k) for i in range(dim0) for j in range(i + 1, dim0)
+                             for k in range(dim0)), entries):
+        c[i][j][k], c[j][i][k] = x, -x
+    return LieAlgebraEven.from_constants(dim0, c)
+
+
+@given(st.integers(1, 4), st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=24, max_size=24))
+@settings(max_examples=80, deadline=None)
+@example(3, [0, 1, 0] + [0] * 21)  # [x0, x1] = x1: the 2-dim solvable algebra, plus x2
+@example(3, [0, 0, 1] + [0] * 21)  # [x0, x1] = x2: the Heisenberg algebra
+@example(3, [0, 1, 0, 0, 0, 0, 1, 0, 0] + [0] * 15)  # BROKEN_JACOBI
+def test_jacobi_as_ad_representation_matches_the_cyclic_sum(dim0, entries):
+    g0 = _antisymmetric(dim0, entries)
+    g = SuperAlgebra(g0, OddPart(0, (Matrix.zero(0, 0),) * dim0))
+    assert validate(g).jacobi == (jacobi_failure_oracle(g0) is None)
 
 
 def test_representation_failure_recorded():

@@ -647,6 +647,56 @@ def test_algebra_at_and_over_the_size_limit(tmp_path):
              "input error: the algebra has 900000001 bracket and action entries")
 
 
+def test_broken_jacobi_fails_validate_and_module_files(tmp_path, capsys):
+    from test_algebra import BROKEN_JACOBI
+
+    triples = [[i, j, k, str(x)] for i, per in enumerate(BROKEN_JACOBI)
+               for j, row in enumerate(per) for k, x in enumerate(row) if x]
+    alg = {"dim0": 3, "dim1": 0, "bracket": triples, "action": [[]] * 3}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(alg))
+    code, out = run(capsys, "--format", "json", "validate", "--algebra", str(path))
+    report = json.loads(out)["report"]
+    assert code == 1 and report["antisymmetry"] and not report["jacobi"], report
+    [(kind, pair)] = report["failures"]
+    assert kind == "jacobi" and len(pair) == 2
+    code, out = run(capsys, "validate", "--algebra", str(path))
+    assert code == 1 and "  jacobi: FAIL" in out.splitlines()
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"algebra": alg, "lo": 0, "hi": 0, "dims": [1],
+                                  "rho0": [[[[0]]] * 3], "odd": [[]]}))
+    assert main(["module-info", "--module", str(module)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: algebra fails validation: [('jacobi', {tuple(pair)})]"), err
+
+
+def test_ce_and_nonfullness_at_and_over_the_size_limit(tmp_path):
+    from superstable.cohomology import MAX_CE_ENTRIES, ce_size
+
+    # an abelian g0 of dim0 = 8, at the algebra limit, and zero representations
+    alg = str(tmp_path / "abelian8.json")
+    dump({"dim0": 8, "dim1": 0, "action": [[]] * 8}, alg)
+
+    def zero_rep(dim):
+        path = str(tmp_path / f"zero{dim}.json")
+        dump({"dim": dim, "mats": [{"rows": dim, "cols": dim, "entries": []}] * 8}, path)
+        return path
+
+    assert ce_size(8, 18) <= MAX_CE_ENTRIES < ce_size(8, 19)
+    out = _run_capped(["ce", "--algebra", alg, "--module", zero_rep(18)])
+    assert out.returncode == 0 and out.stdout.startswith("H^p(g0, V): {0: 18, 1: 144, "), out.stderr
+
+    def message(dim):
+        return (f"error: the Chevalley-Eilenberg complex of a 8-dim g0 on a {dim}-dim V has "
+                f"{ce_size(8, dim)} differential entries, over the limit of {MAX_CE_ENTRIES}")
+
+    for dim in (19, 200):
+        _refused(["ce", "--algebra", alg, "--module", zero_rep(dim)], 1, message(dim))
+    # at i - j = dim g1 = 0 the coefficients are V* (x) W, here 4 * 5 = 20-dim
+    _refused(["nonfullness", "--algebra", alg, "--v", zero_rep(4), "--w", zero_rep(5),
+              "-i", "0", "-j", "0"], 1, message(20))
+
+
 def test_tensor_at_and_over_the_size_limit(tmp_path):
     from superstable.gradedmod import MAX_EXTERIOR_SIZE
 

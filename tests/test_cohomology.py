@@ -12,6 +12,9 @@ from superstable.algebra import (
     sl2_trivial,
 )
 from superstable.cohomology import (
+    MAX_CE_ENTRIES,
+    _ce_differential,
+    ce_size,
     cech_closed_form,
     cech_line_bundle,
     chevalley_eilenberg,
@@ -87,6 +90,21 @@ def test_ce_sl2_nontrivial_irreducibles_vanish():
     assert chevalley_eilenberg(g0, nat).total == 0
     adj = Rep(g0, 3, tuple(g0.ad(i) for i in range(3)))
     assert chevalley_eilenberg(g0, adj).total == 0
+
+
+def test_ce_size_counts_the_differential_slots():
+    g0 = sl2()
+    for rep in (Rep.trivial(g0, 1), Rep(g0, 2, tuple(SL2_NATURAL))):
+        mats = [_ce_differential(g0, rep, p) for p in range(g0.dim0)]
+        assert ce_size(g0.dim0, rep.dim) == sum(m.rows * m.cols for m in mats)
+    for dim0 in range(9):
+        assert ce_size(dim0, 3) == sum(comb(dim0, p + 1) * comb(dim0, p) * 9 for p in range(dim0))
+    # refused before the representation is checked or a differential built
+    ab = LieAlgebraEven.from_constants(8, [[[0] * 8] * 8] * 8)
+    big = Rep(ab, 19, (Matrix.zero(19, 19),) * 8)
+    assert ce_size(8, 18) <= MAX_CE_ENTRIES < ce_size(8, 19)
+    with pytest.raises(ValueError, match=f"has {ce_size(8, 19)} differential entries, over the limit"):
+        chevalley_eilenberg(ab, big)
 
 
 def test_ce_abelian_one_dimensional():

@@ -13,6 +13,7 @@ from superstable.gradedmod import (
     GradedModule,
     ModuleError,
     Rep,
+    check_map,
     direct_sum,
     dual,
     exterior_even_action,
@@ -96,7 +97,10 @@ def test_induced_additive_in_q():
     assert both.dims == split.dims
     assert both.total_dim == split.total_dim
     # same dimensions of graded homs certifies an isomorphic pair here
-    assert len(hom_graded(both, split)) == len(hom_graded(both, both))
+    basis = hom_graded(both, split)
+    assert len(basis) == len(hom_graded(both, both))
+    for b in basis:
+        check_map(b)
 
 
 def test_shift():
@@ -146,6 +150,8 @@ def test_hom_graded_counts():
     assert len(hom_graded(free, free)) == 1
     # free -> k: kill the top; one parameter
     assert len(hom_graded(free, triv)) == 1
+    for b in hom_graded(free, triv) + hom_graded(free, free):
+        check_map(b)
     for b in hom_graded(free, triv):
         assert b.comp_at(1).is_zero() or triv.dim_at(1) == 0
 
@@ -306,6 +312,8 @@ def test_map_mutations_caught_by_the_broken_identity():
     for v in small_modules().values():
         maps.append(identity_map(v))
         maps.extend(hom_graded(v, v)[:2])
+    for phi in maps:
+        check_map(phi)  # the unperturbed maps hold
     seen = set()
     for n, phi in enumerate(maps):
         delta = (1, -2, Fraction(1, 3))[n % 3]
@@ -378,6 +386,14 @@ def test_induced_sum_matches_fold_on_corpus_reps():
             assert induced_sum(e.alg, reps) == expect, (name, sorted(reps))
             assert module_to_json(induced_sum(e.alg, reps)) == module_to_json(expect)
         assert induced_module(e.alg, e.rep, base_degree=2) == induced_module_oracle(e.alg, e.rep, 2)
+    # Lambda(g1), which induced_sum assembles unchecked, is a module over
+    # every corpus algebra: induced from the 1-dim trivial Q, it is itself
+    for name, e in corpus_modules().items():
+        alg = e.module.alg
+        n = alg.dim1
+        lam = make_module(alg, 0, n, [comb(n, l) for l in range(n + 1)],
+                          exterior_even_action(alg), exterior_odd_action(n))
+        assert induced_module(alg, Rep.trivial(alg.even, 1)) == lam, name
 
 
 def test_induced_module_of_zero_rep():

@@ -21,6 +21,10 @@ from superstable.gradedmod import (
     induced_module,
     make_map,
     make_module,
+    merge_sign,
+    restrict,
+    shift,
+    subsets,
     trivial_module,
     zero_map,
 )
@@ -83,9 +87,15 @@ def test_decompose_corpus_expectations():
         ), name
         if dec.reduced_part.total_dim:
             assert is_reduced(dec.reduced_part), name
-        # projector restricted to the induced part is the identity
-        rt = dec.projector.compose(dec.induced_embedding)
-        assert rt == identity_map(dec.induced_part), name
+        _check_decomposition_maps(dec)
+
+
+def _check_decomposition_maps(dec):
+    """The solved projector and both embeddings are g-maps, and the
+    projector restricted to the induced part is the identity."""
+    for phi in (dec.projector, dec.induced_embedding, dec.reduced_embedding):
+        check_map(phi)
+    assert dec.projector.compose(dec.induced_embedding) == identity_map(dec.induced_part)
 
 
 def test_decompose_reduced_part_has_nonzero_fiber():
@@ -269,14 +279,42 @@ def lift_oracle(h):
 
 
 def _evaluation_onto(w):
-    """The evaluation Ind(W as g0-module) ->> W."""
+    """The evaluation Ind(W as g0-module) ->> W, checked."""
     reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
-    return _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, _induced_on(w, reps))
+    ev = _evaluation_map(w, {j: Matrix.identity(w.dim_at(j)) for j in reps}, _induced_on(w, reps))
+    return check_map(ev)
+
+
+def _word(m, d, s):
+    """a_S on m^d by dense products, the last index of S acting first."""
+    out = Matrix.identity(m.dim_at(d))
+    for k, e in enumerate(reversed(s)):
+        out = m.odd_at(d + k, e) * out
+    return out
+
+
+def _trace(v, w, tau, d):
+    """Tr(tau) on v^d: the sum over S of eps(S, S^c) a^W_{S^c} tau a^V_S."""
+    n = v.alg.dim1
+    total = Matrix.zero(w.dim_at(d), v.dim_at(d))
+    for s in subsets(n):
+        sc = tuple(x for x in range(n) if x not in s)
+        if d + len(s) in tau:
+            term = _word(w, d + len(s) - n, sc) * tau[d + len(s)] * _word(v, d, s)
+            total = total + term.scale(merge_sign(s, sc))
+    return total
 
 
 def _agrees_with_oracle(h):
     expected = lift_oracle(h)
-    assert (_trace_preimage(h) is not None) == (expected is not None)
+    tau = _trace_preimage(h)
+    assert (tau is not None) == (expected is not None)
+    if tau is not None:
+        # tau is a g0-map of degree -n, and its trace is h
+        v, w = h.source, h.target
+        check_map(GradedMap(restrict(v), shift(restrict(w), v.alg.dim1), tau))
+        for d in v.degrees():
+            assert _trace(v, w, tau, d) == h.comp_at(d), d
     sigma = _lift_along_evaluation(h)
     assert (sigma is None) == (expected is None)
     if sigma is not None:
@@ -304,6 +342,9 @@ def test_trace_criterion_matches_oracle(source, data):
     v = corpus_modules()[source].module if isinstance(source, str) else random_module(source, 12)
     maps = [identity_map(v)]
     basis = hom_graded(v, v)
+    for b in basis:
+        check_map(b)
+    _check_decomposition_maps(decompose(v))
     if basis:
         maps.append(data.draw(st.sampled_from(basis)))
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
