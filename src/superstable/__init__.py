@@ -58,7 +58,6 @@ from .linalg import LinearSystem, Matrix, Polynomial, kron
 from .projstable import (
     Decomposition,
     HypothesisError,
-    TopOddOperator,
     decompose,
     frobenius_check,
     is_projective,
@@ -71,12 +70,10 @@ from .rigid import (
     CohomologyTable,
     FiberComplex,
     OddPoint,
-    RigidComplex,
     L_of,
     V_of,
     fiber,
     fiber_cohomology,
-    make_complex,
 )
 
 __version__ = "0.1.0"

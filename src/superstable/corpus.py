@@ -213,7 +213,9 @@ def _random_piece(rng: random.Random, alg: SuperAlgebra) -> GradedModule:
 
 def random_module(seed: int, max_dim: int = 24) -> GradedModule:
     """A reproducible valid module: g0 in {0, sl2}, dim1 <= 3, total
-    dimension <= max_dim, assembled from validity-preserving operations."""
+    dimension <= max_dim (for max_dim >= 1), assembled from
+    validity-preserving operations.  If the first piece and the fallback
+    piece both exceed max_dim, it is the 1-dim trivial module."""
     rng = random.Random(seed)
     alg = rng.choice(
         [grassmann(1), grassmann(2), grassmann(3), sl2_trivial(1), sl2_trivial(2), sl2_adjoint()]
@@ -227,6 +229,8 @@ def random_module(seed: int, max_dim: int = 24) -> GradedModule:
             m = direct_sum(m, p)
     if m.total_dim > max_dim:
         m = _random_piece(rng, alg)
+    if m.total_dim > max_dim:
+        m = trivial_module(alg)
     return m
 
 

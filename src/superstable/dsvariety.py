@@ -19,7 +19,6 @@ from .rigid import (
     CohomologyTable,
     L_of,
     OddPoint,
-    RigidComplex,
     evaluate_at,
     fiber,
     fiber_cohomology,
@@ -60,7 +59,7 @@ def ds_at(m: GradedModule, x: OddPoint) -> DsResult:
     return _ds_result(m, L_of(m), x)
 
 
-def _ds_result(m: GradedModule, lm: RigidComplex, x: OddPoint) -> DsResult:
+def _ds_result(m: GradedModule, lm: GradedModule, x: OddPoint) -> DsResult:
     """`ds_at(m, x)` with the rigid complex lm = L_of(m) already built.
 
     rank x_M is summed over the degree blocks a_x^j of the module's own

@@ -599,9 +599,14 @@ def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedMod
 def submodule(v: GradedModule, basis: dict):
     """Module structure on an action-stable graded subspace.
 
-    basis: degree -> Matrix whose columns span the subspace in that
-    degree.  Returns (module, embedding).  Raises if the span is not
-    stable under all actions.
+    basis: degree -> Matrix whose independent columns span the subspace
+    in that degree.  Returns (module, embedding).  Raises if the columns
+    are dependent or the span is not stable under all actions.  The
+    caller's basis is checked by one rank and the stability solves,
+    which find each action X on the subspace with b X = A b.  Both
+    results are then assembled: b is injective, so each identity of the
+    A's carries over to the X's, and the embedding's squares are those
+    solves.
     """
     lo = v.lo
     hi = v.hi
@@ -609,6 +614,8 @@ def submodule(v: GradedModule, basis: dict):
     dims, rho0, odd = [], [], []
     for j in v.degrees():
         b = cols[j]
+        if b.rank() != b.cols:
+            raise ModuleError(f"submodule basis columns are dependent at degree {j}")
         dims.append(b.cols)
         mats = []
         for i in range(v.alg.dim0):
@@ -633,6 +640,5 @@ def submodule(v: GradedModule, basis: dict):
                 raise ModuleError(f"subspace not g1-stable at degree {j}")
             mats.append(x)
         odd.append(tuple(mats))
-    sub = make_module(v.alg, lo, hi, dims, rho0, odd)
-    emb = make_map(sub, v, {j: cols[j] for j in v.degrees() if cols[j].cols})
-    return sub, emb
+    sub = _assemble(v.alg, lo, hi, dims, rho0, odd)
+    return sub, GradedMap(sub, v, {j: cols[j] for j in v.degrees() if cols[j].cols})

@@ -50,39 +50,20 @@ def _require_semisimple(v: GradedModule):
         raise HypothesisError("g0 must be semisimple (or zero) for this operation")
 
 
-@dataclass(frozen=True)
-class TopOddOperator:
-    """Composite action of e_1 e_2 ... e_n, assembled degreewise."""
+def top_operator(v: GradedModule) -> GradedMap:
+    """E = a_{e_1} o a_{e_2} o ... o a_{e_n}, the odd word of all of g1, as
+    the graded map V -> shift(V, -n) with components E_j: V^j -> V^(j+n).
 
-    module: GradedModule
-    blocks: dict  # degree j -> matrix dims[j+n] x dims[j]
-
-    def block_at(self, j: int) -> Matrix:
-        n = self.module.alg.dim1
-        m = self.blocks.get(j)
-        if m is None:
-            return Matrix.zero(self.module.dim_at(j + n), self.module.dim_at(j))
-        return m
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks.values())
-
-    def kernel_basis(self) -> dict:
-        """Per-degree basis of K = ker E."""
-        return {j: self.block_at(j).nullspace() for j in self.module.degrees()}
-
-
-def top_operator(v: GradedModule) -> TopOddOperator:
-    """E = a_{e_1} o a_{e_2} o ... o a_{e_n}, the odd word of all of g1.
-
-    ker E is a submodule with nothing to check: E a_e = 0 by the odd
-    anticommutation, and E rho(x) = rho(x) E - tr(A_x) E by the mixed
-    brackets, identities `make_module` has verified."""
+    E commutes with each a_e, as both composites are 0 by the odd
+    anticommutation, and with each x in g0 up to the trace of g0 on g1:
+    E rho(x) = rho(x) E - tr(A_x) E by the mixed brackets, and the trace
+    is zero for semisimple g0.  So ker E is a submodule with nothing to
+    check, by identities `make_module` has verified."""
     n = v.alg.dim1
     if n == 0:
         raise ModuleError("top operator undefined for dim1 = 0 (empty product is the identity)")
     word = _odd_words(v)
-    return TopOddOperator(v, {j: word(j, tuple(range(n))) for j in v.degrees()})
+    return GradedMap(v, shift(v, -n), {j: word(j, tuple(range(n))) for j in v.degrees()})
 
 
 def is_reduced(v: GradedModule) -> bool:
@@ -214,7 +195,7 @@ def decompose(v: GradedModule) -> Decomposition:
     """
     _require_semisimple(v)
     op = top_operator(v)
-    k_basis = op.kernel_basis()
+    k_basis = {j: op.comp_at(j).nullspace() for j in v.degrees()}
     q_basis, q_reps = {}, {}
     for j in v.degrees():
         s, rep = _equivariant_complement(v, j, k_basis[j])
@@ -245,7 +226,7 @@ def decompose(v: GradedModule) -> Decomposition:
         raise ModuleError("complement of the induced part is not reduced")
     return Decomposition(
         module=v,
-        k_basis={j: k_basis[j] for j in v.degrees()},
+        k_basis=k_basis,
         q_basis=q_basis,
         q_reps=q_reps,
         induced_part=ind,

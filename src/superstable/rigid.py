@@ -1,42 +1,23 @@
 """The correspondence between graded modules and rigid complexes.
 
-A rigid complex is stored as the matrix family D_e^j, the coordinates of
-the differential d^j under the dual-basis identification of the twisting
-sheaf's global sections with g1*.  The sign convention s(j) = (-1)^j is
-used symmetrically in both directions, so the roundtrip is the identity
-on the nose.
+The rigid complex L(V) = sum over j of V^j (x) O(j), with differential
+d = sum over e of a_e (x) t_e, is stored as a `GradedModule` whose odd
+family is D_e^j = (-1)^j a_e^j: the coordinates of d^j under the
+dual-basis identification of the twisting sheaf's global sections with
+g1*.  The sign multiplies each anticommutation sum by -1 and each
+equivariance identity by (-1)^j, so a family is a rigid complex exactly
+when it is a valid odd action, and composability d^(j+1) d^j = 0 is the
+anticommutation identity: `make_module` validates both.  The sign
+convention s(j) = (-1)^j is used symmetrically in both directions, so
+the roundtrip is the identity on the nose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SuperAlgebra
-from .gradedmod import GradedModule, ModuleError, make_module
+from .gradedmod import GradedModule, make_module
 from .linalg import Matrix, scalar
-
-
-@dataclass(frozen=True)
-class RigidComplex:
-    alg: SuperAlgebra
-    lo: int
-    hi: int
-    dims: tuple
-    rho0: tuple  # per degree, tuple of dim0 matrices (the g0-structure)
-    diff: tuple  # per degree, tuple of dim1 matrices dims[j+1] x dims[j]
-
-    def dim_at(self, j: int) -> int:
-        if self.lo <= j <= self.hi:
-            return self.dims[j - self.lo]
-        return 0
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def diff_at(self, j: int, e: int) -> Matrix:
-        if self.lo <= j <= self.hi:
-            return self.diff[j - self.lo][e]
-        return Matrix.zero(self.dim_at(j + 1), 0)
 
 
 @dataclass(frozen=True)
@@ -109,40 +90,33 @@ class CohomologyTable:
         return sum(v for _, v in self.entries)
 
 
-def _signed(lo: int, fam) -> list:
+def _signed(lo: int, fam) -> tuple:
     """The family with its degree-j matrices times (-1)^j, degrees from lo:
     the sign between D and a, in either direction."""
-    return [tuple(m.scale(-1 if (lo + k) % 2 else 1) for m in per) for k, per in enumerate(fam)]
+    return tuple(tuple(m.scale(-1 if (lo + k) % 2 else 1) for m in per) for k, per in enumerate(fam))
 
 
-def make_complex(alg, lo, hi, dims, rho0, diff) -> RigidComplex:
-    """Build a validated rigid complex; raises ModuleError with the first
-    failing identity.  The module identities (`make_module`) check it:
-    D^j = (-1)^j a^j multiplies each anticommutation sum by -1 and each
-    equivariance identity by (-1)^j, so the family is a rigid complex
-    exactly when it is a valid odd action (composability is the
-    anticommutation identity).  The shapes and that rho0 is a
-    g0-representation in every degree are checked too."""
-    v = make_module(alg, lo, hi, dims, rho0, diff)
-    return RigidComplex(v.alg, v.lo, v.hi, v.dims, v.rho0, v.odd)
+def L_of(v: GradedModule) -> GradedModule:
+    """Module -> rigid complex: D_e^j = (-1)^j a_e^j.  It re-validates the
+    signed family of a valid module through `make_module`: not needed,
+    but dropping it waits on a benchmark whose peak RSS does not grow
+    with its pass count (ROADMAP item 1)."""
+    return make_module(v.alg, v.lo, v.hi, v.dims, v.rho0, _signed(v.lo, v.odd))
 
 
-def L_of(v: GradedModule) -> RigidComplex:
-    """Module -> rigid complex: D_e^j = (-1)^j a_e^j."""
-    return make_complex(v.alg, v.lo, v.hi, v.dims, v.rho0, _signed(v.lo, v.odd))
-
-
-def V_of(l: RigidComplex) -> GradedModule:
-    """Rigid complex -> module, inverting L_of exactly: a_e^j = (-1)^j D_e^j."""
-    return make_module(l.alg, l.lo, l.hi, l.dims, l.rho0, _signed(l.lo, l.diff))
+def V_of(l: GradedModule) -> GradedModule:
+    """Rigid complex -> module, inverting L_of exactly: a_e^j = (-1)^j D_e^j.
+    Assembled without a re-check: l is valid (from `load_complex` or
+    `L_of`), and the sign maps its identities onto the module's."""
+    return GradedModule(l.alg, l.lo, l.hi, l.dims, l.rho0, _signed(l.lo, l.odd))
 
 
 def evaluate_at(fam, x: OddPoint, dim1: int) -> list:
     """A per-degree odd family at x: F_x^j = sum_e x_e F_e^j for each degree.
 
     fam[k] holds the dim1 matrices F_e^j of the k-th degree of the window.
-    On a complex's `diff` this gives the fiber differentials d_x^j; on a
-    module's `odd` it gives the blocks a_x^j of x_M, which is
+    On a rigid complex's odd family this gives the fiber differentials
+    d_x^j; on a module's it gives the blocks a_x^j of x_M, which is
     block-subdiagonal, so rank x_M is the sum of their ranks."""
     if len(x.coords) != dim1:
         raise ValueError("point dimension does not match the odd part")
@@ -156,13 +130,12 @@ def evaluate_at(fam, x: OddPoint, dim1: int) -> list:
     return out
 
 
-def fiber(l: RigidComplex, x: OddPoint) -> FiberComplex:
-    """Evaluate the differentials at a rational point of P(g1)."""
-    f = FiberComplex(l.lo, l.hi, l.dims, tuple(evaluate_at(l.diff, x, l.alg.dim1)))
-    for j in f.degrees():
-        if not (f.d_at(j + 1) * f.d_at(j)).is_zero():
-            raise ModuleError("fiber differential does not square to zero")
-    return f
+def fiber(l: GradedModule, x: OddPoint) -> FiberComplex:
+    """Evaluate the differentials at a rational point of P(g1).  The fiber
+    is a complex with nothing to check: d_x^(j+1) d_x^j is the sum over
+    e, f of x_e x_f D_e^(j+1) D_f^j, which vanishes by the anticommutation
+    identity `make_module` verified on l."""
+    return FiberComplex(l.lo, l.hi, l.dims, tuple(evaluate_at(l.odd, x, l.alg.dim1)))
 
 
 def fiber_cohomology(f: FiberComplex) -> CohomologyTable:

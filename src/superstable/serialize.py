@@ -23,7 +23,6 @@ from .algebra import (
 )
 from .gradedmod import MAX_EXTERIOR_SIZE, GradedMap, GradedModule, Rep, make_map, make_module
 from .linalg import Matrix, Polynomial
-from .rigid import RigidComplex, make_complex
 
 
 class FormatError(ValueError):
@@ -229,21 +228,21 @@ def _algebra_ref(g: SuperAlgebra):
     return g.name if g.name else algebra_to_json(g)
 
 
-def _graded_to_json(x, key: str, fam):
-    """The file object of a module (key "odd") or a complex (key "diff")
-    whose odd family is fam; `_graded_families` reads both back."""
+def _graded_to_json(x: GradedModule, key: str):
+    """The file object of a module (key "odd") or a rigid complex (key
+    "diff"), both graded modules; `_graded_families` reads both back."""
     return {
         "algebra": _algebra_ref(x.alg),
         "lo": x.lo,
         "hi": x.hi,
         "dims": list(x.dims),
         "rho0": [[matrix_to_json(m) for m in per] for per in x.rho0],
-        key: [[matrix_to_json(m) for m in per] for per in fam],
+        key: [[matrix_to_json(m) for m in per] for per in x.odd],
     }
 
 
 def module_to_json(v: GradedModule):
-    return _graded_to_json(v, "odd", v.odd)
+    return _graded_to_json(v, "odd")
 
 
 def _graded_families(obj, alg, key, what):
@@ -278,14 +277,16 @@ def module_from_json(obj) -> GradedModule:
     return make_module(alg, lo, hi, dims, rho0, odd)
 
 
-def complex_to_json(l: RigidComplex):
-    return _graded_to_json(l, "diff", l.diff)
+def complex_to_json(l: GradedModule):
+    """A rigid complex (see `rigid`) under its file key "diff"."""
+    return _graded_to_json(l, "diff")
 
 
-def complex_from_json(obj) -> RigidComplex:
+def complex_from_json(obj) -> GradedModule:
+    """A rigid complex, validated by the module identities (see `rigid`)."""
     alg = algebra_from_json(_field(obj, "algebra", "complex"))
     lo, hi, dims, rho0, diff = _graded_families(obj, alg, "diff", "complex")
-    return make_complex(alg, lo, hi, dims, rho0, diff)
+    return make_module(alg, lo, hi, dims, rho0, diff)
 
 
 def _module_once(obj, seen: dict) -> GradedModule:
@@ -352,7 +353,7 @@ def load_module(path: str) -> GradedModule:
     return module_from_json(_read(path))
 
 
-def load_complex(path: str) -> RigidComplex:
+def load_complex(path: str) -> GradedModule:
     return complex_from_json(_read(path))
 
 

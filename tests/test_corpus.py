@@ -7,7 +7,7 @@ from superstable.corpus import (
     random_module,
     random_modules,
 )
-from superstable.gradedmod import check_map
+from superstable.gradedmod import check_map, trivial_module
 
 
 def test_corpus_required_entries_present():
@@ -63,3 +63,13 @@ def test_random_modules_bounds_and_determinism():
         assert m.alg.dim1 <= 3
         assert m.alg.dim0 in (0, 3)
     assert random_module(1) != random_module(2) or random_module(3) != random_module(4)
+
+
+def test_random_module_keeps_its_dimension_bound():
+    for max_dim in (8, 12):
+        for seed in range(400):
+            assert random_module(seed, max_dim).total_dim <= max_dim, (seed, max_dim)
+    # seed 26 draws a 24-dim first piece and a 24-dim fallback piece at
+    # max_dim 12, and gets the 1-dim trivial module
+    m = random_module(26, 12)
+    assert m == trivial_module(m.alg)

@@ -54,10 +54,41 @@ def golden_commands(tmp_path):
     return cmds
 
 
-def test_golden_reports(tmp_path, capsys):
+def _digest(cmds, tmp_path, capsys) -> str:
     digest = hashlib.sha256()
-    for argv in golden_commands(tmp_path):
+    for argv in cmds:
         code = main(["--format", "json", *argv])
         text = f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}"
         digest.update(text.replace(str(tmp_path), "<tmp>").encode())
-    assert digest.hexdigest() == GOLDEN_REPORTS_SHA256
+    return digest.hexdigest()
+
+
+def test_golden_reports(tmp_path, capsys):
+    assert _digest(golden_commands(tmp_path), tmp_path, capsys) == GOLDEN_REPORTS_SHA256
+
+
+# sha256 of the reports of `rigid_commands`, written the same way
+GOLDEN_RIGID_SHA256 = "793af6c504fb80c2c41a3f8c41f540cdd8e4184c0c7112663c3983acf9e220b2"
+
+
+def rigid_commands(tmp_path):
+    """Per corpus module: `rigid l` written to a file, then `rigid v` and
+    `rigid fiber` at two points on that file, and `rigid roundtrip`."""
+    cmds = []
+    for name, e in corpus_modules().items():
+        f = str(tmp_path / f"{name}.json")
+        dump(module_to_json(e.module), f)
+        c = str(tmp_path / f"complex_{name}.json")
+        n = e.module.alg.dim1
+        cmds += [
+            ["rigid", "l", "--module", f, "--out", c],
+            ["rigid", "v", c],
+            ["rigid", "fiber", c, "--point", ",".join(str(k + 1) for k in range(n))],
+            ["rigid", "fiber", c, "--point", ",".join(["1"] + ["0"] * (n - 1))],
+            ["rigid", "roundtrip", "--module", f],
+        ]
+    return cmds
+
+
+def test_golden_rigid_reports(tmp_path, capsys):
+    assert _digest(rigid_commands(tmp_path), tmp_path, capsys) == GOLDEN_RIGID_SHA256

@@ -175,6 +175,17 @@ def test_submodule_extraction():
     sub, emb = submodule(m, basis)
     assert sub.total_dim == 1
     assert emb.comp_at(2) == Matrix.from_rows([[0], [1]])
+    # both are assembled: the checks hold them here
+    make_module(sub.alg, sub.lo, sub.hi, sub.dims, sub.rho0, sub.odd)
+    check_map(emb)
+
+
+def test_submodule_refuses_dependent_columns():
+    g = grassmann(2)
+    m = direct_sum(free_module(2), trivial_module(g, degree=2))
+    # the trivial summand's line, spanned twice: stable, but not a basis
+    with pytest.raises(ModuleError, match="dependent at degree 2"):
+        submodule(m, {2: Matrix.from_rows([[0, 0], [1, 2]])})
 
 
 def test_submodule_rejects_unstable_span():

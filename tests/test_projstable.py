@@ -53,7 +53,7 @@ def test_top_operator_free_module_full_rank():
     v = corpus_modules()["grassmann2_free"].module
     op = top_operator(v)
     # E: bottom degree -> top degree is an isomorphism on a free module
-    assert op.block_at(0).rank() == 1
+    assert op.comp_at(0).rank() == 1
     assert not op.is_zero()
 
 
@@ -91,10 +91,13 @@ def test_decompose_corpus_expectations():
 
 
 def _check_decomposition_maps(dec):
-    """The solved projector and both embeddings are g-maps, and the
-    projector restricted to the induced part is the identity."""
+    """The solved projector and both embeddings are g-maps, the assembled
+    reduced part passes the module checks, and the projector restricted
+    to the induced part is the identity."""
     for phi in (dec.projector, dec.induced_embedding, dec.reduced_embedding):
         check_map(phi)
+    r = dec.reduced_part
+    make_module(r.alg, r.lo, r.hi, r.dims, r.rho0, r.odd)
     assert dec.projector.compose(dec.induced_embedding) == identity_map(dec.induced_part)
 
 

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from superstable.algebra import grassmann, sl2_trivial
 from superstable.corpus import corpus_modules, random_module
-from superstable.gradedmod import ModuleError
+from superstable.gradedmod import GradedModule, ModuleError, make_module
 from superstable.linalg import Matrix
 from superstable.rigid import (
     CohomologyTable,
     L_of,
     OddPoint,
-    RigidComplex,
     V_of,
     fiber,
     fiber_cohomology,
-    make_complex,
 )
 
 
@@ -42,13 +40,13 @@ def test_differential_signs():
     for j in v.degrees():
         for e in range(v.alg.dim1):
             expected = v.odd_at(j, e).scale(-1 if j % 2 else 1)
-            assert l.diff_at(j, e) == expected
+            assert l.odd_at(j, e) == expected
 
 
 def test_composability_is_anticommutation():
-    # a family violating anticommutation is rejected by the complex
-    # validator for exactly the composability reason, which is the
-    # anticommutation identity of the module checks
+    # a family violating anticommutation is rejected as a rigid complex
+    # for exactly the composability reason, which is the anticommutation
+    # identity of the module checks
     from superstable.algebra import grassmann
 
     g = grassmann(2)
@@ -57,7 +55,7 @@ def test_composability_is_anticommutation():
     t1 = Matrix.from_rows([[0, 1]])
     t2 = Matrix.from_rows([[1, 0]])
     with pytest.raises(ModuleError, match="anticommutation"):
-        make_complex(
+        make_module(
             g, 0, 2, (1, 2, 1), ((), (), ()), ((d1, d2), (t1, t2), (Matrix.zero(0, 1),) * 2)
         )
 
@@ -74,6 +72,21 @@ def test_fiber_of_trivial_module():
     v = corpus_modules()["grassmann1_trivial"].module
     table = fiber_cohomology(fiber(L_of(v), OddPoint((5,))))
     assert table.as_dict() == {0: 1}
+
+
+@given(st.one_of(st.sampled_from(sorted(corpus_modules())), st.integers(0, 10**6)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fiber_squares_to_zero(source, data):
+    # `fiber` checks nothing: d_x^(j+1) d_x^j = 0 follows from the
+    # anticommutation identity, and the dense products here hold it
+    v = corpus_modules()[source].module if isinstance(source, str) else random_module(source, 12)
+    n = v.alg.dim1
+    coords = data.draw(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(lambda c: any(c))
+    )
+    f = fiber(L_of(v), OddPoint(tuple(coords)))
+    for j in f.degrees():
+        assert (f.d_at(j + 1) * f.d_at(j)).is_zero()
 
 
 def test_fiber_point_dimension_mismatch():
@@ -111,8 +124,8 @@ def test_cohomology_table_of_complex():
 
 
 # ---------------------------------------------------------------------------
-# make_complex validates by the module identities; the former dense complex
-# validator is kept here as the oracle
+# a rigid complex is validated by the module identities (make_module); the
+# former dense complex validator is kept here as the oracle
 
 
 def dense_check_complex(l):
@@ -128,18 +141,18 @@ def dense_check_complex(l):
         d = l.dim_at(j)
         for e in range(n1):
             for f in range(e, n1):
-                s = l.diff_at(j + 1, e) * l.diff_at(j, f) + l.diff_at(j + 1, f) * l.diff_at(j, e)
+                s = l.odd_at(j + 1, e) * l.odd_at(j, f) + l.odd_at(j + 1, f) * l.odd_at(j, e)
                 if not s.is_zero():
                     raise ModuleError(f"composability fails at degree {j}, pair ({e},{f})")
         for i in range(n0):
             for e in range(n1):
-                lhs = rho_at(j + 1, i) * l.diff_at(j, e) - l.diff_at(j, e) * rho_at(j, i)
+                lhs = rho_at(j + 1, i) * l.odd_at(j, e) - l.odd_at(j, e) * rho_at(j, i)
                 rhs = Matrix.zero(l.dim_at(j + 1), d)
                 ai = alg.odd.action[i]
                 for k in range(n1):
                     c = ai.data[k][e]
                     if c != 0:
-                        rhs = rhs + l.diff_at(j, k).scale(c)
+                        rhs = rhs + l.odd_at(j, k).scale(c)
                 if lhs != rhs:
                     raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
 
@@ -160,7 +173,7 @@ def oracle_rejects(alg, lo, hi, dims, rho0, diff) -> bool:
     if not all(dense_is_representation(alg.even, per) for per in rho0):
         return True
     try:
-        dense_check_complex(RigidComplex(alg, lo, hi, tuple(dims), rho0, diff))
+        dense_check_complex(GradedModule(alg, lo, hi, tuple(dims), rho0, diff))
     except ModuleError:
         return True
     return False
@@ -190,7 +203,7 @@ def test_make_complex_agrees_with_the_dense_oracle(data):
     l = data.draw(st.sampled_from(sorted(complexes().items())))[1]
     slots = [
         (name, k, x, m.rows, m.cols)
-        for name in ("rho0", "diff")
+        for name in ("rho0", "odd")
         for k, per in enumerate(getattr(l, name))
         for x, m in enumerate(per)
         if m.rows and m.cols
@@ -200,19 +213,19 @@ def test_make_complex_agrees_with_the_dense_oracle(data):
     name, k, x, rows, cols = data.draw(st.sampled_from(slots))
     r, c = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
     delta = data.draw(st.sampled_from((1, -2, Fraction(1, 3))))
-    rho0, diff = l.rho0, l.diff
+    rho0, diff = l.rho0, l.odd
     if name == "rho0":
         rho0 = perturbed(rho0, k, x, r, c, delta)
     else:
         diff = perturbed(diff, k, x, r, c, delta)
     expect = oracle_rejects(l.alg, l.lo, l.hi, l.dims, rho0, diff)
     try:
-        got = make_complex(l.alg, l.lo, l.hi, l.dims, rho0, diff)
+        got = make_module(l.alg, l.lo, l.hi, l.dims, rho0, diff)
     except ModuleError:
         assert expect
     else:
         assert not expect
-        assert (got.rho0, got.diff) == (rho0, diff)
+        assert (got.rho0, got.odd) == (rho0, diff)
 
 
 def test_complex_with_non_representation_rho0_is_refused():
@@ -222,15 +235,15 @@ def test_complex_with_non_representation_rho0_is_refused():
     ident = Matrix.identity(2)
     rho0 = ((ident,) * 3,)
     diff = ((Matrix.zero(0, 2),),)
-    l = RigidComplex(g, 0, 0, (2,), rho0, diff)
+    l = GradedModule(g, 0, 0, (2,), rho0, diff)
     dense_check_complex(l)  # the composability/equivariance checks pass
     with pytest.raises(ModuleError, match="even representation fails at degree 0"):
-        make_complex(g, 0, 0, (2,), rho0, diff)
+        make_module(g, 0, 0, (2,), rho0, diff)
 
 
 def test_complex_with_wrong_shaped_diff_is_refused():
     g = grassmann(1)
     with pytest.raises(ModuleError, match="odd action matrix shape mismatch"):
-        make_complex(g, 0, 1, (1, 1), ((), ()), ((Matrix.zero(2, 1),), (Matrix.zero(0, 1),)))
+        make_module(g, 0, 1, (1, 1), ((), ()), ((Matrix.zero(2, 1),), (Matrix.zero(0, 1),)))
     with pytest.raises(ModuleError, match="length mismatch"):
-        make_complex(g, 0, 1, (1,), ((), ()), ((Matrix.zero(1, 1),), (Matrix.zero(0, 1),)))
+        make_module(g, 0, 1, (1,), ((), ()), ((Matrix.zero(1, 1),), (Matrix.zero(0, 1),)))
