@@ -3,14 +3,11 @@ Lie superalgebras with abelian odd part."""
 
 from .algebra import (
     BUILTIN_ALGEBRAS,
-    LieAlgebraEven,
-    OddPart,
     SuperAlgebra,
     builtin_algebra,
     grassmann,
     is_semisimple,
     killing_form,
-    sl2,
     sl2_adjoint,
     sl2_natural_sum,
     sl2_trivial,

@@ -13,21 +13,23 @@ from .linalg import Matrix, scalar, vanishes
 
 
 @dataclass(frozen=True)
-class LieAlgebraEven:
-    """Even part: basis x_1..x_dim0 with [x_i, x_j] = sum_k c[i][j][k] x_k."""
+class SuperAlgebra:
+    """g = g0 + g1 with [g1, g1] = 0.  The even part has basis
+    x_1..x_dim0 with [x_i, x_j] = sum_k bracket[i][j][k] x_k; the odd
+    part is the dim1-dimensional g0-module with [x_i, e_j] = sum_k
+    action[i][k, j] e_k.  The name labels the algebra in files and
+    reports and is not part of its identity."""
 
     dim0: int
-    bracket: tuple  # c[i][j] is a tuple of dim0 Fractions
+    bracket: tuple  # bracket[i][j] is a tuple of dim0 Fractions
+    dim1: int
+    action: tuple   # one dim1 x dim1 Matrix per even basis index
+    name: str = field(default="", compare=False)
 
-    @staticmethod
-    def from_constants(dim0: int, c) -> "LieAlgebraEven":
-        c = tuple(
-            tuple(tuple(scalar(x) for x in c[i][j]) for j in range(dim0)) for i in range(dim0)
-        )
-        return LieAlgebraEven(dim0, c)
-
-    def bracket_coeffs(self, i: int, j: int):
-        return self.bracket[i][j]
+    def __post_init__(self):
+        c = tuple(tuple(tuple(scalar(x) for x in cij) for cij in ci) for ci in self.bracket)
+        object.__setattr__(self, "bracket", c)
+        object.__setattr__(self, "action", tuple(self.action))
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad x_i: column j holds the coefficients of [x_i, x_j]."""
@@ -36,39 +38,6 @@ class LieAlgebraEven:
             self.dim0,
             [[self.bracket[i][j][k] for j in range(self.dim0)] for k in range(self.dim0)],
         )
-
-
-@dataclass(frozen=True)
-class OddPart:
-    """Odd part: dim1-dimensional g0-module, [x_i, e_j] = sum_k A_i[k][j] e_k."""
-
-    dim1: int
-    action: tuple  # one dim1 x dim1 Matrix per even basis index
-
-
-@dataclass(frozen=True)
-class SuperAlgebra:
-    even: LieAlgebraEven
-    odd: OddPart
-    name: str = ""
-
-    @property
-    def dim0(self) -> int:
-        return self.even.dim0
-
-    @property
-    def dim1(self) -> int:
-        return self.odd.dim1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperAlgebra)
-            and self.even == other.even
-            and self.odd == other.odd
-        )
-
-    def __hash__(self):
-        return hash((self.even, self.odd))
 
 
 @dataclass
@@ -95,14 +64,14 @@ class ValidationReport:
         }
 
 
-def representation_failure(g0: LieAlgebraEven, mats, dim: int):
+def representation_failure(alg: SuperAlgebra, mats, dim: int):
     """First (i, j) at which [rho_i, rho_j] = sum_k c_ij^k rho_k fails,
     or None if the dim x dim matrices `mats` (as `Matrix.sparse_rows`)
-    form a representation of g0."""
-    for i in range(g0.dim0):
-        for j in range(g0.dim0):
+    form a representation of the even part of `alg`."""
+    for i in range(alg.dim0):
+        for j in range(alg.dim0):
             terms = [(1, (mats[i], mats[j])), (-1, (mats[j], mats[i]))]
-            terms += [(-c, (mats[k],)) for k, c in enumerate(g0.bracket[i][j]) if c]
+            terms += [(-c, (mats[k],)) for k, c in enumerate(alg.bracket[i][j]) if c]
             if not vanishes(terms, dim):
                 return (i, j)
     return None
@@ -116,14 +85,14 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     ad is a representation, [ad x_i, ad x_j] = ad [x_i, x_j], so a Jacobi
     failure is the first pair (i, j) where that fails.
     """
-    c, n0 = g.even.bracket, g.dim0
+    c, n0 = g.bracket, g.dim0
     # ad x_i as `Matrix.sparse_rows`: row k holds c_ij^k in column j
     ads = [[{j: cij[k] for j, cij in enumerate(c[i]) if cij[k]} for k in range(n0)] for i in range(n0)]
     found = {
         "antisymmetry": next(((i, j) for i in range(n0) for j in range(n0)
                               if any(x != -y for x, y in zip(c[i][j], c[j][i]))), None),
-        "jacobi": representation_failure(g.even, ads, n0),
-        "representation": representation_failure(g.even, [a.sparse_rows() for a in g.odd.action], g.dim1),
+        "jacobi": representation_failure(g, ads, n0),
+        "representation": representation_failure(g, [a.sparse_rows() for a in g.action], g.dim1),
     }
     rep = ValidationReport()
     for kind, bad in found.items():
@@ -133,20 +102,17 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     return rep
 
 
-def killing_form(g0: LieAlgebraEven) -> Matrix:
-    """K[i][j] = trace(ad x_i . ad x_j), exact."""
-    ads = [g0.ad(i) for i in range(g0.dim0)]
-    return Matrix(
-        g0.dim0,
-        g0.dim0,
-        [[(ads[i] * ads[j]).trace() for j in range(g0.dim0)] for i in range(g0.dim0)],
-    )
+def killing_form(g: SuperAlgebra) -> Matrix:
+    """K[i][j] = trace(ad x_i . ad x_j) on g0, exact."""
+    n0 = g.dim0
+    ads = [g.ad(i) for i in range(n0)]
+    return Matrix(n0, n0, [[(ads[i] * ads[j]).trace() for j in range(n0)] for i in range(n0)])
 
 
-def is_semisimple(g0: LieAlgebraEven) -> bool:
-    """Cartan's criterion over the rationals: the Killing form has full
-    rank; dim0 = 0 counts as semisimple."""
-    return killing_form(g0).rank() == g0.dim0
+def is_semisimple(g: SuperAlgebra) -> bool:
+    """Cartan's criterion for g0 over the rationals: the Killing form has
+    full rank; dim0 = 0 counts as semisimple."""
+    return killing_form(g).rank() == g.dim0
 
 
 # largest dim0^3 + dim0 * dim1^2, the entries of the bracket table and of
@@ -189,36 +155,29 @@ SL2_NATURAL = [
 ]
 
 
-def sl2() -> LieAlgebraEven:
-    return LieAlgebraEven.from_constants(3, _SL2_BRACKET)
-
-
 def grassmann(n: int) -> SuperAlgebra:
     """g0 = 0, g1 = k^n: the exterior-algebra baseline."""
-    return SuperAlgebra(
-        LieAlgebraEven.from_constants(0, []), OddPart(n, ()), name=f"grassmann({n})"
-    )
+    return SuperAlgebra(0, (), n, (), name=f"grassmann({n})")
 
 
 def sl2_trivial(n: int) -> SuperAlgebra:
-    """g0 = sl2 acting trivially on an n-dimensional odd part."""
+    """g0 = sl2 acting trivially on an n-dimensional odd part; sl2 itself
+    at n = 0."""
     check_algebra_size(3, n, f"builtin algebra sl2_trivial({n})")
-    return SuperAlgebra(
-        sl2(), OddPart(n, tuple(Matrix.zero(n, n) for _ in range(3))), name=f"sl2_trivial({n})"
-    )
+    return SuperAlgebra(3, _SL2_BRACKET, n, (Matrix.zero(n, n),) * 3, name=f"sl2_trivial({n})")
 
 
 def sl2_adjoint() -> SuperAlgebra:
     """g0 = sl2 with g1 the adjoint representation."""
-    g0 = sl2()
-    return SuperAlgebra(g0, OddPart(3, tuple(g0.ad(i) for i in range(3))), name="sl2_adjoint")
+    ad = sl2_trivial(0).ad
+    return SuperAlgebra(3, _SL2_BRACKET, 3, tuple(ad(i) for i in range(3)), name="sl2_adjoint")
 
 
 def sl2_natural_sum(m: int) -> SuperAlgebra:
     """g0 = sl2 with g1 a direct sum of m copies of the natural module."""
     check_algebra_size(3, 2 * m, f"builtin algebra sl2_natural_sum({m})")
     acts = tuple(Matrix.block_diag([SL2_NATURAL[i]] * m) for i in range(3))
-    return SuperAlgebra(sl2(), OddPart(2 * m, acts), name=f"sl2_natural_sum({m})")
+    return SuperAlgebra(3, _SL2_BRACKET, 2 * m, acts, name=f"sl2_natural_sum({m})")
 
 
 BUILTIN_ALGEBRAS = {

@@ -173,8 +173,7 @@ def _cmd_hom(args):
 
 def _cmd_induce(args):
     g = load_algebra(args.algebra)
-    q = load_rep(args.q, g.even)
-    v = induced_module(g, q, base_degree=args.base)
+    v = induced_module(load_rep(args.q, g), base_degree=args.base)
     j = module_to_json(v)
     lines = [f"induced module dims: {list(v.dims)}"] + _dump_or_show(args, j, "module")
     return EXIT_OK, _report("induce", lines, module=j)
@@ -340,8 +339,7 @@ def _cmd_stable_eq(args):
 
 def _cmd_frobenius_check(args):
     g = load_algebra(args.algebra)
-    q = load_rep(args.q, g.even)
-    ok = frobenius_check(g, q)
+    ok = frobenius_check(load_rep(args.q, g))
     lines = [f"induced/coinduced comparison: {'ok' if ok else 'FAIL'}"]
     return (EXIT_OK if ok else EXIT_FAIL), _report("frobenius-check", lines, ok=ok)
 
@@ -385,8 +383,7 @@ def _cmd_ext(args):
 
 def _cmd_ce(args):
     g = load_algebra(args.algebra)
-    q = load_rep(args.module, g.even)
-    table = chevalley_eilenberg(g.even, q)
+    table = chevalley_eilenberg(load_rep(args.module, g))
     lines = [f"H^p(g0, V): {dict(table.entries)}"]
     return EXIT_OK, _report("ce", lines, cohomology=_table_json(table))
 
@@ -406,9 +403,7 @@ def _cmd_koszul(args):
 
 def _cmd_nonfullness(args):
     g = load_algebra(args.algebra)
-    v = load_rep(args.v, g.even)
-    w = load_rep(args.w, g.even)
-    dim = nonfullness_ext(g, v, w, args.i, args.j)
+    dim = nonfullness_ext(load_rep(args.v, g), load_rep(args.w, g), args.i, args.j)
     lines = [f"obstruction dim: {dim} ({'does not vanish' if dim else 'vanishes'})"]
     return EXIT_OK, _report("nonfullness", lines, dim=dim)
 

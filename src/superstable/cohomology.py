@@ -13,8 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .algebra import LieAlgebraEven, SuperAlgebra
-from .gradedmod import GradedModule, Rep, concentrated, dual, merge_sign, tensor
+from .gradedmod import GradedModule, ModuleError, Rep, concentrated, dual, merge_sign, tensor
 from .linalg import Matrix
 from .rigid import CohomologyTable
 
@@ -176,12 +175,12 @@ def ext_twisted(i: int, j: int, r: int) -> ExtDescriptor:
 # Lie algebra cohomology (Chevalley-Eilenberg)
 
 
-def _ce_differential(g0: LieAlgebraEven, rep: Rep, p: int) -> Matrix:
+def _ce_differential(rep: Rep, p: int) -> Matrix:
     """d: Lambda^p g0* (x) V -> Lambda^(p+1) g0* (x) V, one dim V block
     per pair of basis elements lambda_s, lambda_t."""
-    dv = rep.dim
-    src = {s: k for k, s in enumerate(combinations(range(g0.dim0), p))}
-    tgt = list(combinations(range(g0.dim0), p + 1))
+    dv, n0 = rep.dim, rep.alg.dim0
+    src = {s: k for k, s in enumerate(combinations(range(n0), p))}
+    tgt = list(combinations(range(n0), p + 1))
     ident = Matrix.identity(dv)
     placed = []
     for ti, t in enumerate(tgt):
@@ -192,7 +191,7 @@ def _ce_differential(g0: LieAlgebraEven, rep: Rep, p: int) -> Matrix:
             # bracket contraction term: lambda_s on [x_(t_k), x_(t_l)], x_rest
             for l in range(k + 1, p + 1):
                 rest = t[:k] + t[k + 1 : l] + t[l + 1 :]
-                for b, c in enumerate(g0.bracket_coeffs(t[k], t[l])):
+                for b, c in enumerate(rep.alg.bracket[t[k]][t[l]]):
                     if c and b not in rest:
                         sgn = c * merge_sign((b,), rest) * (-1 if (k + l) % 2 else 1)
                         placed.append((ti * dv, src[tuple(sorted((b,) + rest))] * dv, sgn, ident))
@@ -206,19 +205,23 @@ def ce_size(dim0: int, dim_v: int) -> int:
     return comb(2 * dim0, dim0 - 1) * dim_v ** 2 if dim0 else 0
 
 
-def chevalley_eilenberg(g0: LieAlgebraEven, rep: Rep) -> CohomologyTable:
-    """H^p(g0, V) for 0 <= p <= dim g0, by exact ranks of the standard
-    complex on Lambda^p g0* (x) V."""
-    size = ce_size(g0.dim0, rep.dim)
+def _check_ce_size(rep: Rep):
+    """Refuse the complex of `chevalley_eilenberg(rep)` over `MAX_CE_ENTRIES`."""
+    size = ce_size(rep.alg.dim0, rep.dim)
     if size > MAX_CE_ENTRIES:
         raise ValueError(
-            f"the Chevalley-Eilenberg complex of a {g0.dim0}-dim g0 on a {rep.dim}-dim V has "
+            f"the Chevalley-Eilenberg complex of a {rep.alg.dim0}-dim g0 on a {rep.dim}-dim V has "
             f"{size} differential entries, over the limit of {MAX_CE_ENTRIES}"
         )
-    rep.check()
-    n = g0.dim0
+
+
+def chevalley_eilenberg(rep: Rep) -> CohomologyTable:
+    """H^p(g0, V) for 0 <= p <= dim g0, by exact ranks of the standard
+    complex on Lambda^p g0* (x) V, g0 the even part of rep.alg."""
+    _check_ce_size(rep)
+    n = rep.alg.dim0
     dims = {p: comb(n, p) * rep.dim for p in range(n + 1)}
-    ranks = {p: _ce_differential(g0, rep, p).rank() for p in range(n)}
+    ranks = {p: _ce_differential(rep, p).rank() for p in range(n)}
     return CohomologyTable.of_complex(dims, ranks, context="chevalley-eilenberg")
 
 
@@ -244,12 +247,11 @@ def _exponents(n: int, total: int):
 
 def sym_power(rep: Rep, m: int) -> Rep:
     """S^m of a representation on the monomial basis, acting by derivations."""
-    rep.check()
     n = rep.dim
     basis = list(_exponents(n, m))
     index = {e: k for k, e in enumerate(basis)}
     mats = []
-    for i in range(rep.g0.dim0):
+    for i in range(rep.alg.dim0):
         a = rep.mats[i]
         mat = [[Fraction(0)] * len(basis) for _ in basis]
         for ci, e in enumerate(basis):
@@ -265,7 +267,7 @@ def sym_power(rep: Rep, m: int) -> Rep:
                     t[dst] += 1
                     mat[index[tuple(t)]][ci] += e[src] * c
         mats.append(Matrix(len(basis), len(basis), mat))
-    return Rep(rep.g0, len(basis), tuple(mats))
+    return Rep(rep.alg, len(basis), tuple(mats))
 
 
 def koszul_size(v: GradedModule, p_max: int) -> int:
@@ -315,23 +317,27 @@ def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
 # the obstruction space for fullness
 
 
-def nonfullness_ext(alg: SuperAlgebra, v: Rep, w: Rep, i: int, j: int) -> int:
+def nonfullness_ext(v: Rep, w: Rep, i: int, j: int) -> int:
     """dim of the degree-(i - j) obstruction space between twists of the
-    g0-representations V and W.
+    g0-representations V and W, over their common algebra.
 
     Nonzero only when m = i - j - dim1 >= 0 and the cohomological degree
     p = m + 1 fits inside [0, dim g0]; the space is then
     H^p(g0, V* (x) S^m(g1) (x) W), the coefficients the degree-0 part of
-    the graded dual and tensor products of the three in degree 0.
+    the graded dual and tensor products of the three in degree 0.  Of
+    the Chevalley-Eilenberg complex only d^(p-1) and d^p are ranked.
     """
-    v.check()
-    w.check()
+    alg = v.alg
+    if w.alg != alg:
+        raise ModuleError("algebra mismatch in nonfullness_ext")
     n = alg.dim1
     m = i - j - n
     p = m + 1
-    if m < 0 or p < 0 or p > alg.dim0:
+    if m < 0 or p > alg.dim0:
         return 0
-    sym = sym_power(Rep(alg.even, n, tuple(alg.odd.action)), m)
-    v0, s0, w0 = (concentrated(alg, q, 0) for q in (v, sym, w))
+    sym = sym_power(Rep(alg, n, alg.action), m)
+    v0, s0, w0 = (concentrated(q, 0) for q in (v, sym, w))
     coeff = tensor(tensor(dual(v0), s0), w0).rep_at(0)
-    return chevalley_eilenberg(alg.even, coeff).dim(p)
+    _check_ce_size(coeff)
+    ranks = [_ce_differential(coeff, q).rank() for q in (p - 1, p) if q < alg.dim0]
+    return comb(alg.dim0, p) * coeff.dim - sum(ranks)

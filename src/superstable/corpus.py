@@ -56,15 +56,15 @@ class CorpusRep:
 
 
 def _triv_rep(alg: SuperAlgebra, dim: int = 1) -> Rep:
-    return Rep.trivial(alg.even, dim)
+    return Rep.trivial(alg, dim)
 
 
 def _natural_rep(alg: SuperAlgebra) -> Rep:
-    return Rep(alg.even, 2, tuple(SL2_NATURAL))
+    return Rep(alg, 2, tuple(SL2_NATURAL))
 
 
 def _adjoint_rep(alg: SuperAlgebra) -> Rep:
-    return Rep(alg.even, 3, tuple(alg.even.ad(i) for i in range(3)))
+    return Rep(alg, 3, tuple(alg.ad(i) for i in range(3)))
 
 
 def _mixed(free: GradedModule, triv: GradedModule):
@@ -94,25 +94,25 @@ def corpus_modules() -> dict:
     def add(name, module, induced, reduced_dim):
         entries.append(CorpusModule(name, module, induced, reduced_dim))
 
-    add("grassmann1_free", induced_module(g1, _triv_rep(g1)), True, 0)
-    add("grassmann2_free", induced_module(g2, _triv_rep(g2)), True, 0)
-    add("grassmann2_free2", induced_module(g2, _triv_rep(g2, 2), base_degree=-1), True, 0)
+    add("grassmann1_free", induced_module(_triv_rep(g1)), True, 0)
+    add("grassmann2_free", induced_module(_triv_rep(g2)), True, 0)
+    add("grassmann2_free2", induced_module(_triv_rep(g2, 2), base_degree=-1), True, 0)
     add("grassmann1_trivial", trivial_module(g1), False, 1)
     add("grassmann2_trivial_deg2", trivial_module(g2, degree=2), False, 1)
-    free2 = induced_module(g2, _triv_rep(g2))
+    free2 = induced_module(_triv_rep(g2))
     add("grassmann2_mixed", _mixed(free2, trivial_module(g2))[0], False, 1)
     add("sl2_triv1_trivial", trivial_module(st1), False, 1)
-    add("sl2_triv1_free", induced_module(st1, _triv_rep(st1)), True, 0)
-    st1_free = induced_module(st1, _triv_rep(st1))
+    add("sl2_triv1_free", induced_module(_triv_rep(st1)), True, 0)
+    st1_free = induced_module(_triv_rep(st1))
     add("sl2_triv1_mixed", _mixed(st1_free, trivial_module(st1))[0], False, 1)
-    add("sl2_triv2_free", induced_module(st2, _triv_rep(st2)), True, 0)
-    add("sl2_triv2_natural", induced_module(st2, _natural_rep(st2)), True, 0)
-    st2_free = induced_module(st2, _triv_rep(st2))
+    add("sl2_triv2_free", induced_module(_triv_rep(st2)), True, 0)
+    add("sl2_triv2_natural", induced_module(_natural_rep(st2)), True, 0)
+    st2_free = induced_module(_triv_rep(st2))
     add("sl2_triv2_mixed", _mixed(st2_free, trivial_module(st2, degree=1))[0], False, 1)
-    add("sl2_triv3_free", induced_module(st3, _triv_rep(st3)), True, 0)
+    add("sl2_triv3_free", induced_module(_triv_rep(st3)), True, 0)
     add("sl2_adjoint_trivial", trivial_module(sa), False, 1)
-    add("sl2_adjoint_free", induced_module(sa, _triv_rep(sa)), True, 0)
-    add("sl2_adjoint_natural", induced_module(sa, _natural_rep(sa), base_degree=-1), True, 0)
+    add("sl2_adjoint_free", induced_module(_triv_rep(sa)), True, 0)
+    add("sl2_adjoint_natural", induced_module(_natural_rep(sa), base_degree=-1), True, 0)
     return {e.name: e for e in entries}
 
 
@@ -127,15 +127,15 @@ def corpus_morphisms() -> dict:
         entries.append(CorpusMorphism(name, m, stably_zero))
 
     # maps factored through an induced summand: stably zero
-    free2 = induced_module(g2, _triv_rep(g2))
+    free2 = induced_module(_triv_rep(g2))
     m2, incl2, projf2, projt2 = _mixed(free2, trivial_module(g2))
     add("grassmann2_mixed_proj", incl2.compose(projf2), True)
 
-    st1_free = induced_module(st1, _triv_rep(st1))
+    st1_free = induced_module(_triv_rep(st1))
     m1, incl1, projf1, _ = _mixed(st1_free, trivial_module(st1))
     add("sl2_triv1_mixed_proj", incl1.compose(projf1), True)
 
-    st2_free = induced_module(st2, _triv_rep(st2))
+    st2_free = induced_module(_triv_rep(st2))
     ms, incls, projfs, _ = _mixed(st2_free, trivial_module(st2, degree=1))
     add("sl2_triv2_mixed_proj", incls.compose(projfs), True)
 
@@ -175,7 +175,6 @@ def nonfullness_witness() -> dict:
     alg = sl2_trivial(1)
     return {
         "name": "sl2_triv1_nonfullness",
-        "algebra": alg,
         "v": _triv_rep(alg),
         "w": _triv_rep(alg),
         "i": 3,
@@ -203,7 +202,7 @@ def _random_piece(rng: random.Random, alg: SuperAlgebra) -> GradedModule:
     base = rng.randint(-2, 2)
     if rng.random() < 0.4:
         return trivial_module(alg, degree=base, dim=rng.randint(1, 3))
-    m = induced_module(alg, _random_rep(rng, alg), base_degree=base)
+    m = induced_module(_random_rep(rng, alg), base_degree=base)
     if rng.random() < 0.3:
         m = dual(m)
     if rng.random() < 0.2:

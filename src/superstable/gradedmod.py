@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import LieAlgebraEven, SuperAlgebra, representation_failure
+from .algebra import SuperAlgebra, representation_failure
 from .linalg import LinearSystem, Matrix, kron, vanishes
 
 _ZERO = Fraction(0)
@@ -47,28 +47,31 @@ def check_exterior_size(n: int, dim: int, what: str):
 
 @dataclass(frozen=True)
 class Rep:
-    """Finite-dimensional g0-module: one dim x dim matrix per even basis index."""
+    """Finite-dimensional module over the even part g0 of `alg`: one
+    dim x dim matrix per even basis index.  `check` is its one
+    validation, run where its data come in (`serialize.rep_from_json`);
+    the library's own Reps are built as representations."""
 
-    g0: LieAlgebraEven
+    alg: SuperAlgebra
     dim: int
     mats: tuple
 
     def __post_init__(self):
-        if len(self.mats) != self.g0.dim0:
+        if len(self.mats) != self.alg.dim0:
             raise ModuleError("one action matrix per even basis element required")
         for m in self.mats:
             if (m.rows, m.cols) != (self.dim, self.dim):
                 raise ModuleError("g0-action matrix of wrong shape")
 
     def check(self):
-        bad = representation_failure(self.g0, [m.sparse_rows() for m in self.mats], self.dim)
+        bad = representation_failure(self.alg, [m.sparse_rows() for m in self.mats], self.dim)
         if bad is not None:
             raise ModuleError(f"representation property fails at ({bad[0]},{bad[1]})")
         return self
 
     @staticmethod
-    def trivial(g0: LieAlgebraEven, dim: int) -> "Rep":
-        return Rep(g0, dim, tuple(Matrix.zero(dim, dim) for _ in range(g0.dim0)))
+    def trivial(alg: SuperAlgebra, dim: int) -> "Rep":
+        return Rep(alg, dim, (Matrix.zero(dim, dim),) * alg.dim0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ class GradedModule:
 
     def rep_at(self, j: int) -> Rep:
         """Degree-j component as a plain g0-module."""
-        return Rep(self.alg.even, self.dim_at(j), tuple(self.rho0[j - self.lo]))
+        return Rep(self.alg, self.dim_at(j), tuple(self.rho0[j - self.lo]))
 
 
 def _check_shapes(alg, lo, hi, dims, rho0, odd):
@@ -152,14 +155,14 @@ def _check_invariants(v: GradedModule):
     odd = {j: [m.sparse_rows() for m in v.odd[j - v.lo]] for j in v.degrees()}
     for j in v.degrees():
         # even representation property per degree
-        bad = representation_failure(alg.even, rho[j], v.dim_at(j))
+        bad = representation_failure(alg, rho[j], v.dim_at(j))
         if bad is not None:
             raise ModuleError(f"even representation fails at degree {j}, pair ({bad[0]},{bad[1]})")
         if j == v.hi:
             continue  # the odd action leaves the window: nothing more to check
         # mixed bracket [x_i, e] on degree j
         for i in range(n0):
-            ai = alg.odd.action[i].data
+            ai = alg.action[i].data
             for e in range(n1):
                 terms = [(1, (rho[j + 1][i], odd[j][e])), (-1, (odd[j][e], rho[j][i]))]
                 terms += [(-ai[k][e], (odd[j][k],)) for k in range(n1)]
@@ -194,17 +197,17 @@ def make_module(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedM
     return v
 
 
-def concentrated(alg: SuperAlgebra, q: Rep, degree: int) -> GradedModule:
-    """The g0-representation q as a graded module in one degree, with
-    zero odd action.  It is assembled without a re-check: the odd
-    identities read 0 = 0, and the even one is q's, so q must be a
-    representation (checked, or built as one)."""
-    return _assemble(alg, degree, degree, (q.dim,), (q.mats,), ((Matrix.zero(0, q.dim),) * alg.dim1,))
+def concentrated(q: Rep, degree: int) -> GradedModule:
+    """The g0-representation q as a graded module over q.alg in one
+    degree, with zero odd action.  It is assembled without a re-check:
+    the odd identities read 0 = 0, and the even one is q's, so q must be
+    a representation (checked where it came in, or built as one)."""
+    return _assemble(q.alg, degree, degree, (q.dim,), (q.mats,), ((Matrix.zero(0, q.dim),) * q.alg.dim1,))
 
 
 def trivial_module(alg: SuperAlgebra, degree: int = 0, dim: int = 1) -> GradedModule:
     """dim copies of k concentrated in one degree, all actions zero."""
-    return concentrated(alg, Rep.trivial(alg.even, dim), degree)
+    return concentrated(Rep.trivial(alg, dim), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +546,7 @@ def exterior_even_action(alg: SuperAlgebra):
     for index in _positions(n):
         mats = []
         for i in range(alg.dim0):
-            ai = alg.odd.action[i].data
+            ai = alg.action[i].data
             m = [[_ZERO] * len(index) for _ in range(len(index))]
             for s, c in index.items():
                 for pos, x in enumerate(s):
@@ -560,56 +563,62 @@ def exterior_even_action(alg: SuperAlgebra):
     return out
 
 
-def induced_sum(alg: SuperAlgebra, reps: dict) -> GradedModule:
+def induced_sum(reps: dict) -> GradedModule:
     """The direct sum over ascending j of Lambda(g1) (x) reps[j], with
-    reps[j] placed in degree j (each Rep is checked).
+    reps[j] placed in degree j, over the algebra of the Reps.
 
     Odd generators act by left wedge on the exterior factor; even ones by
     the derivation action on Lambda(g1) plus the given action on Q.  The
     window is [min j, max j + dim1], and the basis is that of
-    `induced_blocks`.  Only the Reps are checked here.  Lambda(g1) is
+    `induced_blocks`.  Nothing is checked here.  Lambda(g1) is
     assembled: derivations extend the g0-representation g1 (checked
     where the algebra came in) to one on each Lambda^l, left wedges
     anticommute, and [x, e_i ^ -] = (x.e_i) ^ - as x acts by
     derivations.  Q_j in one degree with zero odd action is a module
-    because reps[j] is a representation, and `tensor` and `direct_sum`
-    preserve validity.  The summands are added by one `direct_sum`, so
-    each block is copied once.
+    because reps[j] is a representation (checked where it came in, or
+    built as one), and `tensor` and `direct_sum` preserve validity; they
+    refuse Reps over another algebra.  The summands are added by one
+    `direct_sum`, so each block is copied once.
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
+    alg = next(iter(reps.values())).alg
     n = alg.dim1
     check_exterior_size(n, max(1, sum(q.dim for q in reps.values())), "the induced module")
-    for q in reps.values():
-        q.check()
     lam = _assemble(alg, 0, n, [len(s) for s in _positions(n)],
                     exterior_even_action(alg), exterior_odd_action(n))
-    return direct_sum(*(tensor(lam, concentrated(alg, q, j)) for j, q in sorted(reps.items())))
+    return direct_sum(*(tensor(lam, concentrated(q, j)) for j, q in sorted(reps.items())))
 
 
-def induced_module(alg: SuperAlgebra, q: Rep, base_degree: int = 0) -> GradedModule:
+def induced_module(q: Rep, base_degree: int = 0) -> GradedModule:
     """Lambda(g1) (x) Q graded by exterior degree + base_degree: the
     one-summand case of `induced_sum`, so its degree-(base_degree + l)
     basis is the (size, lex) subset basis of Lambda^l(g1) kron that of Q.
     Total dimension is 2^dim1 * dim Q.
     """
-    return induced_sum(alg, {base_degree: q})
+    return induced_sum({base_degree: q})
 
 
 def submodule(v: GradedModule, basis: dict):
     """Module structure on an action-stable graded subspace.
 
     basis: degree -> Matrix whose independent columns span the subspace
-    in that degree.  Returns (module, embedding).  Raises if the columns
-    are dependent or the span is not stable under all actions.  The
-    caller's basis is checked by one rank and the stability solves,
-    which find each action X on the subspace with b X = A b.  Both
-    results are then assembled: b is injective, so each identity of the
-    A's carries over to the X's, and the embedding's squares are those
-    solves.
+    in that degree.  Returns (module, embedding).  Raises if a degree is
+    outside V's window, a matrix has the wrong number of rows, the
+    columns are dependent or the span is not stable under all actions.
+    The caller's basis is checked by its shapes, one rank and the
+    stability solves, which find each action X on the subspace with
+    b X = A b.  Both results are then assembled: b is injective, so each
+    identity of the A's carries over to the X's, and the embedding's
+    squares are those solves.
     """
     lo = v.lo
     hi = v.hi
+    for j, b in basis.items():
+        if not lo <= j <= hi:
+            raise ModuleError(f"submodule basis given at degree {j}, outside the window [{lo}, {hi}]")
+        if b.rows != v.dim_at(j):
+            raise ModuleError(f"submodule basis at degree {j} has {b.rows} rows, not dim V^{j} = {v.dim_at(j)}")
     cols = {j: basis.get(j, Matrix.zero(v.dim_at(j), 0)) for j in v.degrees()}
     dims, rho0, odd = [], [], []
     for j in v.degrees():

@@ -10,7 +10,7 @@ even part is semisimple or zero), written in closed form from that
 g0-map.  Every map here is solved for or written in closed form, and is
 returned as it is: the solve imposes exactly the identities a check
 would evaluate, and each closed form says why it is a g-map.  The tests
-hold the checks.
+hold the checks; the one `check_map` here is `frobenius_check`'s answer.
 """
 
 from __future__ import annotations
@@ -25,11 +25,14 @@ from .gradedmod import (
     ModuleError,
     Rep,
     check_exterior_size,
+    check_map,
     concentrated,
     direct_sum,
+    dual,
     graded_map_system,
     identity_map,
     induced_blocks,
+    induced_module,
     induced_sum,
     merge_sign,
     restrict,
@@ -38,7 +41,7 @@ from .gradedmod import (
     subsets,
     trivial_module,
 )
-from .linalg import Matrix, gauss_jordan, vanishes
+from .linalg import Matrix, gauss_jordan
 
 
 class HypothesisError(ValueError):
@@ -46,7 +49,7 @@ class HypothesisError(ValueError):
 
 
 def _require_semisimple(v: GradedModule):
-    if v.alg.dim0 and not is_semisimple(v.alg.even):
+    if v.alg.dim0 and not is_semisimple(v.alg):
         raise HypothesisError("g0 must be semisimple (or zero) for this operation")
 
 
@@ -112,7 +115,7 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     k = k_cols.cols
     q = d - k
     if q == 0:
-        return Matrix.zero(d, 0), Rep.trivial(v.alg.even, 0)
+        return Matrix.zero(d, 0), Rep.trivial(v.alg, 0)
     comp_idx = _coordinate_complement(k_cols)
     picks = [[1 if i == c else 0 for c in comp_idx] for i in range(d)]
     t = k_cols.hstack(Matrix(d, len(comp_idx), picks))
@@ -122,8 +125,8 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     for i in range(v.alg.dim0):
         full = tinv * v.rho_at(j, i) * t
         rho_q.append(Matrix(q, q, [row[k:] for row in full.data[k:]]))
-    rep_q = Rep(v.alg.even, q, tuple(rho_q))
-    sys = graded_map_system(concentrated(v.alg, rep_q, j), concentrated(v.alg, v.rep_at(j), j))
+    rep_q = Rep(v.alg, q, tuple(rho_q))
+    sys = graded_map_system(concentrated(rep_q, j), concentrated(v.rep_at(j), j))
     sys.add_constraint([(pi, j, 1)], Matrix.identity(q))
     sol = sys.solve()
     if sol is None:
@@ -180,7 +183,7 @@ def _induced_on(v: GradedModule, reps: dict) -> GradedModule:
     window if every rep is zero."""
     live = {j: q for j, q in reps.items() if q.dim}
     if live:
-        return induced_sum(v.alg, live)
+        return induced_sum(live)
     return direct_sum(trivial_module(v.alg, v.lo, 0), trivial_module(v.alg, v.hi, 0))
 
 
@@ -332,31 +335,32 @@ def projective_certificate(v: GradedModule):
 # the Frobenius-style isomorphism between induced and coinduced modules
 
 
-def frobenius_check(alg, q: Rep) -> bool:
-    """Build the map into the coinduced space and its inverse via
-    complementary monomials, both signed permutations held as sparse
-    rows, and verify both composites are the identity."""
-    n = alg.dim1
+def frobenius_check(q: Rep) -> bool:
+    """Does Ind(Q) = Lambda(g1) (x) Q match Coind(Q), the dual of Ind(Q*)
+    shifted by n = dim g1, through the signed permutation
+    e_S (x) q_c -> (-1)^|S| eps(S^c, S) (e_{S^c} (x) q*_c)^*, eps =
+    `merge_sign`?  The answer is `check_map` on that map.  It is the
+    identity on Q, so for Q != 0 it commutes with g0 only if g0 acts
+    trivially on Lambda^n(g1): a g0-action on g1 of nonzero trace gives
+    False."""
+    n = q.alg.dim1
     if n < 1:
         raise ModuleError("frobenius check needs dim1 >= 1")
-    check_exterior_size(n, q.dim, "the Frobenius comparison")
-    q.check()
-    basis = subsets(n)
-    index = {s: k for k, s in enumerate(basis)}
-    dim = len(basis) * q.dim
-    f_rows = [{} for _ in range(dim)]
-    g_rows = [{} for _ in range(dim)]
-    for s in basis:
-        sc = _complement(n, s)
-        # f sends e_S (x) q to eps(S^c, S) * (dual of lambda_{S^c}) (x) top (x) q
-        sgn_f = Fraction(merge_sign(sc, s))
-        # g sends the dual of lambda_S (x) top (x) q to eps(S, S^c) * e_{S^c} (x) q
-        sgn_g = Fraction(merge_sign(s, sc))
-        for c in range(q.dim):
-            f_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = sgn_f
-            g_rows[index[sc] * q.dim + c][index[s] * q.dim + c] = sgn_g
-    ident = [{i: Fraction(1)} for i in range(dim)]
-    return all(
-        vanishes([(1, (a, b)), (-1, (ident,))], dim)
-        for a, b in ((f_rows, g_rows), (g_rows, f_rows))
-    )
+    ind = induced_module(q)
+    coind = shift(dual(induced_module(dual(concentrated(q, 0)).rep_at(0))), n)
+    blocks, ident = induced_blocks(n, {0: q}), Matrix.identity(q.dim)
+    comps = {}
+    for l in range(n + 1):
+        # degree l of Coind(Q) is dual to degree n - l of Ind(Q*)
+        pos = {s: k for k, (_, s) in enumerate(blocks[n - l])}
+        placed = []
+        for k, (_, s) in enumerate(blocks[l]):
+            sc = _complement(n, s)
+            sign = merge_sign(sc, s) * (-1 if l % 2 else 1)
+            placed.append((pos[sc] * q.dim, k * q.dim, sign, ident))
+        comps[l] = Matrix.place(coind.dim_at(l), ind.dim_at(l), placed)
+    try:
+        check_map(GradedMap(ind, coind, comps))
+    except ModuleError:
+        return False
+    return True

@@ -14,8 +14,6 @@ import re
 from fractions import Fraction
 
 from .algebra import (
-    LieAlgebraEven,
-    OddPart,
     SuperAlgebra,
     builtin_algebra,
     check_algebra_size,
@@ -152,14 +150,14 @@ def algebra_to_json(g: SuperAlgebra):
     for i in range(g.dim0):
         for j in range(g.dim0):
             for k in range(g.dim0):
-                v = g.even.bracket[i][j][k]
+                v = g.bracket[i][j][k]
                 if v != 0:
                     triples.append([i, j, k, scalar_to_str(v)])
     out = {
         "dim0": g.dim0,
         "bracket": triples,
         "dim1": g.dim1,
-        "action": [matrix_to_json(a) for a in g.odd.action],
+        "action": [matrix_to_json(a) for a in g.action],
     }
     if g.name:
         out["name"] = g.name
@@ -185,7 +183,6 @@ def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
         i, j, k, v = _array(t, "bracket entry [i, j, k, value]", 4)
         i, j, k = (int_from_json(x, "bracket index", lo=0, hi=dim0 - 1) for x in (i, j, k))
         c[i][j][k] = scalar_from_str(v)
-    even = LieAlgebraEven.from_constants(dim0, c)
     action = tuple(
         matrix_from_json(a, dim1, dim1) for a in _array(obj.get("action", []), "action")
     )
@@ -194,7 +191,7 @@ def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise FormatError(f"algebra name must be a string, got {json.dumps(name)[:40]}")
-    g = SuperAlgebra(even, OddPart(dim1, action), name=name)
+    g = SuperAlgebra(dim0, c, dim1, action, name=name)
     rep = validate(g) if check else None
     if rep is not None and not rep.ok:
         raise FormatError(f"algebra fails validation: {rep.failures}")
@@ -209,13 +206,15 @@ def rep_to_json(q: Rep):
     return {"dim": q.dim, "mats": [matrix_to_json(m) for m in q.mats]}
 
 
-def rep_from_json(obj, g0: LieAlgebraEven) -> Rep:
+def rep_from_json(obj, alg: SuperAlgebra) -> Rep:
+    """A representation of alg's even part, validated: the one place a
+    Rep is checked."""
     # bounded before any matrix is built, as a module's total dimension is
     dim = int_from_json(_field(obj, "dim", "representation"), "dim", lo=0, hi=MAX_EXTERIOR_SIZE)
     mats = tuple(matrix_from_json(m, dim, dim) for m in _array(obj.get("mats", []), "mats"))
-    if len(mats) != g0.dim0:
+    if len(mats) != alg.dim0:
         raise FormatError("need one representation matrix per even basis element")
-    q = Rep(g0, dim, mats)
+    q = Rep(alg, dim, mats)
     q.check()
     return q
 
@@ -361,8 +360,8 @@ def load_map(path: str, seen=None) -> GradedMap:
     return map_from_json(_read(path), seen)
 
 
-def load_rep(path: str, g0: LieAlgebraEven) -> Rep:
-    return rep_from_json(_read(path), g0)
+def load_rep(path: str, alg: SuperAlgebra) -> Rep:
+    return rep_from_json(_read(path), alg)
 
 
 def dump(obj, path: str):

@@ -4,7 +4,7 @@ lines as they complete."""
 
 import time
 
-from superstable.algebra import sl2, validate
+from superstable.algebra import sl2_trivial, validate
 from superstable.cohomology import (
     cech_closed_form,
     cech_line_bundle,
@@ -111,11 +111,10 @@ def test_criterion_05_cech_and_twisted_ext():
 
 
 def test_criterion_06_sl2_witness():
-    g0 = sl2()
-    table = chevalley_eilenberg(g0, Rep.trivial(g0, 1))
+    table = chevalley_eilenberg(Rep.trivial(sl2_trivial(0), 1))
     ok = table.as_dict() == {0: 1, 1: 0, 2: 0, 3: 1}
     w = nonfullness_witness()
-    ok = ok and nonfullness_ext(w["algebra"], w["v"], w["w"], w["i"], w["j"]) == 1
+    ok = ok and nonfullness_ext(w["v"], w["w"], w["i"], w["j"]) == 1
     _verdict(6, "sl2 cohomology and nonvanishing obstruction", ok)
 
 
@@ -135,7 +134,7 @@ def test_criterion_07_decomposition_and_frobenius():
             check_map(phi)  # raises on failure
         ok = ok and (is_projective(e.module) == (m_dim == 0))
     for e in corpus_reps().values():
-        ok = ok and frobenius_check(e.alg, e.rep)
+        ok = ok and frobenius_check(e.rep)
     _verdict(7, "induced/reduced decomposition and frobenius", ok)
 
 

@@ -5,14 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superstable.algebra import (
-    LieAlgebraEven,
-    OddPart,
     SuperAlgebra,
     builtin_algebra,
     grassmann,
     is_semisimple,
     killing_form,
-    sl2,
     sl2_adjoint,
     sl2_natural_sum,
     sl2_trivial,
@@ -32,7 +29,7 @@ def test_grassmann_validates():
 
 def test_killing_form_sl2_values():
     # basis (e, h, f): K(h,h) = 8, K(e,f) = 4, off-diagonal with h vanishes
-    k = killing_form(sl2())
+    k = killing_form(sl2_trivial(0))
     assert k[1, 1] == 8
     assert k[0, 2] == 4 and k[2, 0] == 4
     assert k[0, 0] == 0 and k[2, 2] == 0
@@ -42,28 +39,27 @@ def test_killing_form_sl2_values():
 
 
 def test_semisimplicity():
-    assert is_semisimple(sl2())
+    assert is_semisimple(sl2_trivial(0))
     # sl2 + sl2 assembled from structure constants
-    g = sl2()
+    g = sl2_trivial(0)
     c = [[[Fraction(0)] * 6 for _ in range(6)] for _ in range(6)]
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 c[i][j][k] = g.bracket[i][j][k]
                 c[i + 3][j + 3][k + 3] = g.bracket[i][j][k]
-    double = LieAlgebraEven.from_constants(6, c)
+    double = SuperAlgebra(6, c, 0, (Matrix.zero(0, 0),) * 6)
     assert is_semisimple(double)
     # one-dimensional center: abelian algebra
-    abelian = LieAlgebraEven.from_constants(1, [[[0]]])
+    abelian = SuperAlgebra(1, [[[0]]], 0, (Matrix.zero(0, 0),))
     assert not is_semisimple(abelian)
     # dim0 = 0 counts as semisimple (vacuous hypothesis)
-    assert is_semisimple(grassmann(2).even)
+    assert is_semisimple(grassmann(2))
 
 
 def test_validation_failure_recorded():
     # break antisymmetry: [x,x] = x
-    bad = LieAlgebraEven.from_constants(1, [[[1]]])
-    g = SuperAlgebra(bad, OddPart(0, (Matrix.zero(0, 0),)))
+    g = SuperAlgebra(1, [[[1]]], 0, (Matrix.zero(0, 0),))
     rep = validate(g)
     assert not rep.ok and rep.failures[0][0] == "antisymmetry"
 
@@ -100,8 +96,8 @@ BROKEN_JACOBI = [[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
 
 
 def test_broken_jacobi_reported_as_a_pair():
-    g0 = LieAlgebraEven.from_constants(3, BROKEN_JACOBI)
-    rep = validate(SuperAlgebra(g0, OddPart(0, (Matrix.zero(0, 0),) * 3)))
+    g0 = SuperAlgebra(3, BROKEN_JACOBI, 0, (Matrix.zero(0, 0),) * 3)
+    rep = validate(g0)
     assert rep.antisymmetry and rep.representation and not rep.jacobi and not rep.ok
     assert jacobi_failure_oracle(g0) is not None
     [(kind, (i, j))] = rep.failures
@@ -116,7 +112,7 @@ def _antisymmetric(dim0, entries):
     for (i, j, k), x in zip(((i, j, k) for i in range(dim0) for j in range(i + 1, dim0)
                              for k in range(dim0)), entries):
         c[i][j][k], c[j][i][k] = x, -x
-    return LieAlgebraEven.from_constants(dim0, c)
+    return SuperAlgebra(dim0, c, 0, (Matrix.zero(0, 0),) * dim0)
 
 
 @given(st.integers(1, 4), st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=24, max_size=24))
@@ -125,15 +121,14 @@ def _antisymmetric(dim0, entries):
 @example(3, [0, 0, 1] + [0] * 21)  # [x0, x1] = x2: the Heisenberg algebra
 @example(3, [0, 1, 0, 0, 0, 0, 1, 0, 0] + [0] * 15)  # BROKEN_JACOBI
 def test_jacobi_as_ad_representation_matches_the_cyclic_sum(dim0, entries):
-    g0 = _antisymmetric(dim0, entries)
-    g = SuperAlgebra(g0, OddPart(0, (Matrix.zero(0, 0),) * dim0))
-    assert validate(g).jacobi == (jacobi_failure_oracle(g0) is None)
+    g = _antisymmetric(dim0, entries)
+    assert validate(g).jacobi == (jacobi_failure_oracle(g) is None)
 
 
 def test_representation_failure_recorded():
     # sl2 acting on a 1-dim space by nonzero scalars cannot be a rep
     acts = (Matrix.from_rows([[1]]), Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))
-    g = SuperAlgebra(sl2(), OddPart(1, acts))
+    g = SuperAlgebra(3, sl2_trivial(0).bracket, 1, acts)
     rep = validate(g)
     assert not rep.representation
 
@@ -150,3 +145,12 @@ def test_builtin_parser():
     for bad in ("grassmann(-1)", "grassmann(x)", "grassmann(1.5)", "grassmann", "sl2_adjoint(1)"):
         with pytest.raises(ValueError):
             builtin_algebra(bad)
+
+
+def test_name_is_not_part_of_the_identity():
+    g = sl2_trivial(1)
+    renamed = SuperAlgebra(g.dim0, g.bracket, g.dim1, g.action, name="other")
+    assert renamed == g and hash(renamed) == hash(g)
+    assert sl2_trivial(1) != sl2_trivial(2) and sl2_trivial(3) != sl2_adjoint()
+    # entries are coerced to exact scalars, so an int bracket is the same algebra
+    assert SuperAlgebra(1, [[[0]]], 0, [Matrix.zero(0, 0)]).bracket == ((((Fraction(0),),),))

@@ -44,7 +44,7 @@ def files(tmp_path_factory):
 
     st1 = sl2_trivial(1)
     paths["rep_k"] = str(d / "rep_k.json")
-    dump(rep_to_json(Rep.trivial(st1.even, 1)), paths["rep_k"])
+    dump(rep_to_json(Rep.trivial(st1, 1)), paths["rep_k"])
     paths["dir"] = str(d)
     return paths
 

@@ -4,11 +4,8 @@ import pytest
 
 from superstable.algebra import (
     SL2_NATURAL,
-    LieAlgebraEven,
-    OddPart,
     SuperAlgebra,
     grassmann,
-    sl2,
     sl2_trivial,
 )
 from superstable.cohomology import (
@@ -24,7 +21,7 @@ from superstable.cohomology import (
     sym_power,
 )
 from superstable.corpus import corpus_modules, corpus_reps, nonfullness_witness
-from superstable.gradedmod import Rep
+from superstable.gradedmod import ModuleError, Rep, concentrated, dual, tensor
 from superstable.linalg import Matrix, kron
 
 
@@ -79,52 +76,48 @@ def test_ext_top_iff_condition():
 
 
 def test_ce_sl2_trivial_paper_values():
-    g0 = sl2()
-    table = chevalley_eilenberg(g0, Rep.trivial(g0, 1))
+    table = chevalley_eilenberg(Rep.trivial(sl2_trivial(0), 1))
     assert table.as_dict() == {0: 1, 1: 0, 2: 0, 3: 1}
 
 
 def test_ce_sl2_nontrivial_irreducibles_vanish():
-    g0 = sl2()
+    g0 = sl2_trivial(0)
     nat = Rep(g0, 2, tuple(SL2_NATURAL))
-    assert chevalley_eilenberg(g0, nat).total == 0
+    assert chevalley_eilenberg(nat).total == 0
     adj = Rep(g0, 3, tuple(g0.ad(i) for i in range(3)))
-    assert chevalley_eilenberg(g0, adj).total == 0
+    assert chevalley_eilenberg(adj).total == 0
 
 
 def test_ce_size_counts_the_differential_slots():
-    g0 = sl2()
+    g0 = sl2_trivial(0)
     for rep in (Rep.trivial(g0, 1), Rep(g0, 2, tuple(SL2_NATURAL))):
-        mats = [_ce_differential(g0, rep, p) for p in range(g0.dim0)]
+        mats = [_ce_differential(rep, p) for p in range(g0.dim0)]
         assert ce_size(g0.dim0, rep.dim) == sum(m.rows * m.cols for m in mats)
     for dim0 in range(9):
         assert ce_size(dim0, 3) == sum(comb(dim0, p + 1) * comb(dim0, p) * 9 for p in range(dim0))
-    # refused before the representation is checked or a differential built
-    ab = LieAlgebraEven.from_constants(8, [[[0] * 8] * 8] * 8)
+    # refused before a differential is built
+    ab = SuperAlgebra(8, [[[0] * 8] * 8] * 8, 0, (Matrix.zero(0, 0),) * 8)
     big = Rep(ab, 19, (Matrix.zero(19, 19),) * 8)
     assert ce_size(8, 18) <= MAX_CE_ENTRIES < ce_size(8, 19)
     with pytest.raises(ValueError, match=f"has {ce_size(8, 19)} differential entries, over the limit"):
-        chevalley_eilenberg(ab, big)
+        chevalley_eilenberg(big)
 
 
 def test_ce_abelian_one_dimensional():
-    from superstable.algebra import LieAlgebraEven
-    from superstable.linalg import Matrix
-
-    ab = LieAlgebraEven.from_constants(1, [[[0]]])
-    t = chevalley_eilenberg(ab, Rep(ab, 1, (Matrix.zero(1, 1),)))
+    ab = SuperAlgebra(1, [[[0]]], 0, (Matrix.zero(0, 0),))
+    t = chevalley_eilenberg(Rep(ab, 1, (Matrix.zero(1, 1),)))
     assert t.as_dict() == {0: 1, 1: 1}
 
 
 def test_sym_power_dims_and_validity():
-    g0 = sl2()
+    g0 = sl2_trivial(0)
     nat = Rep(g0, 2, tuple(SL2_NATURAL))
     for m in range(5):
         s = sym_power(nat, m)
         s.check()
         assert s.dim == m + 1
     # S^2(natural) is the adjoint: same Casimir-free invariant count
-    assert chevalley_eilenberg(g0, sym_power(nat, 2)).total == 0
+    assert chevalley_eilenberg(sym_power(nat, 2)).total == 0
 
 
 def test_koszul_trivial_line_all_ones():
@@ -145,21 +138,21 @@ def test_koszul_free_rank_one():
 def test_nonfullness_witness_value():
     w = nonfullness_witness()
     assert (
-        nonfullness_ext(w["algebra"], w["v"], w["w"], w["i"], w["j"])
+        nonfullness_ext(w["v"], w["w"], w["i"], w["j"])
         == w["expected_dim"]
     )
 
 
 def test_nonfullness_vanishing_cases():
     alg = sl2_trivial(1)
-    k = Rep.trivial(alg.even, 1)
+    k = Rep.trivial(alg, 1)
     # below the window: m < 0
-    assert nonfullness_ext(alg, k, k, 0, 0) == 0
-    assert nonfullness_ext(alg, k, k, 1, 0) == 0
+    assert nonfullness_ext(k, k, 0, 0) == 0
+    assert nonfullness_ext(k, k, 1, 0) == 0
     # p = 2: H^2(sl2, trivial coefficients) = 0
-    assert nonfullness_ext(alg, k, k, 2, 0) == 0
+    assert nonfullness_ext(k, k, 2, 0) == 0
     # p beyond dim g0
-    assert nonfullness_ext(alg, k, k, 5, 0) == 0
+    assert nonfullness_ext(k, k, 5, 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +161,7 @@ def test_nonfullness_vanishing_cases():
 
 
 def rep_dual(q):
-    return Rep(q.g0, q.dim, tuple((-m).transpose() for m in q.mats))
+    return Rep(q.alg, q.dim, tuple((-m).transpose() for m in q.mats))
 
 
 def rep_tensor(a, b):
@@ -176,7 +169,7 @@ def rep_tensor(a, b):
         kron(x, Matrix.identity(b.dim)) + kron(Matrix.identity(a.dim), y)
         for x, y in zip(a.mats, b.mats)
     )
-    return Rep(a.g0, a.dim * b.dim, mats)
+    return Rep(a.alg, a.dim * b.dim, mats)
 
 
 def nonfullness_oracle(alg, v, w, i, j):
@@ -184,20 +177,19 @@ def nonfullness_oracle(alg, v, w, i, j):
     m = i - j - n
     if m < 0 or m + 1 > alg.dim0:
         return 0
-    coeff = rep_tensor(rep_tensor(rep_dual(v), sym_power(Rep(alg.even, n, alg.odd.action), m)), w)
-    return chevalley_eilenberg(alg.even, coeff).dim(m + 1)
+    coeff = rep_tensor(rep_tensor(rep_dual(v), sym_power(Rep(alg, n, alg.action), m)), w)
+    return chevalley_eilenberg(coeff).dim(m + 1)
 
 
 def _abelian_line():
     """g0 = k x, abelian, acting on a one-dimensional g1 by 1: its
     representations are not self-dual (x by 1 and by -1 differ), unlike
     those of sl2, so the dual changes the answer."""
-    g0 = LieAlgebraEven.from_constants(1, [[[0]]])
-    alg = SuperAlgebra(g0, OddPart(1, (Matrix.from_rows([[1]]),)), name="abelian_line")
+    alg = SuperAlgebra(1, [[[0]]], 1, (Matrix.from_rows([[1]]),), name="abelian_line")
     reps = {
-        f"x={c}": Rep(g0, 1, (Matrix.from_rows([[c]]),)) for c in (1, -1, 2)
+        f"x={c}": Rep(alg, 1, (Matrix.from_rows([[c]]),)) for c in (1, -1, 2)
     }
-    reps["jordan"] = Rep(g0, 2, (Matrix.from_rows([[1, 1], [0, 1]]),))
+    reps["jordan"] = Rep(alg, 2, (Matrix.from_rows([[1, 1], [0, 1]]),))
     return alg, reps
 
 
@@ -212,7 +204,38 @@ def test_nonfullness_matches_rep_product_oracle():
             for w in reps.values():
                 for i in range(-1, alg.dim1 + alg.dim0 + 2):
                     for j in (-1, 0, 1):
-                        got = nonfullness_ext(alg, v, w, i, j)
+                        got = nonfullness_ext(v, w, i, j)
                         assert got == nonfullness_oracle(alg, v, w, i, j), (alg.name, i, j)
                         nonzero += got > 0
     assert nonzero
+
+
+def test_nonfullness_ranks_the_two_differentials_at_p():
+    # the full table of the same coefficient module, degree p = i - j - dim1 + 1
+    nonzero = 0
+    for e in corpus_reps().values():
+        alg = e.alg
+        for w in (e.rep, Rep.trivial(alg, 1)):
+            for i in range(alg.dim1, alg.dim1 + alg.dim0 + 2):
+                m = i - alg.dim1
+                got = nonfullness_ext(e.rep, w, i, 0)
+                if m + 1 > alg.dim0:
+                    assert got == 0
+                    continue
+                sym = sym_power(Rep(alg, alg.dim1, alg.action), m)
+                v0, s0, w0 = (concentrated(q, 0) for q in (e.rep, sym, w))
+                coeff = tensor(tensor(dual(v0), s0), w0).rep_at(0)
+                assert got == chevalley_eilenberg(coeff).dim(m + 1), (e.name, i)
+                nonzero += got > 0
+    assert nonzero
+    # abelian dim0 = 8 on trivial V, W of dims 3 and 6: H^1 is all of
+    # C^1 = 8 * 18, found from two differentials of the eight
+    ab = SuperAlgebra(8, [[[0] * 8] * 8] * 8, 1, (Matrix.zero(1, 1),) * 8)
+    assert nonfullness_ext(Rep.trivial(ab, 3), Rep.trivial(ab, 6), 1, 0) == 144
+
+
+def test_nonfullness_refuses_reps_over_two_algebras():
+    v, w = Rep.trivial(sl2_trivial(1), 1), Rep.trivial(sl2_trivial(2), 1)
+    for i in (0, 3, 4):
+        with pytest.raises(ModuleError, match="algebra mismatch"):
+            nonfullness_ext(v, w, i, 0)

@@ -43,6 +43,7 @@ def test_corpus_morphisms_are_valid_maps():
 
 def test_corpus_reps_valid():
     for e in corpus_reps().values():
+        assert e.rep.alg == e.alg
         e.rep.check()
 
 
@@ -50,7 +51,7 @@ def test_nonfullness_parameter_set():
     w = nonfullness_witness()
     assert w["name"] == "sl2_triv1_nonfullness"
     assert w["i"] - w["j"] == 3
-    assert w["algebra"].dim1 == 1
+    assert w["v"].alg == w["w"].alg and w["v"].alg.dim1 == 1
     assert w["v"].dim == w["w"].dim == 1
 
 

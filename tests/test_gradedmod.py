@@ -36,7 +36,7 @@ from superstable.serialize import module_to_json
 
 def free_module(n, qdim=1, base=0):
     g = grassmann(n)
-    return induced_module(g, Rep.trivial(g.even, qdim), base_degree=base)
+    return induced_module(Rep.trivial(g, qdim), base_degree=base)
 
 
 def test_trivial_module_valid():
@@ -83,17 +83,17 @@ def test_mixed_equivariance_violation_detected():
 def test_induced_dims_binomial():
     v = free_module(3)
     assert v.dims == (1, 3, 3, 1)
-    w = induced_module(sl2_adjoint(), Rep(sl2_adjoint().even, 2, tuple(SL2_NATURAL)))
+    w = induced_module(Rep(sl2_adjoint(), 2, tuple(SL2_NATURAL)))
     assert w.dims == (2, 6, 6, 2)
 
 
 def test_induced_additive_in_q():
     g = sl2_trivial(2)
-    q1 = Rep.trivial(g.even, 1)
-    q2 = Rep(g.even, 2, tuple(SL2_NATURAL))
-    q12 = Rep(g.even, 3, tuple(Matrix.block_diag([a, b]) for a, b in zip(q1.mats, q2.mats)))
-    both = induced_module(g, q12)
-    split = direct_sum(induced_module(g, q1), induced_module(g, q2))
+    q1 = Rep.trivial(g, 1)
+    q2 = Rep(g, 2, tuple(SL2_NATURAL))
+    q12 = Rep(g, 3, tuple(Matrix.block_diag([a, b]) for a, b in zip(q1.mats, q2.mats)))
+    both = induced_module(q12)
+    split = direct_sum(induced_module(q1), induced_module(q2))
     assert both.dims == split.dims
     assert both.total_dim == split.total_dim
     # same dimensions of graded homs certifies an isomorphic pair here
@@ -188,6 +188,24 @@ def test_submodule_refuses_dependent_columns():
         submodule(m, {2: Matrix.from_rows([[0, 0], [1, 2]])})
 
 
+def test_submodule_refuses_bases_of_the_wrong_shape():
+    # free + trivial over grassmann(2), both in degree 0: window [0, 2],
+    # dimension 2 in degree 0
+    g = grassmann(2)
+    m = direct_sum(free_module(2), trivial_module(g))
+    assert (m.lo, m.hi, m.dim_at(0)) == (0, 2, 2)
+    with pytest.raises(ModuleError, match="degree 7, outside the window"):
+        submodule(m, {7: Matrix.from_rows([[1]])})
+    with pytest.raises(ModuleError, match="degree 0 has 1 rows"):
+        submodule(m, {0: Matrix.from_rows([[1]])})
+
+
+def test_induced_sum_refuses_reps_over_two_algebras():
+    reps = {0: Rep.trivial(sl2_trivial(1), 1), 1: Rep.trivial(sl2_adjoint(), 1)}
+    with pytest.raises(ModuleError, match="algebra mismatch"):
+        induced_sum(reps)
+
+
 def test_submodule_rejects_unstable_span():
     free = free_module(1)
     # degree-0 line is not stable: the odd generator moves it up
@@ -216,14 +234,14 @@ def dense_module_failure(v):
             for l in range(alg.dim0):
                 lhs = v.rho_at(j, i) * v.rho_at(j, l) - v.rho_at(j, l) * v.rho_at(j, i)
                 for k in range(alg.dim0):
-                    lhs = lhs - v.rho_at(j, k).scale(alg.even.bracket[i][l][k])
+                    lhs = lhs - v.rho_at(j, k).scale(alg.bracket[i][l][k])
                 if not lhs.is_zero():
                     return "even representation"
         for i in range(alg.dim0):
             for e in range(alg.dim1):
                 lhs = v.rho_at(j + 1, i) * v.odd_at(j, e) - v.odd_at(j, e) * v.rho_at(j, i)
                 for k in range(alg.dim1):
-                    lhs = lhs - v.odd_at(j, k).scale(alg.odd.action[i][k, e])
+                    lhs = lhs - v.odd_at(j, k).scale(alg.action[i][k, e])
                 if not lhs.is_zero():
                     return "equivariance"
         for e in range(alg.dim1):
@@ -344,7 +362,7 @@ def test_map_mutations_caught_by_the_broken_identity():
 
 
 def test_rep_check_mutations():
-    g = sl2_adjoint().even
+    g = sl2_adjoint()
     q = Rep(g, 2, tuple(SL2_NATURAL))
     assert q.check() is q
     for i in range(3):
@@ -394,9 +412,9 @@ def test_induced_sum_matches_fold_on_corpus_reps():
     for name, e in corpus_reps().items():
         for reps in ({0: e.rep}, {-1: e.rep, 1: e.rep}, {-2: e.rep, 0: e.rep, 3: e.rep}):
             expect = induced_fold_oracle(e.alg, reps)
-            assert induced_sum(e.alg, reps) == expect, (name, sorted(reps))
-            assert module_to_json(induced_sum(e.alg, reps)) == module_to_json(expect)
-        assert induced_module(e.alg, e.rep, base_degree=2) == induced_module_oracle(e.alg, e.rep, 2)
+            assert induced_sum(reps) == expect, (name, sorted(reps))
+            assert module_to_json(induced_sum(reps)) == module_to_json(expect)
+        assert induced_module(e.rep, base_degree=2) == induced_module_oracle(e.alg, e.rep, 2)
     # Lambda(g1), which induced_sum assembles unchecked, is a module over
     # every corpus algebra: induced from the 1-dim trivial Q, it is itself
     for name, e in corpus_modules().items():
@@ -404,16 +422,16 @@ def test_induced_sum_matches_fold_on_corpus_reps():
         n = alg.dim1
         lam = make_module(alg, 0, n, [comb(n, l) for l in range(n + 1)],
                           exterior_even_action(alg), exterior_odd_action(n))
-        assert induced_module(alg, Rep.trivial(alg.even, 1)) == lam, name
+        assert induced_module(Rep.trivial(alg, 1)) == lam, name
 
 
 def test_induced_module_of_zero_rep():
     g = sl2_adjoint()
-    v = induced_module(g, Rep.trivial(g.even, 0), base_degree=1)
+    v = induced_module(Rep.trivial(g, 0), base_degree=1)
     assert (v.lo, v.hi, v.dims) == (1, 4, (0, 0, 0, 0))
-    assert v == induced_module_oracle(g, Rep.trivial(g.even, 0), 1)
+    assert v == induced_module_oracle(g, Rep.trivial(g, 0), 1)
     with pytest.raises(ModuleError):
-        induced_sum(g, {})
+        induced_sum({})
 
 
 INDUCED_ALGEBRAS = [grassmann(1), grassmann(2), grassmann(3), sl2_trivial(1), sl2_trivial(2), sl2_adjoint()]
@@ -432,7 +450,7 @@ def algebra_and_reps(draw):
         elif kind == "adjoint":
             reps[j] = _adjoint_rep(alg)
         else:
-            reps[j] = Rep.trivial(alg.even, int(kind[-1]))
+            reps[j] = Rep.trivial(alg, int(kind[-1]))
     return alg, reps
 
 
@@ -441,7 +459,7 @@ def algebra_and_reps(draw):
 def test_induced_sum_matches_fold_on_random_reps(case):
     alg, reps = case
     expect = induced_fold_oracle(alg, reps)
-    got = induced_sum(alg, reps)
+    got = induced_sum(reps)
     assert got == expect
     assert module_to_json(got) == module_to_json(expect)
 
@@ -585,7 +603,7 @@ def constructions(draw):
             e = draw(st.sampled_from(sorted(corpus_reps().items())))[1]
             degrees = draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3))
             alg, reps = e.alg, {j: e.rep for j in degrees}
-        return op, (alg, reps), induced_sum(alg, reps)
+        return op, (alg, reps), induced_sum(reps)
     if draw(st.booleans()):
         from superstable.corpus import random_module
 

@@ -7,7 +7,8 @@ between modules, restrictions to g0 among them, plus its own constraints.
 
 Validate once, where data come in: the validating constructors
 `make_module` and `make_map` (and `check_map`) are called only where
-outside data enter.  A map or module the library solves for or writes in
+outside data enter, and a `Rep` is checked only where it is read from a
+file.  A map or module the library solves for or writes in
 closed form is assembled, and the tests check it."""
 
 import ast
@@ -68,6 +69,8 @@ VALIDATING_CALLERS = {
     # on a benchmark whose peak RSS does not grow with its pass count
     # (ROADMAP item 1)
     ("rigid.py", "L_of"),
+    # the map check is the command's answer: Ind(Q) and Coind(Q) compared
+    ("projstable.py", "frobenius_check"),
 }
 
 
@@ -75,3 +78,9 @@ def test_validating_constructors_run_only_where_data_come_in():
     calls = _package_calls({"make_module", "make_map", "check_map"})
     sites = {(f, w) for f, w, _, _ in calls}
     assert sites == VALIDATING_CALLERS, sorted(c for c in calls if c[:2] not in VALIDATING_CALLERS)
+
+
+def test_a_rep_is_checked_only_where_it_comes_in():
+    # every `.check()` call in the package is `Rep.check`
+    calls = _package_calls({"check"})
+    assert [(f, w) for f, w, _, _ in calls] == [("serialize.py", "rep_from_json")], calls

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstable import linalg, projstable
-from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
+from superstable.algebra import SL2_NATURAL, SuperAlgebra, grassmann, sl2_adjoint, sl2_trivial
 from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps, random_module
 from superstable.gradedmod import (
     MAX_EXTERIOR_SIZE,
@@ -58,11 +58,7 @@ def test_top_operator_free_module_full_rank():
 
 
 def test_top_operator_errors_on_no_odd_part():
-    from superstable.algebra import LieAlgebraEven, OddPart, SuperAlgebra
-    from superstable.linalg import Matrix
-
-    g = SuperAlgebra(LieAlgebraEven.from_constants(0, []), OddPart(0, ()))
-    v = trivial_module(g)
+    v = trivial_module(grassmann(0))
     with pytest.raises(ModuleError):
         top_operator(v)
 
@@ -161,13 +157,7 @@ def test_stable_equal_requires_matching_shapes():
 
 def test_hypothesis_guard():
     # a non-semisimple nonzero even part is rejected
-    from superstable.algebra import LieAlgebraEven, OddPart, SuperAlgebra
-    from superstable.linalg import Matrix
-
-    abelian = SuperAlgebra(
-        LieAlgebraEven.from_constants(1, [[[0]]]),
-        OddPart(1, (Matrix.zero(1, 1),)),
-    )
+    abelian = SuperAlgebra(1, [[[0]]], 1, (Matrix.zero(1, 1),))
     v = trivial_module(abelian)
     with pytest.raises(HypothesisError):
         is_projective(v)
@@ -175,15 +165,12 @@ def test_hypothesis_guard():
 
 def test_frobenius_all_shipped_reps():
     for name, e in corpus_reps().items():
-        assert frobenius_check(e.alg, e.rep), name
+        assert frobenius_check(e.rep), name
 
 
 def test_frobenius_rejects_missing_odd_part():
-    from superstable.algebra import LieAlgebraEven, OddPart, SuperAlgebra
-
-    g = SuperAlgebra(LieAlgebraEven.from_constants(0, []), OddPart(0, ()))
     with pytest.raises(ModuleError):
-        frobenius_check(g, Rep.trivial(g.even, 1))
+        frobenius_check(Rep.trivial(grassmann(0), 1))
 
 
 def test_frobenius_reports_a_flipped_sign(monkeypatch, capsys, tmp_path):
@@ -191,23 +178,52 @@ def test_frobenius_reports_a_flipped_sign(monkeypatch, capsys, tmp_path):
     from superstable.serialize import dump, rep_to_json
 
     g2 = grassmann(2)
-    q = Rep.trivial(g2.even, 1)
+    q = Rep.trivial(g2, 1)
     path = str(tmp_path / "q.json")
     dump(rep_to_json(q), path)
     sign = projstable.merge_sign
     calls = []
 
     def flip_first(a, b):
-        # the first sign computed is f's at S = {}; g keeps its own
+        # the first sign computed is the one of S = {} in degree 0
         calls.append((a, b))
         return -sign(a, b) if len(calls) == 1 else sign(a, b)
 
-    assert frobenius_check(g2, q)
+    assert frobenius_check(q)
     monkeypatch.setattr(projstable, "merge_sign", flip_first)
-    assert not frobenius_check(g2, q)
+    assert not frobenius_check(q)
     calls.clear()
     assert main(["frobenius-check", "--algebra", "grassmann(2)", "--q", path]) == 1
     assert "induced/coinduced comparison: FAIL" in capsys.readouterr().out
+
+
+def test_frobenius_fails_on_a_trace_one_action(capsys, tmp_path):
+    # g0 = k h abelian, g1 = k e with h.e = e: Lambda^1(g1) is not trivial,
+    # so Ind(Q) and Coind(Q) differ already as g0-modules in degree 0
+    from superstable.cli import main
+    from superstable.serialize import algebra_to_json, dump, rep_to_json
+
+    g = SuperAlgebra(1, [[[0]]], 1, (Matrix.from_rows([[1]]),))
+    q = Rep.trivial(g, 1)
+    assert not frobenius_check(q)
+    paths = {k: str(tmp_path / f"{k}.json") for k in ("alg", "q")}
+    dump(algebra_to_json(g), paths["alg"])
+    dump(rep_to_json(q), paths["q"])
+    assert main(["frobenius-check", "--algebra", paths["alg"], "--q", paths["q"]]) == 1
+    assert "induced/coinduced comparison: FAIL" in capsys.readouterr().out
+
+
+def test_frobenius_on_more_algebras_and_reps():
+    from superstable.algebra import sl2_natural_sum
+    from superstable.cohomology import sym_power
+
+    for alg in (grassmann(1), grassmann(3), grassmann(4)):
+        assert frobenius_check(Rep.trivial(alg, 1)) and frobenius_check(Rep.trivial(alg, 2))
+    for alg in (sl2_adjoint(), sl2_natural_sum(1), sl2_natural_sum(2), sl2_trivial(3)):
+        nat = Rep(alg, 2, tuple(SL2_NATURAL))
+        for q in (Rep.trivial(alg, 1), nat, sym_power(nat, 2), sym_power(nat, 3)):
+            if q.dim << alg.dim1 <= 64:
+                assert frobenius_check(q), (alg.name, q.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +249,8 @@ def _flat_module(n):
 
 def test_exterior_builds_refused_over_the_limit():
     g = grassmann(40)
-    q = Rep.trivial(g.even, 1)
-    for build in (lambda: induced_module(g, q), lambda: frobenius_check(g, q)):
+    q = Rep.trivial(g, 1)
+    for build in (lambda: induced_module(q), lambda: frobenius_check(q)):
         with pytest.raises(ModuleError, match="over the limit"):
             build()
     v = _flat_module(40)
@@ -250,9 +266,9 @@ def test_exterior_builds_refused_over_the_limit():
 def test_exterior_builds_at_the_limit():
     n = MAX_EXTERIOR_SIZE.bit_length() - 1
     g = grassmann(n)
-    assert frobenius_check(g, Rep.trivial(g.even, 1))
+    assert frobenius_check(Rep.trivial(g, 1))
     # the identity of a module with 2^n * dim at the limit is a trace
-    v = induced_module(grassmann(5), Rep.trivial(grassmann(5).even, 1))
+    v = induced_module(Rep.trivial(grassmann(5), 1))
     assert (1 << 5) * v.total_dim <= MAX_EXTERIOR_SIZE
     assert is_projective(v)
 

@@ -148,7 +148,7 @@ def dense_check_complex(l):
             for e in range(n1):
                 lhs = rho_at(j + 1, i) * l.odd_at(j, e) - l.odd_at(j, e) * rho_at(j, i)
                 rhs = Matrix.zero(l.dim_at(j + 1), d)
-                ai = alg.odd.action[i]
+                ai = alg.action[i]
                 for k in range(n1):
                     c = ai.data[k][e]
                     if c != 0:
@@ -170,7 +170,7 @@ def dense_is_representation(g0, mats) -> bool:
 
 
 def oracle_rejects(alg, lo, hi, dims, rho0, diff) -> bool:
-    if not all(dense_is_representation(alg.even, per) for per in rho0):
+    if not all(dense_is_representation(alg, per) for per in rho0):
         return True
     try:
         dense_check_complex(GradedModule(alg, lo, hi, tuple(dims), rho0, diff))

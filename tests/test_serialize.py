@@ -105,8 +105,8 @@ def test_algebra_rejects_invalid():
 
 def test_rep_roundtrip():
     g = sl2_trivial(2)
-    q = Rep(g.even, 3, tuple(g.even.ad(i) for i in range(3)))
-    assert rep_from_json(rep_to_json(q), g.even) == q
+    q = Rep(g, 3, tuple(g.ad(i) for i in range(3)))
+    assert rep_from_json(rep_to_json(q), g) == q
 
 
 def test_module_map_complex_roundtrips():
