@@ -19,6 +19,7 @@ from .algebra import validate as validate_algebra
 from .cohomology import (
     cech_closed_form,
     cech_line_bundle,
+    check_ce_size,
     chevalley_eilenberg,
     ext_twisted,
     koszul_odd,
@@ -67,6 +68,11 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BADINPUT = 2
 
+# largest --sample of `variety` and `support-check`, measured: at 1000
+# points on sl2_adjoint_natural, the heaviest corpus module, either command
+# takes 1.4-2.1 s (2-CPU host)
+MAX_SAMPLE = 1000
+
 
 def _parse_point(text: str) -> OddPoint:
     try:
@@ -75,14 +81,17 @@ def _parse_point(text: str) -> OddPoint:
         raise FormatError(f"bad point {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a sample count: a positive integer."""
+def _sample_count(text: str) -> int:
+    """argparse type of a sample count: a positive integer, at most
+    `MAX_SAMPLE`."""
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if n > MAX_SAMPLE:
+        raise argparse.ArgumentTypeError(f"at most {MAX_SAMPLE} points can be sampled, got {n}")
     return n
 
 
@@ -383,7 +392,9 @@ def _cmd_ext(args):
 
 def _cmd_ce(args):
     g = load_algebra(args.algebra)
-    table = chevalley_eilenberg(load_rep(args.module, g))
+    # refused by the file's dim, before its matrices are built
+    q = load_rep(args.module, g, lambda dim: check_ce_size(g.dim0, dim))
+    table = chevalley_eilenberg(q)
     lines = [f"H^p(g0, V): {dict(table.entries)}"]
     return EXIT_OK, _report("ce", lines, cohomology=_table_json(table))
 
@@ -509,12 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("variety")
     p.add_argument("--module", required=True)
     p.add_argument("--ideal", action="store_true")
-    p.add_argument("--sample", type=_positive_int, default=20)
+    p.add_argument("--sample", type=_sample_count, default=20)
     p.set_defaults(fn=_cmd_variety)
 
     p = add_parser("support-check")
     p.add_argument("--module", required=True)
-    p.add_argument("--sample", type=_positive_int, default=25)
+    p.add_argument("--sample", type=_sample_count, default=25)
     p.set_defaults(fn=_cmd_support_check)
 
     p = add_parser("decompose")

@@ -205,12 +205,13 @@ def ce_size(dim0: int, dim_v: int) -> int:
     return comb(2 * dim0, dim0 - 1) * dim_v ** 2 if dim0 else 0
 
 
-def _check_ce_size(rep: Rep):
-    """Refuse the complex of `chevalley_eilenberg(rep)` over `MAX_CE_ENTRIES`."""
-    size = ce_size(rep.alg.dim0, rep.dim)
+def check_ce_size(dim0: int, dim_v: int):
+    """Refuse the Chevalley-Eilenberg complex of a dim0-dim g0 on a
+    dim_v-dim V over `MAX_CE_ENTRIES`; nothing needs to be built first."""
+    size = ce_size(dim0, dim_v)
     if size > MAX_CE_ENTRIES:
         raise ValueError(
-            f"the Chevalley-Eilenberg complex of a {rep.alg.dim0}-dim g0 on a {rep.dim}-dim V has "
+            f"the Chevalley-Eilenberg complex of a {dim0}-dim g0 on a {dim_v}-dim V has "
             f"{size} differential entries, over the limit of {MAX_CE_ENTRIES}"
         )
 
@@ -218,7 +219,7 @@ def _check_ce_size(rep: Rep):
 def chevalley_eilenberg(rep: Rep) -> CohomologyTable:
     """H^p(g0, V) for 0 <= p <= dim g0, by exact ranks of the standard
     complex on Lambda^p g0* (x) V, g0 the even part of rep.alg."""
-    _check_ce_size(rep)
+    check_ce_size(rep.alg.dim0, rep.dim)
     n = rep.alg.dim0
     dims = {p: comb(n, p) * rep.dim for p in range(n + 1)}
     ranks = {p: _ce_differential(rep, p).rank() for p in range(n)}
@@ -338,6 +339,6 @@ def nonfullness_ext(v: Rep, w: Rep, i: int, j: int) -> int:
     sym = sym_power(Rep(alg, n, alg.action), m)
     v0, s0, w0 = (concentrated(q, 0) for q in (v, sym, w))
     coeff = tensor(tensor(dual(v0), s0), w0).rep_at(0)
-    _check_ce_size(coeff)
+    check_ce_size(alg.dim0, coeff.dim)
     ranks = [_ce_differential(coeff, q).rank() for q in (p - 1, p) if q < alg.dim0]
     return comb(alg.dim0, p) * coeff.dim - sum(ranks)

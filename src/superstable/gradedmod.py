@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import SuperAlgebra, representation_failure
-from .linalg import LinearSystem, Matrix, kron, vanishes
+from .linalg import LinearSystem, Matrix, vanishes
 
 _ZERO = Fraction(0)
 
@@ -364,6 +364,27 @@ def direct_sum(v: GradedModule, *ws: GradedModule) -> GradedModule:
     return _assemble(v.alg, lo, hi, dims, rho0, odd)
 
 
+def _add_kron(out: list, r0: int, c0: int, sign: int, a: Matrix, n: int, a_first: bool):
+    """Add sign * (a kron I_n if a_first, else I_n kron a) into the rows
+    `out` with its top left entry at (r0, c0), from the nonzeros of a
+    only: the Kronecker product, with `linalg.kron`'s index convention,
+    is never formed.  sign is 1 or -1."""
+    ra, ca = a.rows, a.cols
+    for i, row in enumerate(a.data):
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            if sign != 1:
+                x = -x
+            for k in range(n):
+                if a_first:
+                    orow, c = out[r0 + i * n + k], c0 + j * n + k
+                else:
+                    orow, c = out[r0 + k * ra + i], c0 + k * ca + j
+                y = orow[c]
+                orow[c] = y + x if y else x
+
+
 def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     """Graded tensor product with the Koszul sign on the odd action.
 
@@ -395,13 +416,13 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     for l in range(lo, hi + 1):
         mats = []
         for x in range(alg.dim0):
-            # x (x) 1 and 1 (x) x, both placed in each diagonal block
-            placed, c0 = [], 0
+            # x (x) 1 and 1 (x) x, both added into each diagonal block
+            out, c0 = [[_ZERO] * dims[l - lo] for _ in range(dims[l - lo])], 0
             for i, j in blocks(l):
-                placed.append((c0, c0, 1, kron(v.rho_at(i, x), Matrix.identity(w.dim_at(j)))))
-                placed.append((c0, c0, 1, kron(Matrix.identity(v.dim_at(i)), w.rho_at(j, x))))
+                _add_kron(out, c0, c0, 1, v.rho_at(i, x), w.dim_at(j), True)
+                _add_kron(out, c0, c0, 1, w.rho_at(j, x), v.dim_at(i), False)
                 c0 += v.dim_at(i) * w.dim_at(j)
-            mats.append(Matrix.place(c0, c0, placed))
+            mats.append(Matrix._of(c0, c0, out))
         rho0.append(tuple(mats))
     odd = []
     for l in range(lo, hi + 1):
@@ -411,18 +432,17 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
             run += v.dim_at(i) * w.dim_at(j)
         mats = []
         for e in range(alg.dim1):
-            placed, c0 = [], 0
+            out, c0 = [[_ZERO] * dims[l - lo] for _ in range(run)], 0
             for i, j in blocks(l):
                 # e acting on the first factor lands in block (i+1, j); on
                 # the second factor, with sign (-1)^i, in block (i, j+1)
                 if (i + 1, j) in tgt_off:
-                    m = kron(v.odd_at(i, e), Matrix.identity(w.dim_at(j)))
-                    placed.append((tgt_off[(i + 1, j)], c0, 1, m))
+                    _add_kron(out, tgt_off[(i + 1, j)], c0, 1, v.odd_at(i, e), w.dim_at(j), True)
                 if (i, j + 1) in tgt_off:
-                    m = kron(Matrix.identity(v.dim_at(i)), w.odd_at(j, e))
-                    placed.append((tgt_off[(i, j + 1)], c0, -1 if i % 2 else 1, m))
+                    sign = -1 if i % 2 else 1
+                    _add_kron(out, tgt_off[(i, j + 1)], c0, sign, w.odd_at(j, e), v.dim_at(i), False)
                 c0 += v.dim_at(i) * w.dim_at(j)
-            mats.append(Matrix.place(run, dims[l - lo], placed))
+            mats.append(Matrix._of(run, dims[l - lo], out))
         odd.append(tuple(mats))
     return _assemble(alg, lo, hi, dims, rho0, odd)
 

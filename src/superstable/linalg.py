@@ -4,11 +4,14 @@ Everything downstream (module validation, rank tests, lifting solvers)
 is a client of this module.  All arithmetic uses ``fractions.Fraction``,
 so no operation ever rounds.
 
-`Matrix` stores its entries densely, but every elimination (rank,
-nullspace, solve_matrix and the `LinearSystem` solvers) runs one
-sparse Gauss-Jordan kernel, `gauss_jordan`, over rows held as
-dicts {column: nonzero}.  It takes pivot columns in increasing order,
-so what it returns is the unique reduced row echelon form: particular
+`Matrix` stores its entries densely, but its operations touch only
+nonzeros: `scale` (and so unary `-`), products, `place` and `kron` skip a
+zero entry without an arithmetic call, and `scale(1)` is the matrix
+itself; a sum `+` still adds every entry (ROADMAP item 8).  Every
+elimination (rank, nullspace, solve_matrix and the `LinearSystem`
+solvers) runs one sparse Gauss-Jordan kernel, `gauss_jordan`, over rows
+held as dicts {column: nonzero}.  It takes pivot columns in increasing
+order, so what it returns is the unique reduced row echelon form: particular
 solutions have every free variable zero and kernel bases have one
 vector per free column, whatever the pivot row choices were.  Sparse
 identity checks (`vanishes`) evaluate a linear combination of products
@@ -122,8 +125,12 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
+        """c times the matrix: the matrix itself for c = 1, which is safe as
+        Matrices are immutable, and zero entries are left unmultiplied."""
         c = scalar(c)
-        return Matrix._of(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        if c == 1:
+            return self
+        return Matrix._of(self.rows, self.cols, [[c * x if x else x for x in row] for row in self.data])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

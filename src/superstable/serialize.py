@@ -23,6 +23,9 @@ from .gradedmod import MAX_EXTERIOR_SIZE, GradedMap, GradedModule, Rep, make_map
 from .linalg import Matrix, Polynomial
 
 
+_ZERO = Fraction(0)
+
+
 class FormatError(ValueError):
     """Malformed input file or JSON object."""
 
@@ -35,7 +38,10 @@ def scalar_to_str(x) -> str:
 
 def scalar_from_str(s) -> Fraction:
     """An exact scalar from a string "p" or "p/q" or a JSON integer; floats
-    and booleans are refused, as a float is already rounded."""
+    and booleans are refused, as a float is already rounded.  The string
+    "0", the most common entry, is the shared zero."""
+    if s == "0":
+        return _ZERO
     if isinstance(s, (bool, float)) or isinstance(s, str) and any(ch in s for ch in ".eE"):
         raise FormatError(f"bad scalar {s!r}: expected integer or p/q")
     try:
@@ -85,7 +91,7 @@ def _array(x, what: str, length=None) -> list:
 
 
 def matrix_to_json(m: Matrix):
-    return [[scalar_to_str(x) for x in row] for row in m.data]
+    return [[scalar_to_str(x) if x else "0" for x in row] for row in m.data]
 
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
@@ -94,7 +100,7 @@ def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
         # no larger than the expected shape, which bounds the allocation
         r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0, hi=rows)
         c = int_from_json(_field(obj, "cols", "sparse matrix"), "matrix cols", lo=0, hi=cols)
-        data = [[Fraction(0)] * c for _ in range(r)]
+        data = [[_ZERO] * c for _ in range(r)]
         given = set()
         for entry in _array(obj.get("entries", []), "sparse matrix entries"):
             i, j, v = _array(entry, "sparse matrix entry [row, column, value]", 3)
@@ -206,11 +212,14 @@ def rep_to_json(q: Rep):
     return {"dim": q.dim, "mats": [matrix_to_json(m) for m in q.mats]}
 
 
-def rep_from_json(obj, alg: SuperAlgebra) -> Rep:
+def rep_from_json(obj, alg: SuperAlgebra, check_dim=None) -> Rep:
     """A representation of alg's even part, validated: the one place a
-    Rep is checked."""
+    Rep is checked.  `check_dim`, when given, is called on the dim before
+    any matrix is built, so a caller can refuse a size it cannot use."""
     # bounded before any matrix is built, as a module's total dimension is
     dim = int_from_json(_field(obj, "dim", "representation"), "dim", lo=0, hi=MAX_EXTERIOR_SIZE)
+    if check_dim is not None:
+        check_dim(dim)
     mats = tuple(matrix_from_json(m, dim, dim) for m in _array(obj.get("mats", []), "mats"))
     if len(mats) != alg.dim0:
         raise FormatError("need one representation matrix per even basis element")
@@ -360,8 +369,8 @@ def load_map(path: str, seen=None) -> GradedMap:
     return map_from_json(_read(path), seen)
 
 
-def load_rep(path: str, alg: SuperAlgebra) -> Rep:
-    return rep_from_json(_read(path), alg)
+def load_rep(path: str, alg: SuperAlgebra, check_dim=None) -> Rep:
+    return rep_from_json(_read(path), alg, check_dim)
 
 
 def dump(obj, path: str):

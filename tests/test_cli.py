@@ -492,6 +492,22 @@ def test_sample_count_must_be_positive_exit_2(capsys, files, cmd, count):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("cmd", ["support-check", "variety"])
+def test_sample_count_over_the_cap_exit_2_before_a_point_is_drawn(capsys, monkeypatch, files, cmd):
+    from superstable import cli
+
+    def refuse(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(cli, "random_points", refuse)
+    argv = [cmd, "--module", files["grassmann2_mixed"], "--sample"]
+    assert cli._parser().parse_args(argv + [str(cli.MAX_SAMPLE)]).sample == cli.MAX_SAMPLE
+    assert main(argv + [str(cli.MAX_SAMPLE + 1)]) == 2
+    captured = capsys.readouterr()
+    assert f"at most {cli.MAX_SAMPLE} points can be sampled, got {cli.MAX_SAMPLE + 1}" in captured.err
+    assert captured.out == ""
+
+
 def test_koszul_refuses_another_algebra_exit_2(capsys, files):
     def koszul(algebra):
         return main(["koszul", "--algebra", algebra, "--module", files["grassmann2_free"]])
@@ -695,6 +711,30 @@ def test_ce_and_nonfullness_at_and_over_the_size_limit(tmp_path):
     # at i - j = dim g1 = 0 the coefficients are V* (x) W, here 4 * 5 = 20-dim
     _refused(["nonfullness", "--algebra", alg, "--v", zero_rep(4), "--w", zero_rep(5),
               "-i", "0", "-j", "0"], 1, message(20))
+
+
+def test_ce_refuses_by_the_file_dim_before_a_matrix_is_built(tmp_path, capsys, monkeypatch):
+    from superstable import serialize
+    from superstable.cohomology import MAX_CE_ENTRIES, ce_size
+
+    alg = str(tmp_path / "abelian8.json")
+    dump({"dim0": 8, "dim1": 0, "action": [[]] * 8}, alg)
+    rep = str(tmp_path / "zero1024.json")
+    dump({"dim": 1024, "mats": [{"rows": 1024, "cols": 1024, "entries": []}] * 8}, rep)
+    built, real = [], serialize.matrix_from_json
+
+    def recorded(obj, rows=None, cols=None):
+        built.append((rows, cols))
+        return real(obj, rows, cols)
+
+    # the algebra's own (empty) matrices are still read
+    monkeypatch.setattr(serialize, "matrix_from_json", recorded)
+    assert main(["ce", "--algebra", alg, "--module", rep]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the Chevalley-Eilenberg complex of a 8-dim g0 on a 1024-dim V has "
+        f"{ce_size(8, 1024)} differential entries, over the limit of {MAX_CE_ENTRIES}\n"
+    )
+    assert (1024, 1024) not in built
 
 
 def test_tensor_at_and_over_the_size_limit(tmp_path):

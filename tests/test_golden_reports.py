@@ -1,9 +1,17 @@
 """One digest over the JSON reports of a fixed list of CLI commands on the
 corpus: a change that alters any answer, certificate or report layout
-changes the digest."""
+changes the digest.  `golden_digests.txt` also holds one digest per
+command, a line "<list> <sha256> <command>", so a mismatch names the
+first command whose report changed.
+After a deliberate change of the reports, update both constants and
+rewrite that file with `PYTHONPATH=src python tests/test_golden_reports.py`."""
 
+import contextlib
 import hashlib
+import io
 import itertools
+import tempfile
+from pathlib import Path
 
 from superstable.cli import main
 from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps
@@ -54,17 +62,46 @@ def golden_commands(tmp_path):
     return cmds
 
 
-def _digest(cmds, tmp_path, capsys) -> str:
-    digest = hashlib.sha256()
+DIGESTS = Path(__file__).with_name("golden_digests.txt")
+
+
+def _reports(cmds, tmp_path) -> list:
+    """Per command, its argv, exit code and JSON report as one text, the
+    temporary directory written as "<tmp>"."""
+    texts = []
     for argv in cmds:
-        code = main(["--format", "json", *argv])
-        text = f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}"
-        digest.update(text.replace(str(tmp_path), "<tmp>").encode())
-    return digest.hexdigest()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--format", "json", *argv])
+        text = f"{' '.join(argv)}\n{code}\n{out.getvalue()}"
+        texts.append(text.replace(str(tmp_path), "<tmp>"))
+    return texts
 
 
-def test_golden_reports(tmp_path, capsys):
-    assert _digest(golden_commands(tmp_path), tmp_path, capsys) == GOLDEN_REPORTS_SHA256
+def _per_command(texts) -> list:
+    """(command, sha256 of its report text) per command."""
+    return [(t.split("\n", 1)[0], hashlib.sha256(t.encode()).hexdigest()) for t in texts]
+
+
+def _stored(name) -> list:
+    """(command, sha256) per command of the list `name`, from DIGESTS."""
+    lines = [line.split(" ", 2) for line in DIGESTS.read_text().splitlines()]
+    return [(cmd, sha) for list_name, sha, cmd in lines if list_name == name]
+
+
+def _check(name, cmds, tmp_path, total):
+    texts = _reports(cmds, tmp_path)
+    want = _stored(name)
+    got = _per_command(texts)
+    for (cmd, have), (stored, expected) in zip(got, want):
+        assert cmd == stored, f"the command list changed, first at: {cmd}"
+        assert have == expected, f"the first changed report is that of: {cmd}"
+    assert len(got) == len(want), "the command list changed in length"
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == total
+
+
+def test_golden_reports(tmp_path):
+    _check("reports", golden_commands(tmp_path), tmp_path, GOLDEN_REPORTS_SHA256)
 
 
 # sha256 of the reports of `rigid_commands`, written the same way
@@ -90,5 +127,13 @@ def rigid_commands(tmp_path):
     return cmds
 
 
-def test_golden_rigid_reports(tmp_path, capsys):
-    assert _digest(rigid_commands(tmp_path), tmp_path, capsys) == GOLDEN_RIGID_SHA256
+def test_golden_rigid_reports(tmp_path):
+    _check("rigid", rigid_commands(tmp_path), tmp_path, GOLDEN_RIGID_SHA256)
+
+
+if __name__ == "__main__":
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cmds in (("reports", golden_commands), ("rigid", rigid_commands)):
+            lines += [f"{name} {sha} {cmd}\n" for cmd, sha in _per_command(_reports(cmds(Path(tmp)), tmp))]
+    DIGESTS.write_text("".join(lines))

@@ -531,6 +531,66 @@ def test_direct_sum_odd_blocks_match_hand_placement(pair):
     assert direct_sum(v, w).odd == direct_sum_odd_oracle(v, w)
 
 
+def tensor_oracle(v, w):
+    """(dims, rho0, odd) of V (x) W by the dense kron-and-sum formula:
+    degree l holds the blocks V^i (x) W^(l-i) in ascending i, x acts by
+    kron(x, I) + kron(I, x) on each, and e maps block (i, j) by kron(e, I)
+    to block (i+1, j) and by (-1)^i kron(I, e) to block (i, j+1)."""
+    lo, hi = v.lo + w.lo, v.hi + w.hi
+
+    def offsets(l):
+        off, run = {}, 0
+        for i in v.degrees():
+            if w.lo <= l - i <= w.hi:
+                off[(i, l - i)] = run
+                run += v.dim_at(i) * w.dim_at(l - i)
+        return off, run
+
+    def add(out, r0, c0, sign, m):
+        for r in range(m.rows):
+            for c in range(m.cols):
+                out[r0 + r][c0 + c] += sign * m.data[r][c]
+
+    dims, rho0, odd = [], [], []
+    for l in range(lo, hi + 1):
+        src, n = offsets(l)
+        tgt, t = offsets(l + 1) if l < hi else ({}, 0)
+        dims.append(n)
+        mats = []
+        for x in range(v.alg.dim0):
+            out = [[Fraction(0)] * n for _ in range(n)]
+            for (i, j), o in src.items():
+                add(out, o, o, 1, kron(v.rho_at(i, x), Matrix.identity(w.dim_at(j))))
+                add(out, o, o, 1, kron(Matrix.identity(v.dim_at(i)), w.rho_at(j, x)))
+            mats.append(Matrix(n, n, out))
+        rho0.append(tuple(mats))
+        mats = []
+        for e in range(v.alg.dim1):
+            out = [[Fraction(0)] * n for _ in range(t)]
+            for (i, j), o in src.items():
+                if (i + 1, j) in tgt:
+                    add(out, tgt[(i + 1, j)], o, 1, kron(v.odd_at(i, e), Matrix.identity(w.dim_at(j))))
+                if (i, j + 1) in tgt:
+                    sign = -1 if i % 2 else 1
+                    add(out, tgt[(i, j + 1)], o, sign, kron(Matrix.identity(v.dim_at(i)), w.odd_at(j, e)))
+            mats.append(Matrix(t, n, out))
+        odd.append(tuple(mats))
+    return lo, hi, dims, rho0, odd
+
+
+@given(module_pairs())
+@settings(max_examples=40, deadline=None)
+def test_tensor_matches_the_dense_kron_formula(pair):
+    v, w = pair
+    t = tensor(v, w)
+    lo, hi, dims, rho0, odd = tensor_oracle(v, w)
+    assert (t.lo, t.hi) == (lo, hi)
+    for k, l in enumerate(range(lo, hi + 1)):
+        assert t.dims[k] == dims[k], l
+        assert t.rho0[k] == rho0[k], l
+        assert t.odd[k] == odd[k], l
+
+
 def test_direct_sum_of_several_matches_nested_sums():
     by_alg = {}
     for e in corpus_modules().values():

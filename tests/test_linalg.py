@@ -446,3 +446,32 @@ def test_operations_hand_over_fractions_in_their_shape(r, c, k, data):
     results += list(sys.solve().values()) + [m for s in sys.solution_basis() for m in s.values()]
     for m in results:
         assert_exact(m)
+
+
+def entrywise(f, *ms):
+    """Dense oracle: f applied entry by entry, every entry computed."""
+    r, c = ms[0].rows, ms[0].cols
+    return Matrix(r, c, [[f(*(m.data[i][j] for m in ms)) for j in range(c)] for i in range(r)])
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_zero_skipping_arithmetic_matches_dense_oracles(r, c, data):
+    a, b = data.draw(sparse_matrices(r, c)), data.draw(sparse_matrices(r, c))
+    zero = Matrix.zero(r, c)
+    before = [(m, m.data, [row[:] for row in m.data]) for m in (a, b, zero)]
+    for x in (0, 1, -1, data.draw(scalars)):
+        assert a.scale(x) == entrywise(lambda y: x * y, a)
+        assert_exact(a.scale(x))
+    assert a.scale(1) is a
+    for got, want in (
+        (a + b, entrywise(lambda y, z: y + z, a, b)),
+        (a - b, entrywise(lambda y, z: y - z, a, b)),
+        (-a, entrywise(lambda y: -y, a)),
+        (a + zero, a), (zero + a, a), (a - zero, a), (zero - a, -a), (a - a, zero),
+    ):
+        assert got == want
+        assert_exact(got)
+    # no operation changed an input: not its row lists, nor an entry
+    for m, rows, copy in before:
+        assert m.data is rows and m.data == copy
