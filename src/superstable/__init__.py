@@ -65,7 +65,6 @@ from .projstable import (
 )
 from .rigid import (
     CohomologyTable,
-    FiberComplex,
     OddPoint,
     L_of,
     V_of,

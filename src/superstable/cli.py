@@ -20,6 +20,7 @@ from .cohomology import (
     cech_closed_form,
     cech_line_bundle,
     check_ce_size,
+    check_nonfullness_size,
     chevalley_eilenberg,
     ext_twisted,
     koszul_odd,
@@ -56,6 +57,7 @@ from .serialize import (
     load_map,
     load_module,
     load_rep,
+    load_reps,
     map_to_json,
     matrix_to_json,
     module_to_json,
@@ -414,7 +416,9 @@ def _cmd_koszul(args):
 
 def _cmd_nonfullness(args):
     g = load_algebra(args.algebra)
-    dim = nonfullness_ext(load_rep(args.v, g), load_rep(args.w, g), args.i, args.j)
+    # refused by the files' dims, before their matrices are built
+    v, w = load_reps((args.v, args.w), g, functools.partial(check_nonfullness_size, g, args.i, args.j))
+    dim = nonfullness_ext(v, w, args.i, args.j)
     lines = [f"obstruction dim: {dim} ({'does not vanish' if dim else 'vanishes'})"]
     return EXIT_OK, _report("nonfullness", lines, dim=dim)
 

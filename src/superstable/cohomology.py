@@ -13,7 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .gradedmod import GradedModule, ModuleError, Rep, concentrated, dual, merge_sign, tensor
+from .gradedmod import (
+    GradedModule, ModuleError, Rep, check_tensor_size, concentrated, dual, merge_sign, tensor,
+)
 from .linalg import Matrix
 from .rigid import CohomologyTable
 
@@ -98,9 +100,7 @@ def cech_line_bundle(r: int, d: int) -> CohomologyTable:
             cache[neg] = piece
         for p, v in piece.entries:
             totals[p] += v
-    return CohomologyTable.from_dict(
-        {p: v for p, v in totals.items()}, context=f"cech P^{r} O({d})"
-    )
+    return CohomologyTable.from_dict(totals)
 
 
 def cech_closed_form(r: int, d: int) -> CohomologyTable:
@@ -110,7 +110,7 @@ def cech_closed_form(r: int, d: int) -> CohomologyTable:
         out[0] = comb(d + r, r)
     if d <= -r - 1:
         out[r] = comb(-d - 1, r)
-    return CohomologyTable.from_dict(out, context=f"closed form P^{r} O({d})")
+    return CohomologyTable.from_dict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def chevalley_eilenberg(rep: Rep) -> CohomologyTable:
     n = rep.alg.dim0
     dims = {p: comb(n, p) * rep.dim for p in range(n + 1)}
     ranks = {p: _ce_differential(rep, p).rank() for p in range(n)}
-    return CohomologyTable.of_complex(dims, ranks, context="chevalley-eilenberg")
+    return CohomologyTable.of_complex(dims, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +271,16 @@ def sym_power(rep: Rep, m: int) -> Rep:
     return Rep(rep.alg, len(basis), tuple(mats))
 
 
+def _sym_dim(n: int, p: int) -> int:
+    """dim S^p(k^n): the monomials of degree p in n variables."""
+    return comb(p + n - 1, p) if n else int(p == 0)
+
+
 def koszul_size(v: GradedModule, p_max: int) -> int:
     """The entries of the dense differentials of `koszul_odd(v, p_max)`:
     the sum over p < p_max of dim C^(p+1) * dim C^p, where dim C^p =
     C(p + n - 1, p) * dim V counts the monomials of S^p(g1*)."""
-    n = v.alg.dim1
-    sym = [comb(p + n - 1, p) if n else int(p == 0) for p in range(p_max + 1)]
+    sym = [_sym_dim(v.alg.dim1, p) for p in range(p_max + 1)]
     return sum(sym[p + 1] * sym[p] for p in range(p_max)) * v.total_dim ** 2
 
 
@@ -311,11 +315,32 @@ def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
                 placed.append((index[tuple(t)] * dv, ci * dv, 1, acts[e]))
         ranks[p] = Matrix.place(len(tgt) * dv, len(src) * dv, placed).rank()
     dims = {p: len(bases[p]) * dv for p in range(p_max)}
-    return CohomologyTable.of_complex(dims, ranks, context="odd koszul")
+    return CohomologyTable.of_complex(dims, ranks)
 
 
 # ---------------------------------------------------------------------------
 # the obstruction space for fullness
+
+
+def _nonfullness_degree(alg, i: int, j: int):
+    """m = i - j - dim g1, the symmetric degree of the obstruction space's
+    coefficients, or None when the space vanishes: when m < 0 or its
+    cohomological degree m + 1 exceeds dim g0."""
+    m = i - j - alg.dim1
+    return None if m < 0 or m + 1 > alg.dim0 else m
+
+
+def check_nonfullness_size(alg, i: int, j: int, dim_v: int, dim_w: int):
+    """Refuse `nonfullness_ext` on representations of dims dim_v and dim_w
+    as its tensor products and Chevalley-Eilenberg complex would, from the
+    dims alone; a vanishing space is never refused."""
+    m = _nonfullness_degree(alg, i, j)
+    if m is None:
+        return
+    sym = _sym_dim(alg.dim1, m)
+    check_tensor_size(dim_v, sym)
+    check_tensor_size(dim_v * sym, dim_w)
+    check_ce_size(alg.dim0, dim_v * sym * dim_w)
 
 
 def nonfullness_ext(v: Rep, w: Rep, i: int, j: int) -> int:
@@ -331,14 +356,13 @@ def nonfullness_ext(v: Rep, w: Rep, i: int, j: int) -> int:
     alg = v.alg
     if w.alg != alg:
         raise ModuleError("algebra mismatch in nonfullness_ext")
-    n = alg.dim1
-    m = i - j - n
-    p = m + 1
-    if m < 0 or p > alg.dim0:
+    m = _nonfullness_degree(alg, i, j)
+    if m is None:
         return 0
-    sym = sym_power(Rep(alg, n, alg.action), m)
+    check_nonfullness_size(alg, i, j, v.dim, w.dim)
+    p = m + 1
+    sym = sym_power(Rep(alg, alg.dim1, alg.action), m)
     v0, s0, w0 = (concentrated(q, 0) for q in (v, sym, w))
     coeff = tensor(tensor(dual(v0), s0), w0).rep_at(0)
-    check_ce_size(alg.dim0, coeff.dim)
-    ranks = [_ce_differential(coeff, q).rank() for q in (p - 1, p) if q < alg.dim0]
-    return comb(alg.dim0, p) * coeff.dim - sum(ranks)
+    ranks = {q: _ce_differential(coeff, q).rank() for q in (p - 1, p) if q < alg.dim0}
+    return CohomologyTable.of_complex({p: comb(alg.dim0, p) * coeff.dim}, ranks).dim(p)

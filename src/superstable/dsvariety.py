@@ -15,14 +15,7 @@ from math import ceil
 
 from .gradedmod import GradedModule
 from .linalg import Polynomial
-from .rigid import (
-    CohomologyTable,
-    L_of,
-    OddPoint,
-    evaluate_at,
-    fiber,
-    fiber_cohomology,
-)
+from .rigid import CohomologyTable, L_of, OddPoint, fiber, fiber_cohomology
 
 
 @dataclass(frozen=True)
@@ -62,9 +55,9 @@ def ds_at(m: GradedModule, x: OddPoint) -> DsResult:
 def _ds_result(m: GradedModule, lm: GradedModule, x: OddPoint) -> DsResult:
     """`ds_at(m, x)` with the rigid complex lm = L_of(m) already built.
 
-    rank x_M is summed over the degree blocks a_x^j of the module's own
-    odd maps; the graded table is the cohomology of lm's fiber at x."""
-    r = sum(a.rank() for a in evaluate_at(m.odd, x, m.alg.dim1))
+    rank x_M is summed over the degree blocks a_x^j of m's fiber at x;
+    the graded table is the cohomology of lm's fiber at x."""
+    r = sum(a.rank() for (a,) in fiber(m, x).odd)
     per = fiber_cohomology(fiber(lm, x))
     return DsResult(x, m.total_dim, r, m.total_dim - 2 * r, per)
 

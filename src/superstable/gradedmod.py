@@ -24,12 +24,23 @@ _ZERO = Fraction(0)
 
 # largest 2^dim(g1) * dim allowed for a build or sum over the exterior
 # algebra (the induced modules, the Frobenius comparison and the trace
-# sum), and the largest total dimension of a tensor product
+# sum), the largest total dimension of a tensor product and the most
+# unknowns of a `hom_graded` system
 MAX_EXTERIOR_SIZE = 1024
 
 
 class ModuleError(ValueError):
     """Raised when module data violates shape or invariant constraints."""
+
+
+def check_tensor_size(dim_v: int, dim_w: int):
+    """Refuse a tensor product of total dimension dim_v * dim_w over
+    `MAX_EXTERIOR_SIZE`."""
+    if dim_v * dim_w > MAX_EXTERIOR_SIZE:
+        raise ModuleError(
+            f"the tensor product has total dimension {dim_v * dim_w}, "
+            f"over the limit of {MAX_EXTERIOR_SIZE}"
+        )
 
 
 def check_exterior_size(n: int, dim: int, what: str):
@@ -397,11 +408,7 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     """
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in tensor product")
-    if v.total_dim * w.total_dim > MAX_EXTERIOR_SIZE:
-        raise ModuleError(
-            f"the tensor product has total dimension {v.total_dim * w.total_dim}, "
-            f"over the limit of {MAX_EXTERIOR_SIZE}"
-        )
+    check_tensor_size(v.total_dim, w.total_dim)
     alg = v.alg
     lo, hi = v.lo + w.lo, v.hi + w.hi
 
@@ -498,9 +505,18 @@ def graded_map_system(v: GradedModule, w: GradedModule) -> LinearSystem:
 def hom_graded(v: GradedModule, w: GradedModule) -> list:
     """Deterministic basis of the degree-preserving g-homomorphisms V -> W.
     Each basis map is a solution of `graded_map_system`, so it closes
-    every square `check_map` would evaluate, and is returned as it is."""
+    every square `check_map` would evaluate, and is returned as it is.
+    The unknowns, sum over j of dim V^j * dim W^j, are the degree-0 part
+    of V* (x) W, which is refused over `MAX_EXTERIOR_SIZE` as `tensor`
+    refuses it, before any system is built."""
     if v.alg != w.alg:
         raise ModuleError("algebra mismatch in hom")
+    size = sum(v.dim_at(j) * w.dim_at(j) for j in v.degrees())
+    if size > MAX_EXTERIOR_SIZE:
+        raise ModuleError(
+            f"Hom(V, W) has {size} unknowns, sum over j of dim V^j * dim W^j, "
+            f"over the limit of {MAX_EXTERIOR_SIZE}"
+        )
     return [GradedMap(v, w, sol) for sol in graded_map_system(v, w).solution_basis()]
 
 

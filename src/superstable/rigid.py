@@ -9,15 +9,21 @@ equivariance identity by (-1)^j, so a family is a rigid complex exactly
 when it is a valid odd action, and composability d^(j+1) d^j = 0 is the
 anticommutation identity: `make_module` validates both.  The sign
 convention s(j) = (-1)^j is used symmetrically in both directions, so
-the roundtrip is the identity on the nose.
+the roundtrip is the identity on the nose.  At a point x of P(g1) both
+the fiber of L(V) and the DS fiber V_x are the cohomology of V
+restricted to the line k[x]/(x^2) through x (`fiber`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import grassmann
 from .gradedmod import GradedModule, make_module
 from .linalg import Matrix, scalar
+
+# the line k[x]/(x^2) = Lambda(kx), over which every fiber is a module
+LINE = grassmann(1)
 
 
 @dataclass(frozen=True)
@@ -36,48 +42,26 @@ class OddPoint:
 
 
 @dataclass(frozen=True)
-class FiberComplex:
-    lo: int
-    hi: int
-    dims: tuple
-    d: tuple  # d[j-lo]: dims[j+1] x dims[j]
-
-    def dim_at(self, j: int) -> int:
-        if self.lo <= j <= self.hi:
-            return self.dims[j - self.lo]
-        return 0
-
-    def d_at(self, j: int) -> Matrix:
-        if self.lo <= j <= self.hi:
-            return self.d[j - self.lo]
-        return Matrix.zero(self.dim_at(j + 1), 0)
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-
-@dataclass(frozen=True)
 class CohomologyTable:
     """degree -> dimension, the universal output of all cohomology calculators."""
 
     entries: tuple  # sorted tuple of (degree, dim)
-    context: str = ""
 
     @staticmethod
-    def from_dict(d: dict, context: str = "") -> "CohomologyTable":
+    def from_dict(d: dict) -> "CohomologyTable":
         items = tuple(sorted((int(k), int(v)) for k, v in d.items()))
         if any(v < 0 for _, v in items):
             raise ValueError("cohomology dimensions must be nonnegative")
-        return CohomologyTable(items, context)
+        return CohomologyTable(items)
 
     @staticmethod
-    def of_complex(dims: dict, ranks: dict, context: str = "") -> "CohomologyTable":
+    def of_complex(dims: dict, ranks: dict) -> "CohomologyTable":
         """Cohomology of a complex of finite-dimensional spaces:
         dim H^j = dims[j] - rank d^j - rank d^(j-1) for each degree j in
         dims, where ranks[j] is the rank of d^j: C^j -> C^(j+1) and a
         degree missing from ranks has no differential (rank 0)."""
         out = {j: d - ranks.get(j, 0) - ranks.get(j - 1, 0) for j, d in dims.items()}
-        return CohomologyTable.from_dict(out, context)
+        return CohomologyTable.from_dict(out)
 
     def as_dict(self) -> dict:
         return dict(self.entries)
@@ -111,34 +95,30 @@ def V_of(l: GradedModule) -> GradedModule:
     return GradedModule(l.alg, l.lo, l.hi, l.dims, l.rho0, _signed(l.lo, l.odd))
 
 
-def evaluate_at(fam, x: OddPoint, dim1: int) -> list:
-    """A per-degree odd family at x: F_x^j = sum_e x_e F_e^j for each degree.
-
-    fam[k] holds the dim1 matrices F_e^j of the k-th degree of the window.
-    On a rigid complex's odd family this gives the fiber differentials
-    d_x^j; on a module's it gives the blocks a_x^j of x_M, which is
-    block-subdiagonal, so rank x_M is the sum of their ranks."""
-    if len(x.coords) != dim1:
+def fiber(v: GradedModule, x: OddPoint) -> GradedModule:
+    """v restricted to the line through x: the module over `LINE` =
+    Lambda(kx) with the one odd matrix a_x^j = sum_e x_e a_e^j per degree,
+    for v a module or its rigid complex (whose a_x is the fiber
+    differential d_x).  It is assembled without a check: a_x^(j+1) a_x^j
+    is the sum over e, f of x_e x_f a_e^(j+1) a_f^j, which vanishes by the
+    anticommutation identity `make_module` verified on v.  M_x = 0 exactly
+    when this restriction is free (Duflo-Serganova)."""
+    if len(x.coords) != v.alg.dim1:
         raise ValueError("point dimension does not match the odd part")
-    out = []
-    for per in fam:
-        m = Matrix.zero(per[0].rows, per[0].cols)
+    odd = []
+    for per in v.odd:
+        a = Matrix.zero(per[0].rows, per[0].cols)
         for f, c in zip(per, x.coords):
             if c != 0:
-                m = m + f.scale(c)
-        out.append(m)
-    return out
+                a = a + f.scale(c)
+        odd.append((a,))
+    return GradedModule(LINE, v.lo, v.hi, v.dims, ((),) * len(v.dims), tuple(odd))
 
 
-def fiber(l: GradedModule, x: OddPoint) -> FiberComplex:
-    """Evaluate the differentials at a rational point of P(g1).  The fiber
-    is a complex with nothing to check: d_x^(j+1) d_x^j is the sum over
-    e, f of x_e x_f D_e^(j+1) D_f^j, which vanishes by the anticommutation
-    identity `make_module` verified on l."""
-    return FiberComplex(l.lo, l.hi, l.dims, tuple(evaluate_at(l.odd, x, l.alg.dim1)))
-
-
-def fiber_cohomology(f: FiberComplex) -> CohomologyTable:
-    """dim H^j = dims[j] - rank d^j - rank d^(j-1), exactly."""
-    ranks = {j: f.d_at(j).rank() for j in f.degrees()}
-    return CohomologyTable.of_complex(dict(zip(f.degrees(), f.dims)), ranks, context="fiber")
+def fiber_cohomology(f: GradedModule) -> CohomologyTable:
+    """The cohomology of a module over `LINE`, as a complex under its odd
+    matrix: dim H^j = dims[j] - rank a^j - rank a^(j-1), exactly."""
+    if f.alg.dim1 != 1:
+        raise ValueError("fiber cohomology needs a module over the line, such as a fiber")
+    ranks = {j: f.odd_at(j, 0).rank() for j in f.degrees()}
+    return CohomologyTable.of_complex(dict(zip(f.degrees(), f.dims)), ranks)

@@ -212,14 +212,15 @@ def rep_to_json(q: Rep):
     return {"dim": q.dim, "mats": [matrix_to_json(m) for m in q.mats]}
 
 
-def rep_from_json(obj, alg: SuperAlgebra, check_dim=None) -> Rep:
-    """A representation of alg's even part, validated: the one place a
-    Rep is checked.  `check_dim`, when given, is called on the dim before
-    any matrix is built, so a caller can refuse a size it cannot use."""
+def _rep_dim(obj) -> int:
     # bounded before any matrix is built, as a module's total dimension is
-    dim = int_from_json(_field(obj, "dim", "representation"), "dim", lo=0, hi=MAX_EXTERIOR_SIZE)
-    if check_dim is not None:
-        check_dim(dim)
+    return int_from_json(_field(obj, "dim", "representation"), "dim", lo=0, hi=MAX_EXTERIOR_SIZE)
+
+
+def rep_from_json(obj, alg: SuperAlgebra) -> Rep:
+    """A representation of alg's even part, validated: the one place a
+    Rep is checked."""
+    dim = _rep_dim(obj)
     mats = tuple(matrix_from_json(m, dim, dim) for m in _array(obj.get("mats", []), "mats"))
     if len(mats) != alg.dim0:
         raise FormatError("need one representation matrix per even basis element")
@@ -369,8 +370,18 @@ def load_map(path: str, seen=None) -> GradedMap:
     return map_from_json(_read(path), seen)
 
 
+def load_reps(paths, alg: SuperAlgebra, check_dims=None) -> list:
+    """The representations in the files `paths`.  `check_dims`, when
+    given, is called on their dims before any matrix is built, so a
+    caller can refuse sizes it cannot use."""
+    objs = [_read(p) for p in paths]
+    if check_dims is not None:
+        check_dims(*(_rep_dim(obj) for obj in objs))
+    return [rep_from_json(obj, alg) for obj in objs]
+
+
 def load_rep(path: str, alg: SuperAlgebra, check_dim=None) -> Rep:
-    return rep_from_json(_read(path), alg, check_dim)
+    return load_reps([path], alg, check_dim)[0]
 
 
 def dump(obj, path: str):

@@ -737,14 +737,20 @@ def test_ce_refuses_by_the_file_dim_before_a_matrix_is_built(tmp_path, capsys, m
     assert (1024, 1024) not in built
 
 
+def _zero_module_file(tmp_path, dim):
+    """A file of 99 bytes or so: the dim-dimensional zero module over
+    grassmann(1) in degree 0."""
+    path = tmp_path / f"zero{dim}.json"
+    path.write_text('{"algebra": "grassmann(1)", "lo": 0, "hi": 0, "dims": [%d], '
+                    '"rho0": [[]], "odd": [[[]]]}' % dim)
+    return str(path)
+
+
 def test_tensor_at_and_over_the_size_limit(tmp_path):
     from superstable.gradedmod import MAX_EXTERIOR_SIZE
 
     def zero_module_file(dim):
-        path = tmp_path / f"zero{dim}.json"
-        path.write_text('{"algebra": "grassmann(1)", "lo": 0, "hi": 0, "dims": [%d], '
-                        '"rho0": [[]], "odd": [[[]]]}' % dim)
-        return str(path)
+        return _zero_module_file(tmp_path, dim)
 
     out = _run_capped(["tensor", "--module", zero_module_file(32), "--other", zero_module_file(32)])
     assert out.returncode == 0 and out.stdout.startswith("tensor product: "), out.stderr
@@ -753,6 +759,76 @@ def test_tensor_at_and_over_the_size_limit(tmp_path):
         _refused(["tensor", "--module", zero_module_file(a), "--other", zero_module_file(b)], 1,
                  f"error: the tensor product has total dimension {a * b}, "
                  f"over the limit of {MAX_EXTERIOR_SIZE}")
+
+
+def test_hom_at_and_over_the_size_limit(tmp_path):
+    from superstable.gradedmod import MAX_EXTERIOR_SIZE
+
+    # every map between zero modules in one degree is a g-map: 32 * 32 of them
+    zero32 = _zero_module_file(tmp_path, 32)
+    out = _run_capped(["hom", "--module", zero32, "--other", zero32])
+    assert out.returncode == 0 and out.stdout == f"dim Hom(V, W) = {MAX_EXTERIOR_SIZE}\n", out.stderr
+    for a, b in ((32, 33), (MAX_EXTERIOR_SIZE, MAX_EXTERIOR_SIZE)):
+        _refused(["hom", "--module", _zero_module_file(tmp_path, a),
+                  "--other", _zero_module_file(tmp_path, b)], 1,
+                 f"error: Hom(V, W) has {a * b} unknowns, sum over j of dim V^j * dim W^j, "
+                 f"over the limit of {MAX_EXTERIOR_SIZE}")
+
+
+def test_nonfullness_refuses_by_the_file_dims_before_a_matrix_is_built(tmp_path, capsys, monkeypatch):
+    from superstable import serialize
+    from superstable.gradedmod import MAX_EXTERIOR_SIZE
+
+    def zero_rep(dim):
+        path = str(tmp_path / f"zero{dim}.json")
+        dump({"dim": dim, "mats": [{"rows": dim, "cols": dim, "entries": []}] * 3}, path)
+        return path
+
+    # over sl2_trivial(1), at i - j = 1 the coefficients V* (x) S^0(g1) (x) W
+    # are 64 * 32-dimensional, over the tensor limit
+    v, w = zero_rep(64), zero_rep(32)
+    built, real = [], serialize.matrix_from_json
+
+    def recorded(obj, rows=None, cols=None):
+        built.append((rows, cols))
+        return real(obj, rows, cols)
+
+    monkeypatch.setattr(serialize, "matrix_from_json", recorded)
+
+    def nonfullness(i, j):
+        return main(["nonfullness", "--algebra", "sl2_trivial(1)", "--v", v, "--w", w,
+                     "-i", str(i), "-j", str(j)])
+
+    assert nonfullness(1, 0) == 1
+    assert capsys.readouterr().err == (
+        f"error: the tensor product has total dimension 2048, over the limit of {MAX_EXTERIOR_SIZE}\n"
+    )
+    assert built == []
+    # the space vanishes below i - j = dim g1 and above p = dim g0: no refusal
+    for i in (0, 4):
+        assert nonfullness(i, 0) == 0
+        assert capsys.readouterr().out == "obstruction dim: 0 (vanishes)\n"
+
+
+@pytest.mark.parametrize("cmd", [["support-check"], ["ds", "--point", "1,2"]])
+def test_ds_cross_check_disagreement_exit_1(capsys, monkeypatch, files, cmd):
+    # every report that gets written has consistent/ok true: a DS dimension
+    # that disagrees with the fiber cohomology stops the command
+    from superstable import dsvariety
+    from superstable.rigid import CohomologyTable
+
+    real = dsvariety.fiber_cohomology
+
+    def off_by_one(f):
+        table = real(f)
+        return CohomologyTable.from_dict({**table.as_dict(), f.lo: table.dim(f.lo) + 1})
+
+    monkeypatch.setattr(dsvariety, "fiber_cohomology", off_by_one)
+    assert main([cmd[0], "--module", files["sl2_triv2_mixed"], *cmd[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DS dimension") and "disagrees" in captured.err
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

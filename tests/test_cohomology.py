@@ -31,6 +31,8 @@ def test_cech_against_closed_form_full_sweep():
             assert (
                 cech_line_bundle(r, d).as_dict() == cech_closed_form(r, d).as_dict()
             ), (r, d)
+            # a table is its entries: equal answers compare equal
+            assert cech_line_bundle(r, d) == cech_closed_form(r, d), (r, d)
 
 
 def test_cech_specific_values():

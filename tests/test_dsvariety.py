@@ -21,7 +21,6 @@ from superstable.rigid import (
     CohomologyTable,
     L_of,
     OddPoint,
-    evaluate_at,
     fiber,
     fiber_cohomology,
 )
@@ -78,10 +77,10 @@ def test_ds_rank_matches_dense_x_operator(source, data):
         xm = x_operator(v, x)
         assert (xm * xm).is_zero()
         assert ds_at(v, x).rank_x == xm.rank()
-        blocks = evaluate_at(v.odd, x, n)
+        blocks = [a for (a,) in fiber(v, x).odd]
         assert top.vstack(Matrix.block_diag(blocks)) == xm
         signed = tuple(b.scale(-1 if j % 2 else 1) for j, b in zip(v.degrees(), blocks))
-        assert fiber(lv, x).d == signed
+        assert tuple(d for (d,) in fiber(lv, x).odd) == signed
         total = Matrix.zero(v.total_dim, v.total_dim)
         for e, c in enumerate(x.coords):
             total = total + v.total_odd(e).scale(c)
@@ -196,6 +195,28 @@ def test_support_check_entries_match_ds_at_and_fiber(name, data):
         assert e.fiber_total == fiber_cohomology(fiber(L_of(v), x)).total
         assert (e.ds_dim, e.in_variety) == (res.ds_dim, res.ds_dim > 0)
         assert e.in_variety == in_variety(v, x)
+
+
+def test_ds_is_the_reduced_part_of_the_fiber():
+    # over the line Lambda(kx) a module is free plus copies of k, and
+    # M_x = 0 exactly when the restriction fiber(m, x) is free: the DS
+    # fiber is the reduced part of the restriction, degree by degree
+    from superstable.projstable import decompose, is_projective
+
+    mods = [e.module for e in corpus_modules().values()]
+    mods += [random_module(seed, 12) for seed in range(40)]
+    pairs = 0
+    for k, v in enumerate(mods):
+        n = v.alg.dim1
+        for x in unit_points(n) + random_points(n, 3, seed=k):
+            f = fiber(v, x)
+            assert f.total_odd(0) == x_operator(v, x)
+            res = ds_at(v, x)
+            reduced = decompose(f).reduced_part
+            assert {j: reduced.dim_at(j) for j in v.degrees()} == res.per_degree.as_dict(), (k, x)
+            assert is_projective(f) == (res.ds_dim == 0), (k, x)
+            pairs += 1
+    assert pairs > 250
 
 
 def test_ds_result_rejects_inconsistent_dimensions():

@@ -86,13 +86,19 @@ def test_fiber_squares_to_zero(source, data):
     )
     f = fiber(L_of(v), OddPoint(tuple(coords)))
     for j in f.degrees():
-        assert (f.d_at(j + 1) * f.d_at(j)).is_zero()
+        assert (f.odd_at(j + 1, 0) * f.odd_at(j, 0)).is_zero()
+    # so the fiber is a module over the line, as the validating constructor says
+    assert f.alg == grassmann(1)
+    assert make_module(f.alg, f.lo, f.hi, f.dims, f.rho0, f.odd) == f
 
 
 def test_fiber_point_dimension_mismatch():
     v = corpus_modules()["grassmann2_free"].module
     with pytest.raises(ValueError):
         fiber(L_of(v), OddPoint((1,)))
+    # a complex over two odd generators is not yet a fiber
+    with pytest.raises(ValueError, match="over the line"):
+        fiber_cohomology(L_of(v))
 
 
 def test_odd_point_rejects_zero():
@@ -110,8 +116,8 @@ def test_cohomology_table_validation():
 
 def test_cohomology_table_of_complex():
     # 0 -> k^2 -> k^3 -> k^1 -> 0 with ranks 2 and 1: H = (0, 0, 0)
-    t = CohomologyTable.of_complex({0: 2, 1: 3, 2: 1}, {0: 2, 1: 1}, context="c")
-    assert t.as_dict() == {0: 0, 1: 0, 2: 0} and t.context == "c"
+    t = CohomologyTable.of_complex({0: 2, 1: 3, 2: 1}, {0: 2, 1: 1})
+    assert t.as_dict() == {0: 0, 1: 0, 2: 0}
     # degree 2 has no differential and degree 1's is zero
     t = CohomologyTable.of_complex({0: 3, 1: 2, 2: 4}, {0: 1, 1: 0})
     assert t.as_dict() == {0: 2, 1: 1, 2: 4}
