@@ -1,16 +1,17 @@
 """Projectivity tests, the projective/reduced decomposition, and the
 stable-category equality decision procedure.
 
-Projectivity and stable equality are decided by Higman's trace
-criterion: the identity (resp. a difference of maps) factors through a
-projective exactly when it is the trace of a g0-map, a linear solve on
-degree blocks.  The certificate is the lift along the canonical
-evaluation epimorphism from an induced module (projective whenever the
-even part is semisimple or zero), written in closed form from that
-g0-map.  Every map here is solved for or written in closed form, and is
-returned as it is: the solve imposes exactly the identities a check
-would evaluate, and each closed form says why it is a g-map.  The tests
-hold the checks; the one `check_map` here is `frobenius_check`'s answer.
+Projectivity is freeness over Lambda(g1), one rank of the top operator.
+Stable equality is decided by Higman's trace criterion: a map factors
+through a projective exactly when it is the trace of a g0-map, a linear
+solve on degree blocks.  The certificate is the lift along the
+canonical evaluation epimorphism from an induced module (projective
+whenever the even part is semisimple or zero), written in closed form
+from that g0-map.  Every map here is solved for or written in closed
+form, and is returned as it is: the solve imposes exactly the
+identities a check would evaluate, and each closed form says why it is
+a g-map.  The tests hold the checks; the one `check_map` here is
+`frobenius_check`'s answer.
 """
 
 from __future__ import annotations
@@ -61,10 +62,9 @@ def top_operator(v: GradedModule) -> GradedMap:
     anticommutation, and with each x in g0 up to the trace of g0 on g1:
     E rho(x) = rho(x) E - tr(A_x) E by the mixed brackets, and the trace
     is zero for semisimple g0.  So ker E is a submodule with nothing to
-    check, by identities `make_module` has verified."""
+    check, by identities `make_module` has verified.  For n = 0 the word
+    is empty and E is the identity."""
     n = v.alg.dim1
-    if n == 0:
-        raise ModuleError("top operator undefined for dim1 = 0 (empty product is the identity)")
     word = _odd_words(v)
     return GradedMap(v, shift(v, -n), {j: word(j, tuple(range(n))) for j in v.degrees()})
 
@@ -90,9 +90,7 @@ def _coordinate_complement(basis: Matrix) -> list:
 @dataclass(frozen=True)
 class Decomposition:
     module: GradedModule
-    k_basis: dict            # degree -> Matrix, basis of ker E
-    q_basis: dict            # degree -> Matrix, g0-stable complement of K
-    q_reps: dict             # degree -> Rep carried by the complement
+    q_basis: dict            # degree -> Matrix, g0-stable complement of ker E
     induced_part: GradedModule
     induced_embedding: GradedMap
     reduced_part: GradedModule
@@ -198,12 +196,9 @@ def decompose(v: GradedModule) -> Decomposition:
     """
     _require_semisimple(v)
     op = top_operator(v)
-    k_basis = {j: op.comp_at(j).nullspace() for j in v.degrees()}
-    q_basis, q_reps = {}, {}
-    for j in v.degrees():
-        s, rep = _equivariant_complement(v, j, k_basis[j])
-        q_basis[j] = s
-        q_reps[j] = rep
+    qs = {j: _equivariant_complement(v, j, op.comp_at(j).nullspace()) for j in v.degrees()}
+    q_basis = {j: s for j, (s, _) in qs.items()}
+    q_reps = {j: rep for j, (_, rep) in qs.items()}
     ind = _induced_on(v, q_reps)
     emb = _evaluation_map(v, q_basis, ind)
     if ind.total_dim and emb.total_matrix().rank() != ind.total_dim:
@@ -219,19 +214,14 @@ def decompose(v: GradedModule) -> Decomposition:
     if sol is None:
         raise ModuleError("no equivariant retraction found; upstream invariant violated")
     projector = GradedMap(v, ind, sol)
-    red_basis = {}
-    for j in v.degrees():
-        red_basis[j] = projector.comp_at(j).nullspace()
-    reduced, red_emb = submodule(v, red_basis)
+    reduced, red_emb = submodule(v, {j: projector.comp_at(j).nullspace() for j in v.degrees()})
     if v.total_dim != ind.total_dim + reduced.total_dim:
         raise ModuleError("decomposition dimensions do not add up")
     if reduced.total_dim and not is_reduced(reduced):
         raise ModuleError("complement of the induced part is not reduced")
     return Decomposition(
         module=v,
-        k_basis=k_basis,
         q_basis=q_basis,
-        q_reps=q_reps,
         induced_part=ind,
         induced_embedding=emb,
         reduced_part=reduced,
@@ -303,9 +293,16 @@ def _lift_along_evaluation(target_map: GradedMap):
 
 
 def is_projective(v: GradedModule) -> bool:
-    """Higman's test: is the identity of V a trace?"""
+    """Is V free over Lambda(g1), that is 2^n * rank E = dim V for the top
+    operator E and n = dim g1?  Lambda(g1) is local and self-injective:
+    where E.m != 0, Lambda(g1).m is free and splits off, so each free
+    summand adds 1 to rank E and E kills the rest.  A g0-stable
+    complement Q of g1.V gives Lambda(g1) (x) Q = V, so free is induced.
+    Q needs g0 semisimple (or zero): over an abelian g0 a free V need not
+    be induced, and then its identity has no trace preimage.  No solve."""
     _require_semisimple(v)
-    return _trace_preimage(identity_map(v)) is not None
+    op = top_operator(v)
+    return (1 << v.alg.dim1) * sum(op.comp_at(j).rank() for j in v.degrees()) == v.total_dim
 
 
 def _difference(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -344,8 +341,6 @@ def frobenius_check(q: Rep) -> bool:
     trivially on Lambda^n(g1): a g0-action on g1 of nonzero trace gives
     False."""
     n = q.alg.dim1
-    if n < 1:
-        raise ModuleError("frobenius check needs dim1 >= 1")
     ind = induced_module(q)
     coind = shift(dual(induced_module(dual(concentrated(q, 0)).rep_at(0))), n)
     blocks, ident = induced_blocks(n, {0: q}), Matrix.identity(q.dim)

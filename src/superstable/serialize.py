@@ -185,9 +185,13 @@ def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
     except ValueError as exc:
         raise FormatError(exc.args[0]) from exc
     c = [[[Fraction(0)] * dim0 for _ in range(dim0)] for _ in range(dim0)]
+    given = set()
     for t in _array(obj.get("bracket", []), "bracket"):
         i, j, k, v = _array(t, "bracket entry [i, j, k, value]", 4)
         i, j, k = (int_from_json(x, "bracket index", lo=0, hi=dim0 - 1) for x in (i, j, k))
+        if (i, j, k) in given:
+            raise FormatError(f"bracket entry ({i}, {j}, {k}) is given twice")
+        given.add((i, j, k))
         c[i][j][k] = scalar_from_str(v)
     action = tuple(
         matrix_from_json(a, dim1, dim1) for a in _array(obj.get("action", []), "action")

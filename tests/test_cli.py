@@ -313,6 +313,25 @@ def test_sparse_entry_given_twice_exit_2(capsys, files, tmp_path):
     assert "sparse matrix entry (0, 0) is given twice" in err and "Traceback" not in err
 
 
+def test_bracket_entry_given_twice_exit_2(capsys, tmp_path):
+    # the second triple would overwrite the first, and with it the
+    # antisymmetry failure of [x, x] = x
+    alg = {"dim0": 1, "dim1": 1, "bracket": [[0, 0, 0, "1"]], "action": [[["0"]]]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(alg))
+    assert main(["validate", "--algebra", str(path)]) == 1
+    capsys.readouterr()
+    alg["bracket"].append([0, 0, 0, "0"])
+    path.write_text(json.dumps(alg))
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"algebra": alg, "lo": 0, "hi": 0, "dims": [1],
+                                  "rho0": [[[["0"]]]], "odd": [[[]]]}))
+    for argv in (["validate", "--algebra", str(path)], ["module-info", "--module", str(module)]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "bracket entry (0, 0, 0) is given twice" in err and "Traceback" not in err, err
+
+
 def test_module_validation_failure_still_exit_1(capsys, files, tmp_path):
     def edit(obj):
         m = obj["odd"][0][0]
@@ -480,6 +499,19 @@ def test_sampling_with_no_odd_part_exit_1(tmp_path):
         assert out.returncode == 1, (argv, out.stderr)
         assert out.stderr.startswith("error: P(g1) is empty"), out.stderr
         assert "Traceback" not in out.stderr
+
+
+def test_decompose_and_is_reduced_with_no_odd_part(capsys, tmp_path):
+    # the empty odd word is the identity: V is induced from itself
+    from superstable.algebra import grassmann
+    from superstable.gradedmod import trivial_module
+
+    path = str(tmp_path / "g0.json")
+    dump(module_to_json(trivial_module(grassmann(0))), path)
+    code, out = run(capsys, "decompose", "--module", path)
+    assert code == 0 and "induced part: 1 (Q dim 1)" in out and "reduced part: 0" in out
+    code, out = run(capsys, "is-reduced", "--module", path)
+    assert code == 0 and "reduced: no" in out
 
 
 @pytest.mark.parametrize("cmd", ["support-check", "variety"])

@@ -15,6 +15,8 @@ from superstable.gradedmod import (
     Rep,
     check_exterior_size,
     check_map,
+    concentrated,
+    direct_sum,
     graded_map_system,
     hom_graded,
     identity_map,
@@ -57,10 +59,26 @@ def test_top_operator_free_module_full_rank():
     assert not op.is_zero()
 
 
-def test_top_operator_errors_on_no_odd_part():
-    v = trivial_module(grassmann(0))
-    with pytest.raises(ModuleError):
-        top_operator(v)
+def _no_odd_part_modules():
+    """Modules over grassmann(0) and sl2_trivial(0), where g1 = 0."""
+    g, s = grassmann(0), sl2_trivial(0)
+    return [
+        direct_sum(trivial_module(g, 0, 2), trivial_module(g, 1, 1)),
+        direct_sum(concentrated(Rep(s, 2, tuple(SL2_NATURAL)), -1), trivial_module(s, 1)),
+    ]
+
+
+def test_top_operator_is_the_identity_with_no_odd_part():
+    # the empty odd word is the identity: a module is induced from
+    # itself, so it is projective with reduced part 0, and not reduced
+    for v in _no_odd_part_modules():
+        assert top_operator(v) == identity_map(v)
+        dec = decompose(v)
+        assert dec.q_dim == dec.induced_part.total_dim == v.total_dim
+        assert dec.reduced_part.total_dim == 0
+        _check_decomposition_maps(dec)
+        assert is_projective(v) and tau_decides(v) and projective_certificate(v) is not None
+        assert not is_reduced(v)
 
 
 def test_is_reduced():
@@ -104,9 +122,80 @@ def test_decompose_reduced_part_has_nonzero_fiber():
         assert fiber_cohomology(fiber(L_of(dec.reduced_part), x)).total > 0
 
 
-def test_is_projective_matches_decomposition():
+def test_is_projective_matches_decomposition(monkeypatch):
+    # with no linear system to be had: the rank test solves nothing
+    def refuse(*args):
+        raise AssertionError("is_projective built a linear system")
+
+    monkeypatch.setattr(projstable, "graded_map_system", refuse)
     for name, e in corpus_modules().items():
         assert is_projective(e.module) == (e.reduced_dim == 0), name
+    with pytest.raises(AssertionError, match="built a linear system"):
+        tau_decides(corpus_modules()["grassmann1_free"].module)
+
+
+def tau_decides(v):
+    """The oracle: is the identity of V a trace (Higman's criterion)?"""
+    return _trace_preimage(identity_map(v)) is not None
+
+
+def table_modules():
+    """(module, projective?) for Ind(k^2) and Ind(k^2) + k over
+    grassmann(4), grassmann(5), sl2_trivial(6) and grassmann(7): only
+    Ind(k^2) is, as k is reduced."""
+    out = []
+    for alg in (grassmann(4), grassmann(5), sl2_trivial(6), grassmann(7)):
+        ind = induced_module(Rep.trivial(alg, 2))
+        out += [(ind, True), (direct_sum(ind, trivial_module(alg)), False)]
+    return out
+
+
+def test_rank_test_agrees_with_tau_and_decompose():
+    # the rank of the top operator, the trace criterion and an empty
+    # reduced part of `decompose` give one answer
+    mods = [e.module for e in corpus_modules().values()] + _no_odd_part_modules()
+    mods += [random_module(seed, 12) for seed in range(300)]
+    answers = []
+    for v in mods:
+        answer = is_projective(v)
+        assert answer == tau_decides(v) == (decompose(v).reduced_part.total_dim == 0), v
+        answers.append(answer)
+    assert 0 < sum(answers) < len(mods)
+
+
+def test_is_projective_answers_over_the_trace_sum_cap():
+    # the trace criterion refuses these (2^n * dim over the cap); the rank
+    # of the top operator answers each in milliseconds
+    import time
+
+    table = table_modules()
+    for v, expected in (table[3], table[4], table[7]):
+        assert (1 << v.alg.dim1) * v.total_dim > MAX_EXTERIOR_SIZE
+        with pytest.raises(ModuleError, match="over the limit"):
+            tau_decides(v)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert is_projective(v) == expected, v.total_dim
+            best = min(best, time.perf_counter() - t0)
+        assert best < 0.1, (v.total_dim, best)
+
+
+def test_rank_path_keeps_the_semisimple_hypothesis():
+    # g0 = k h acts trivially on g1 = k e, V = <a> + <ea, b> + <eb> with
+    # h.b = ea: V is free over Lambda(g1), so 2 rank E = dim V, but g1.V
+    # has no g0-stable complement and the identity is not a trace
+    g = SuperAlgebra(1, [[[0]]], 1, (Matrix.zero(1, 1),))
+    v = make_module(
+        g, 0, 2, (1, 2, 1),
+        ((Matrix.zero(1, 1),), (Matrix.from_rows([[0, 1], [0, 0]]),), (Matrix.zero(1, 1),)),
+        [(Matrix.from_rows([[1], [0]]),), (Matrix.from_rows([[0, 1]]),), (Matrix.zero(0, 1),)],
+    )
+    op = top_operator(v)
+    assert 2 * sum(op.comp_at(j).rank() for j in v.degrees()) == 4 == v.total_dim
+    assert not tau_decides(v)
+    with pytest.raises(HypothesisError):
+        is_projective(v)
 
 
 def test_projective_certificate_checks_out():
@@ -168,9 +257,10 @@ def test_frobenius_all_shipped_reps():
         assert frobenius_check(e.rep), name
 
 
-def test_frobenius_rejects_missing_odd_part():
-    with pytest.raises(ModuleError):
-        frobenius_check(Rep.trivial(grassmann(0), 1))
+def test_frobenius_with_no_odd_part():
+    # Ind(Q) = Q = Coind(Q), and the comparison is the identity
+    assert frobenius_check(Rep.trivial(grassmann(0), 1))
+    assert frobenius_check(Rep(sl2_trivial(0), 2, tuple(SL2_NATURAL)))
 
 
 def test_frobenius_reports_a_flipped_sign(monkeypatch, capsys, tmp_path):
@@ -257,10 +347,11 @@ def test_exterior_builds_refused_over_the_limit():
     for query in (
         lambda: stable_equal(identity_map(v), identity_map(v)),
         lambda: stable_equal_certificate(identity_map(v), identity_map(v)),
-        lambda: is_projective(v),
     ):
         with pytest.raises(ModuleError, match="the trace sum has size 2\\^40 \\* 41"):
             query()
+    # projectivity builds nothing of size 2^n: E = 0 here, so V is not free
+    assert not is_projective(v)
 
 
 def test_exterior_builds_at_the_limit():
