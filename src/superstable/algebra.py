@@ -86,8 +86,7 @@ def validate(g: SuperAlgebra) -> ValidationReport:
     failure is the first pair (i, j) where that fails.
     """
     c, n0 = g.bracket, g.dim0
-    # ad x_i as `Matrix.sparse_rows`: row k holds c_ij^k in column j
-    ads = [[{j: cij[k] for j, cij in enumerate(c[i]) if cij[k]} for k in range(n0)] for i in range(n0)]
+    ads = [g.ad(i).sparse_rows() for i in range(n0)]
     found = {
         "antisymmetry": next(((i, j) for i in range(n0) for j in range(n0)
                               if any(x != -y for x, y in zip(c[i][j], c[j][i]))), None),

@@ -44,6 +44,7 @@ from .projstable import (
     HypothesisError,
     decompose,
     frobenius_check,
+    is_projective,
     is_reduced,
     projective_certificate,
     stable_equal_certificate,
@@ -316,11 +317,13 @@ def _cmd_decompose(args):
 
 def _cmd_is_projective(args):
     v = load_module(args.module)
-    section = projective_certificate(v)
-    ok = section is not None
+    ok = is_projective(v)
     lines = [f"projective: {'yes' if ok else 'no'}"]
     results = {"projective": ok}
-    if ok:
+    if ok:  # the rank test decides; the section, of size 2^n * dim V, certifies
+        section = projective_certificate(v)
+        if section is None:
+            raise ModuleError("a projective module has no section; upstream invariant violated")
         results["certificates"] = {"section": map_to_json(section)}
     return EXIT_OK, _report("is-projective", lines, **results)
 

@@ -252,22 +252,16 @@ def sym_power(rep: Rep, m: int) -> Rep:
     basis = list(_exponents(n, m))
     index = {e: k for k, e in enumerate(basis)}
     mats = []
-    for i in range(rep.alg.dim0):
-        a = rep.mats[i]
-        mat = [[Fraction(0)] * len(basis) for _ in basis]
-        for ci, e in enumerate(basis):
-            for src in range(n):
-                if e[src] == 0:
-                    continue
-                for dst in range(n):
-                    c = a.data[dst][src]
-                    if c == 0:
-                        continue
+    for a in rep.mats:
+        entries = []
+        for dst, src, c in a.nonzeros():
+            for ci, e in enumerate(basis):
+                if e[src]:
                     t = list(e)
                     t[src] -= 1
                     t[dst] += 1
-                    mat[index[tuple(t)]][ci] += e[src] * c
-        mats.append(Matrix(len(basis), len(basis), mat))
+                    entries.append((index[tuple(t)], ci, e[src] * c))
+        mats.append(Matrix.from_nonzeros(len(basis), len(basis), entries))
     return Rep(rep.alg, len(basis), tuple(mats))
 
 

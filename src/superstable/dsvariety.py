@@ -74,11 +74,8 @@ def symbolic_x_matrix(m: GradedModule) -> list:
     rows = [[Polynomial(n1) for _ in range(n)] for _ in range(n)]
     for e in range(n1):
         te = Polynomial.variable(n1, e)
-        tot = m.total_odd(e)
-        for r in range(n):
-            for c in range(n):
-                if tot.data[r][c] != 0:
-                    rows[r][c] = rows[r][c] + te.scale(tot.data[r][c])
+        for r, c, x in m.total_odd(e).nonzeros():
+            rows[r][c] = rows[r][c] + te.scale(x)
     return rows
 
 

@@ -14,13 +14,10 @@ induced module (`induced_blocks`); every other module reads them here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import SuperAlgebra, representation_failure
 from .linalg import LinearSystem, Matrix, vanishes
-
-_ZERO = Fraction(0)
 
 # largest 2^dim(g1) * dim allowed for a build or sum over the exterior
 # algebra (the induced modules, the Frobenius comparison and the trace
@@ -164,6 +161,8 @@ def _check_invariants(v: GradedModule):
     n0, n1 = alg.dim0, alg.dim1
     rho = {j: [m.sparse_rows() for m in v.rho0[j - v.lo]] for j in v.degrees()}
     odd = {j: [m.sparse_rows() for m in v.odd[j - v.lo]] for j in v.degrees()}
+    # column e of each x_i on g1: [x_i, e] = sum_k coeffs[i][e][k] e_k
+    coeffs = [a.transpose().sparse_rows() for a in alg.action]
     for j in v.degrees():
         # even representation property per degree
         bad = representation_failure(alg, rho[j], v.dim_at(j))
@@ -173,10 +172,9 @@ def _check_invariants(v: GradedModule):
             continue  # the odd action leaves the window: nothing more to check
         # mixed bracket [x_i, e] on degree j
         for i in range(n0):
-            ai = alg.action[i].data
             for e in range(n1):
                 terms = [(1, (rho[j + 1][i], odd[j][e])), (-1, (odd[j][e], rho[j][i]))]
-                terms += [(-ai[k][e], (odd[j][k],)) for k in range(n1)]
+                terms += [(-c, (odd[j][k],)) for k, c in coeffs[i][e].items()]
                 if not vanishes(terms, v.dim_at(j + 1)):
                     raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
         # odd anticommutation
@@ -375,27 +373,6 @@ def direct_sum(v: GradedModule, *ws: GradedModule) -> GradedModule:
     return _assemble(v.alg, lo, hi, dims, rho0, odd)
 
 
-def _add_kron(out: list, r0: int, c0: int, sign: int, a: Matrix, n: int, a_first: bool):
-    """Add sign * (a kron I_n if a_first, else I_n kron a) into the rows
-    `out` with its top left entry at (r0, c0), from the nonzeros of a
-    only: the Kronecker product, with `linalg.kron`'s index convention,
-    is never formed.  sign is 1 or -1."""
-    ra, ca = a.rows, a.cols
-    for i, row in enumerate(a.data):
-        for j, x in enumerate(row):
-            if not x:
-                continue
-            if sign != 1:
-                x = -x
-            for k in range(n):
-                if a_first:
-                    orow, c = out[r0 + i * n + k], c0 + j * n + k
-                else:
-                    orow, c = out[r0 + k * ra + i], c0 + k * ca + j
-                y = orow[c]
-                orow[c] = y + x if y else x
-
-
 def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     """Graded tensor product with the Koszul sign on the odd action.
 
@@ -424,12 +401,12 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
         mats = []
         for x in range(alg.dim0):
             # x (x) 1 and 1 (x) x, both added into each diagonal block
-            out, c0 = [[_ZERO] * dims[l - lo] for _ in range(dims[l - lo])], 0
+            placed, c0 = [], 0
             for i, j in blocks(l):
-                _add_kron(out, c0, c0, 1, v.rho_at(i, x), w.dim_at(j), True)
-                _add_kron(out, c0, c0, 1, w.rho_at(j, x), v.dim_at(i), False)
+                placed.append((c0, c0, 1, v.rho_at(i, x), w.dim_at(j), True))
+                placed.append((c0, c0, 1, w.rho_at(j, x), v.dim_at(i), False))
                 c0 += v.dim_at(i) * w.dim_at(j)
-            mats.append(Matrix._of(c0, c0, out))
+            mats.append(Matrix.place_kron(c0, c0, placed))
         rho0.append(tuple(mats))
     odd = []
     for l in range(lo, hi + 1):
@@ -439,17 +416,17 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
             run += v.dim_at(i) * w.dim_at(j)
         mats = []
         for e in range(alg.dim1):
-            out, c0 = [[_ZERO] * dims[l - lo] for _ in range(run)], 0
+            placed, c0 = [], 0
             for i, j in blocks(l):
                 # e acting on the first factor lands in block (i+1, j); on
                 # the second factor, with sign (-1)^i, in block (i, j+1)
                 if (i + 1, j) in tgt_off:
-                    _add_kron(out, tgt_off[(i + 1, j)], c0, 1, v.odd_at(i, e), w.dim_at(j), True)
+                    placed.append((tgt_off[(i + 1, j)], c0, 1, v.odd_at(i, e), w.dim_at(j), True))
                 if (i, j + 1) in tgt_off:
                     sign = -1 if i % 2 else 1
-                    _add_kron(out, tgt_off[(i, j + 1)], c0, sign, w.odd_at(j, e), v.dim_at(i), False)
+                    placed.append((tgt_off[(i, j + 1)], c0, sign, w.odd_at(j, e), v.dim_at(i), False))
                 c0 += v.dim_at(i) * w.dim_at(j)
-            mats.append(Matrix._of(run, dims[l - lo], out))
+            mats.append(Matrix.place_kron(run, dims[l - lo], placed))
         odd.append(tuple(mats))
     return _assemble(alg, lo, hi, dims, rho0, odd)
 
@@ -565,11 +542,9 @@ def exterior_odd_action(n: int):
         src, tgt = index[l], index[l + 1]
         mats = []
         for i in range(n):
-            m = [[_ZERO] * len(src) for _ in range(len(tgt))]
-            for s, c in src.items():
-                if i not in s:
-                    m[tgt[tuple(sorted(s + (i,)))]][c] = Fraction(merge_sign((i,), s))
-            mats.append(Matrix(len(tgt), len(src), m))
+            wedge = [(tgt[tuple(sorted(s + (i,)))], c, merge_sign((i,), s))
+                     for s, c in src.items() if i not in s]
+            mats.append(Matrix.from_nonzeros(len(tgt), len(src), wedge))
         out.append(mats)
     return out
 
@@ -577,24 +552,23 @@ def exterior_odd_action(n: int):
 def exterior_even_action(alg: SuperAlgebra):
     """Derivation action of g0 on each Lambda^l(g1) in the `subsets`
     basis: x replaces one factor e_s of e_S at a time by x.e_s."""
-    n = alg.dim1
+    # column x of each x_i on g1: [x_i, e_x] = sum_k coeffs[i][x][k] e_k
+    coeffs = [a.transpose().sparse_rows() for a in alg.action]
     out = []
-    for index in _positions(n):
+    for index in _positions(alg.dim1):
         mats = []
         for i in range(alg.dim0):
-            ai = alg.action[i].data
-            m = [[_ZERO] * len(index) for _ in range(len(index))]
+            entries = []
             for s, c in index.items():
                 for pos, x in enumerate(s):
                     rest = s[:pos] + s[pos + 1 :]
-                    for k in range(n):
-                        coeff = ai[k][x]
-                        if coeff == 0 or k in rest:
+                    for k, coeff in coeffs[i][x].items():
+                        if k in rest:
                             continue
                         # e_S = +-e_x ^ e_rest, and e_k ^ e_rest = +-e_T
                         sgn = merge_sign((x,), rest) * merge_sign((k,), rest)
-                        m[index[tuple(sorted(rest + (k,)))]][c] += sgn * coeff
-            mats.append(Matrix(len(index), len(index), m))
+                        entries.append((index[tuple(sorted(rest + (k,)))], c, sgn * coeff))
+            mats.append(Matrix.from_nonzeros(len(index), len(index), entries))
         out.append(mats)
     return out
 

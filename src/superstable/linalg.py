@@ -4,18 +4,20 @@ Everything downstream (module validation, rank tests, lifting solvers)
 is a client of this module.  All arithmetic uses ``fractions.Fraction``,
 so no operation ever rounds.
 
-`Matrix` stores its entries densely, but its operations touch only
-nonzeros: `scale` (and so unary `-`), products, `place` and `kron` skip a
-zero entry without an arithmetic call, and `scale(1)` is the matrix
-itself; a sum `+` still adds every entry (ROADMAP item 8).  Every
-elimination (rank, nullspace, solve_matrix and the `LinearSystem`
-solvers) runs one sparse Gauss-Jordan kernel, `gauss_jordan`, over rows
-held as dicts {column: nonzero}.  It takes pivot columns in increasing
-order, so what it returns is the unique reduced row echelon form: particular
-solutions have every free variable zero and kernel bases have one
-vector per free column, whatever the pivot row choices were.  Sparse
-identity checks (`vanishes`) evaluate a linear combination of products
-row by row without forming the dense products.
+`Matrix` stores its entries densely, and no other module reads that
+storage: they go through `Matrix` operations.  Those touch only
+nonzeros: `scale` (and so unary `-`), products, `place`, `place_kron`
+and `kron` skip a zero entry without an arithmetic call, and `scale(1)`
+is the matrix itself; a sum `+` still adds every entry (ROADMAP item 5).
+Every elimination (rank, pivot_columns, nullspace, solve_matrix and the
+`LinearSystem` solvers) runs one sparse Gauss-Jordan kernel,
+`gauss_jordan`, over rows held as dicts {column: nonzero}.  It takes
+pivot columns in increasing order, so what it returns is the unique
+reduced row echelon form: particular solutions have every free variable
+zero and kernel bases have one vector per free column, whatever the
+pivot row choices were.  Sparse identity checks (`vanishes`) evaluate a
+linear combination of products row by row without forming the dense
+products.
 """
 
 from __future__ import annotations
@@ -83,6 +85,18 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix._of(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
+    @staticmethod
+    def from_nonzeros(rows: int, cols: int, entries) -> "Matrix":
+        """The rows x cols matrix whose entry (i, j) is the sum of the x, coerced
+        by `scalar`, over the (i, j, x) in `entries`; an index out of range is refused."""
+        out = [[_ZERO] * cols for _ in range(rows)]
+        for i, j, x in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            x, y = scalar(x), out[i][j]
+            out[i][j] = y + x if y else x
+        return Matrix._of(rows, cols, out)
+
     # -- basics ------------------------------------------------------
 
     def __eq__(self, other):
@@ -108,6 +122,16 @@ class Matrix:
 
     def copy_data(self):
         return [row[:] for row in self.data]
+
+    def nonzeros(self):
+        """(i, j, x) for each nonzero entry x at (i, j), row by row."""
+        return ((i, j, x) for i, row in enumerate(self.data) for j, x in enumerate(row) if x)
+
+    def block(self, r0: int, c0: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols submatrix with its top left entry at (r0, c0)."""
+        if min(r0, c0, rows, cols) < 0 or r0 + rows > self.rows or c0 + cols > self.cols:
+            raise ValueError(f"block outside a {self.rows}x{self.cols} matrix")
+        return Matrix._of(rows, cols, [row[c0 : c0 + cols] for row in self.data[r0 : r0 + rows]])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -181,6 +205,24 @@ class Matrix:
         return Matrix._of(rows, cols, out)
 
     @staticmethod
+    def place_kron(rows: int, cols: int, blocks) -> "Matrix":
+        """`place` for blocks c * (a kron I_n if a_first, else I_n kron a),
+        given as (r0, c0, c, a, n, a_first) and written from the nonzeros
+        of a: the Kronecker product (`kron`'s convention) is never formed."""
+        out = [[_ZERO] * cols for _ in range(rows)]
+        for r0, c0, c, a, n, a_first in blocks:
+            # entry (i, j) of a lands at (r0 + i*s + k*dr, c0 + j*s + k*dc), k < n
+            s, dr, dc = (n, 1, 1) if a_first else (1, a.rows, a.cols)
+            for i, j, x in a.nonzeros():
+                if c != 1:
+                    x = c * x
+                for k in range(n):
+                    orow, col = out[r0 + i * s + k * dr], c0 + j * s + k * dc
+                    y = orow[col]
+                    orow[col] = y + x if y else x
+        return Matrix._of(rows, cols, out)
+
+    @staticmethod
     def block_diag(blocks) -> "Matrix":
         placed, r0, c0 = [], 0, 0
         for b in blocks:
@@ -195,9 +237,14 @@ class Matrix:
         """Rows as dicts {column: nonzero entry}."""
         return [{j: x for j, x in enumerate(row) if x} for row in self.data]
 
+    def pivot_columns(self) -> list:
+        """The increasing pivot columns of the row echelon form: column c
+        is one iff it is not in the span of the columns before it."""
+        return gauss_jordan(self.sparse_rows(), self.cols, reduce=False)[0]
+
     def rank(self) -> int:
         """Rank over the rationals, computed exactly."""
-        return len(gauss_jordan(self.sparse_rows(), self.cols, reduce=False)[0])
+        return len(self.pivot_columns())
 
     def nullspace(self) -> "Matrix":
         """Columns form a basis of the right kernel; cols - rank columns.
@@ -362,16 +409,8 @@ def vanishes(terms, nrows: int) -> bool:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with (i_a, i_b) lexicographic index convention."""
-    out = [[_ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    bs = b.sparse_rows()
-    for ia, arow in enumerate(a.data):
-        for ja, x in enumerate(arow):
-            if x:
-                for ib, brow in enumerate(bs):
-                    orow = out[ia * b.rows + ib]
-                    for jb, y in brow.items():
-                        orow[ja * b.cols + jb] = x * y
-    return Matrix._of(a.rows * b.rows, a.cols * b.cols, out)
+    blocks = [(i * b.rows, j * b.cols, x, b) for i, j, x in a.nonzeros()]
+    return Matrix.place(a.rows * b.rows, a.cols * b.cols, blocks)
 
 
 # ---------------------------------------------------------------------------

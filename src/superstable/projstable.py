@@ -17,7 +17,6 @@ a g-map.  The tests hold the checks; the one `check_map` here is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import is_semisimple
 from .gradedmod import (
@@ -42,7 +41,7 @@ from .gradedmod import (
     subsets,
     trivial_module,
 )
-from .linalg import Matrix, gauss_jordan
+from .linalg import Matrix
 
 
 class HypothesisError(ValueError):
@@ -80,16 +79,11 @@ def _coordinate_complement(basis: Matrix) -> list:
     `basis` and e_0..e_(c-1), so the indices are the pivot columns past
     `basis` of one elimination of [basis | I]."""
     k = basis.cols
-    rows = basis.sparse_rows()
-    for i, row in enumerate(rows):
-        row[k + i] = Fraction(1)
-    pivots, _ = gauss_jordan(rows, k + basis.rows, reduce=False)
-    return [c - k for c in pivots if c >= k]
+    return [c - k for c in basis.hstack(Matrix.identity(basis.rows)).pivot_columns() if c >= k]
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    module: GradedModule
     q_basis: dict            # degree -> Matrix, g0-stable complement of ker E
     induced_part: GradedModule
     induced_embedding: GradedMap
@@ -115,15 +109,12 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
     if q == 0:
         return Matrix.zero(d, 0), Rep.trivial(v.alg, 0)
     comp_idx = _coordinate_complement(k_cols)
-    picks = [[1 if i == c else 0 for c in comp_idx] for i in range(d)]
-    t = k_cols.hstack(Matrix(d, len(comp_idx), picks))
+    picks = Matrix.from_nonzeros(d, q, [(c, p, 1) for p, c in enumerate(comp_idx)])
+    t = k_cols.hstack(picks)
     tinv = t.solve_matrix(Matrix.identity(d))
-    pi = Matrix(q, d, tinv.data[k:])  # quotient coordinates
-    rho_q = []
-    for i in range(v.alg.dim0):
-        full = tinv * v.rho_at(j, i) * t
-        rho_q.append(Matrix(q, q, [row[k:] for row in full.data[k:]]))
-    rep_q = Rep(v.alg, q, tuple(rho_q))
+    pi = tinv.block(k, 0, q, d)  # quotient coordinates
+    rho_q = tuple((tinv * v.rho_at(j, i) * t).block(k, k, q, q) for i in range(v.alg.dim0))
+    rep_q = Rep(v.alg, q, rho_q)
     sys = graded_map_system(concentrated(rep_q, j), concentrated(v.rep_at(j), j))
     sys.add_constraint([(pi, j, 1)], Matrix.identity(q))
     sol = sys.solve()
@@ -168,8 +159,11 @@ def _evaluation_map(v: GradedModule, gen_basis: dict, ind: GradedModule) -> Grad
     live = {j: b for j, b in gen_basis.items() if b.cols}
     comps = {}
     for l, blocks in induced_blocks(v.alg.dim1, live).items():
-        cols = [c for j, s in blocks for c in (word(j, s) * live[j]).transpose().data]
-        comps[l] = Matrix._of(v.dim_at(l), len(cols), [list(r) for r in zip(*cols)])
+        placed, c0 = [], 0
+        for j, s in blocks:
+            placed.append((0, c0, 1, word(j, s) * live[j]))
+            c0 += live[j].cols
+        comps[l] = Matrix.place(v.dim_at(l), c0, placed)
     return GradedMap(ind, v, comps)
 
 
@@ -220,7 +214,6 @@ def decompose(v: GradedModule) -> Decomposition:
     if reduced.total_dim and not is_reduced(reduced):
         raise ModuleError("complement of the induced part is not reduced")
     return Decomposition(
-        module=v,
         q_basis=q_basis,
         induced_part=ind,
         induced_embedding=emb,
@@ -281,14 +274,13 @@ def _lift_along_evaluation(target_map: GradedMap):
     for d, blocks in induced_blocks(n, reps).items():
         if not v.dim_at(d):
             continue
-        rows = []
+        placed, r0 = [], 0
         for j, sc in blocks:
             s = _complement(n, sc)
             if j + n in tau:
-                rows += (tau[j + n] * a_v(d, s)).scale(merge_sign(s, sc)).data
-            else:
-                rows += [[0] * v.dim_at(d) for _ in range(w.dim_at(j))]
-        comps[d] = Matrix(ind.dim_at(d), v.dim_at(d), rows)
+                placed.append((r0, 0, merge_sign(s, sc), tau[j + n] * a_v(d, s)))
+            r0 += w.dim_at(j)
+        comps[d] = Matrix.place(ind.dim_at(d), v.dim_at(d), placed)
     return GradedMap(v, ind, comps)
 
 

@@ -91,26 +91,25 @@ def _array(x, what: str, length=None) -> list:
 
 
 def matrix_to_json(m: Matrix):
-    return [[scalar_to_str(x) if x else "0" for x in row] for row in m.data]
+    return [[scalar_to_str(x) if x else "0" for x in row] for row in m.copy_data()]
 
 
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
-    # every entry is checked by scalar_from_str, so nothing is coerced twice
+    # every entry is checked by scalar_from_str, which gives a Fraction:
+    # from_nonzeros hands Fractions on as they are
     if isinstance(obj, dict):
         # no larger than the expected shape, which bounds the allocation
         r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0, hi=rows)
         c = int_from_json(_field(obj, "cols", "sparse matrix"), "matrix cols", lo=0, hi=cols)
-        data = [[_ZERO] * c for _ in range(r)]
-        given = set()
+        given = {}
         for entry in _array(obj.get("entries", []), "sparse matrix entries"):
             i, j, v = _array(entry, "sparse matrix entry [row, column, value]", 3)
             i = int_from_json(i, "matrix entry row", lo=0, hi=r - 1)
             j = int_from_json(j, "matrix entry column", lo=0, hi=c - 1)
             if (i, j) in given:
                 raise FormatError(f"sparse matrix entry ({i}, {j}) is given twice")
-            given.add((i, j))
-            data[i][j] = scalar_from_str(v)
-        m = Matrix._of(r, c, data)
+            given[i, j] = scalar_from_str(v)
+        m = Matrix.from_nonzeros(r, c, ((i, j, x) for (i, j), x in given.items()))
     else:
         if not isinstance(obj, list):
             raise FormatError("matrix must be a nested array or a sparse object")
@@ -120,7 +119,8 @@ def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
         c = len(obj[0]) if r else (cols if cols is not None else 0)
         if any(len(row) != c for row in obj):
             raise FormatError("ragged matrix rows")
-        m = Matrix._of(r, c, [[scalar_from_str(x) for x in row] for row in obj])
+        m = Matrix.from_nonzeros(r, c, [(i, j, x) for i, row in enumerate(obj) for j, s in enumerate(row)
+                                        if (x := scalar_from_str(s))])
     if rows is not None and (m.rows, m.cols) != (rows, cols):
         # empty nested arrays cannot carry their column count
         if m.rows == 0 or m.cols == 0:
@@ -343,7 +343,7 @@ def map_from_json(obj, seen=None) -> GradedMap:
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON and bad UTF-8; RecursionError deep nesting
@@ -389,6 +389,6 @@ def load_rep(path: str, alg: SuperAlgebra, check_dim=None) -> Rep:
 
 
 def dump(obj, path: str):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
         fh.write("\n")

@@ -483,6 +483,51 @@ def test_stable_eq_over_the_size_limit_exit_1(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_is_projective_answers_no_at_any_size_and_caps_only_the_section(tmp_path):
+    from superstable.algebra import grassmann, sl2_trivial
+    from superstable.gradedmod import direct_sum, induced_module, trivial_module
+
+    # a no needs only the rank test: Ind(k^2) + k over grassmann(5), 2^5 * 65 > 1024
+    ind = induced_module(Rep.trivial(grassmann(5), 2))
+    path = str(tmp_path / "no.json")
+    dump(module_to_json(direct_sum(ind, trivial_module(grassmann(5)))), path)
+    out = _run_capped(["--format", "json", "is-projective", "--module", path])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["projective"] is False
+    assert "certificates" not in json.loads(out.stdout)
+    # a yes writes the section sigma in Ind(W), of size 2^6 * 128 here
+    path = str(tmp_path / "yes.json")
+    dump(module_to_json(induced_module(Rep.trivial(sl2_trivial(6), 2))), path)
+    out = _run_capped(["is-projective", "--module", path])
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: the trace sum has size 2^6 * 128, over the limit of")
+    assert "Traceback" not in out.stderr
+
+
+def test_files_are_utf8_in_any_locale(tmp_path):
+    # an inline algebra with a non-ASCII name, read under the C locale with
+    # every implicit locale encoding an error
+    from superstable.algebra import grassmann
+    from superstable.gradedmod import trivial_module
+    from superstable.serialize import algebra_to_json
+
+    import superstable
+
+    obj = module_to_json(trivial_module(grassmann(1)))
+    obj["algebra"] = dict(algebra_to_json(grassmann(1)), name="\u039b(k)")
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superstable.__file__)),
+               PYTHONUTF8="0", LC_ALL="C")
+    out = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "superstable.cli", "--format", "json", "module-info", "--module", str(path)],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "algebra: \u039b(k) (dim0=0, dim1=1)" in json.loads(out.stdout)["lines"]
+
+
 # ---------------------------------------------------------------------------
 # input rules: no point of an empty P(g1), positive sample counts, and the
 # koszul algebra must be the module's

@@ -475,3 +475,78 @@ def test_zero_skipping_arithmetic_matches_dense_oracles(r, c, data):
     # no operation changed an input: not its row lists, nor an entry
     for m, rows, copy in before:
         assert m.data is rows and m.data == copy
+
+
+# ---------------------------------------------------------------------------
+# the operations through which other modules read and build a Matrix,
+# each against a dense oracle
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_nonzeros_and_block_match_dense_scans(r, c, data):
+    a = data.draw(sparse_matrices(r, c))
+    rows = a.copy_data()
+    assert list(a.nonzeros()) == [(i, j, rows[i][j]) for i in range(r) for j in range(c) if rows[i][j]]
+    r0, c0 = data.draw(st.integers(0, r)), data.draw(st.integers(0, c))
+    h, w = data.draw(st.integers(0, r - r0)), data.draw(st.integers(0, c - c0))
+    b = a.block(r0, c0, h, w)
+    assert b == Matrix(h, w, [row[c0 : c0 + w] for row in rows[r0 : r0 + h]])
+    assert_exact(b)
+    assert not any(x is y for x in b.data for y in a.data)  # fresh rows
+    for bad in ((r0, c0, r - r0 + 1, w), (r0, c0, h, c - c0 + 1), (-1, c0, h, w), (r0, -1, h, w)):
+        with pytest.raises(ValueError):
+            a.block(*bad)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_from_nonzeros_matches_place_of_1x1_blocks(r, c, data):
+    entries = []
+    if r and c:
+        entry = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1), sparse_scalars)
+        entries = data.draw(st.lists(entry, max_size=8))
+    entries += entries[:2]  # repeated positions add up
+    m = Matrix.from_nonzeros(r, c, entries)
+    assert m == Matrix.place(r, c, [(i, j, 1, Matrix(1, 1, [[x]])) for i, j, x in entries])
+    assert_exact(m)
+    for i, j in ((r, 0), (0, c), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            Matrix.from_nonzeros(r, c, [(i, j, 1)])
+    # entries are coerced like the public constructor's
+    assert Matrix.from_nonzeros(1, 2, [(0, 1, 1), (0, 1, "1/2")]) == Matrix(1, 2, [[0, "3/2"]])
+    with pytest.raises(TypeError):
+        Matrix.from_nonzeros(1, 1, [(0, 0, 0.5)])
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pivot_columns_match_dense_rref(r, c, data):
+    m = data.draw(sparse_matrices(r, c))
+    assert m.pivot_columns() == dense_rref(m)[1]
+    assert m.rank() == len(m.pivot_columns())
+
+
+def kron_oracle(a, b):
+    """Dense oracle: entry ((ia, ib), (ja, jb)) is a[ia][ja] * b[ib][jb]."""
+    return Matrix(a.rows * b.rows, a.cols * b.cols, [
+        [a.data[i // b.rows][j // b.cols] * b.data[i % b.rows][j % b.cols] for j in range(a.cols * b.cols)]
+        for i in range(a.rows * b.rows)
+    ])
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_place_kron_matches_kron_then_place(r, c, n, data):
+    a, b = data.draw(sparse_matrices(r, c)), data.draw(sparse_matrices(c, r))
+    x = data.draw(scalars)
+    eye = Matrix.identity(n)
+    assert kron(a, b) == kron_oracle(a, b)
+    assert kron(a, eye) == kron_oracle(a, eye) and kron(eye, b) == kron_oracle(eye, b)
+    # both kinds of block, overlapping, with coefficients 1, x and -1
+    blocks = [(0, 0, 1, a, n, True), (0, 0, x, a, n, False), (1, 1, -1, b.transpose(), n, True)]
+    rows, cols = r * n + 1, c * n + 1
+    got = Matrix.place_kron(rows, cols, blocks)
+    kron_blocks = [(r0, c0, k, kron(m, eye) if first else kron(eye, m)) for r0, c0, k, m, _, first in blocks]
+    assert got == Matrix.place(rows, cols, kron_blocks) == place_oracle(rows, cols, kron_blocks)
+    assert_exact(got)

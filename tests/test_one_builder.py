@@ -9,7 +9,11 @@ Validate once, where data come in: the validating constructors
 `make_module` and `make_map` (and `check_map`) are called only where
 outside data enter, and a `Rep` is checked only where it is read from a
 file.  A map or module the library solves for or writes in
-closed form is assembled, and the tests check it."""
+closed form is assembled, and the tests check it.
+
+One matrix format: only `linalg` knows how a `Matrix` stores its entries
+and runs the elimination kernel; every other module goes through public
+`Matrix` operations."""
 
 import ast
 import os
@@ -38,17 +42,20 @@ def _calls(tree, names):
     return found
 
 
+def _package_trees():
+    """(file name, parsed source) of each module of the package."""
+    pkg = os.path.dirname(superstable.__file__)
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname), encoding="utf-8") as fh:
+                yield fname, ast.parse(fh.read(), fname)
+
+
 def _package_calls(names):
     """(file, enclosing function, called name, line) of each such call in
     the package's source."""
-    pkg = os.path.dirname(superstable.__file__)
-    calls = []
-    for fname in sorted(os.listdir(pkg)):
-        if fname.endswith(".py"):
-            with open(os.path.join(pkg, fname)) as fh:
-                tree = ast.parse(fh.read(), fname)
-            calls += [(fname, where, name, line) for where, name, line in _calls(tree, names)]
-    return calls
+    return [(fname, where, name, line)
+            for fname, tree in _package_trees() for where, name, line in _calls(tree, names)]
 
 
 def test_only_graded_map_system_constructs_a_linear_system():
@@ -84,3 +91,19 @@ def test_a_rep_is_checked_only_where_it_comes_in():
     # every `.check()` call in the package is `Rep.check`
     calls = _package_calls({"check"})
     assert [(f, w) for f, w, _, _ in calls] == [("serialize.py", "rep_from_json")], calls
+
+
+def test_only_linalg_knows_the_matrix_format():
+    # outside linalg.py: no attribute `.data` (the dense rows) or `._of`
+    # (the unchecked constructor, handed rows), and no name `gauss_jordan`,
+    # imported or called
+    found = []
+    for fname, tree in _package_trees():
+        if fname == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("data", "_of", "gauss_jordan")
+                    or isinstance(node, ast.Name) and node.id == "gauss_jordan"
+                    or isinstance(node, ast.alias) and node.name == "gauss_jordan"):
+                found.append((fname, node.lineno))
+    assert found == []

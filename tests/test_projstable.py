@@ -468,9 +468,9 @@ def test_trace_criterion_matches_oracle(source, data):
 
 def test_certificate_path_coerces_only_outside_data(monkeypatch):
     # Ind(W) and the lift are built from Matrices, which hand their
-    # Fractions on uncoerced; what scalar() still sees (about 500 entries)
-    # is the lift's rows and the small matrices of g and of Lambda(g1).
-    # Coercing every entry of every operation would be over 75,000
+    # Fractions on uncoerced; what scalar() still sees (84 entries) is in
+    # the small matrices of g and of Lambda(g1).  Coercing
+    # every entry of every operation would be over 75,000
     calls = []
     coerce = linalg.scalar
     monkeypatch.setattr(linalg, "scalar", lambda x: calls.append(1) or coerce(x))
