@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .linalg import Matrix, scalar, vanishes
 
@@ -30,6 +31,11 @@ class SuperAlgebra:
         c = tuple(tuple(tuple(scalar(x) for x in cij) for cij in ci) for ci in self.bracket)
         object.__setattr__(self, "bracket", c)
         object.__setattr__(self, "action", tuple(self.action))
+
+    @cached_property
+    def _semisimple(self) -> bool:
+        # `is_semisimple`, derived and so no field: computed once per object
+        return killing_form(self).rank() == self.dim0
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad x_i: column j holds the coefficients of [x_i, x_j]."""
@@ -110,8 +116,8 @@ def killing_form(g: SuperAlgebra) -> Matrix:
 
 def is_semisimple(g: SuperAlgebra) -> bool:
     """Cartan's criterion for g0 over the rationals: the Killing form has
-    full rank; dim0 = 0 counts as semisimple."""
-    return killing_form(g).rank() == g.dim0
+    full rank; dim0 = 0 counts as semisimple.  Decided once per object."""
+    return g._semisimple
 
 
 # largest dim0^3 + dim0 * dim1^2, the entries of the bracket table and of

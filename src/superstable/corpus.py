@@ -1,8 +1,9 @@
 """Named golden inputs: modules, morphisms, base representations, and a
 seeded random-module generator.
 
-Everything here is built through the validating constructors, so the
-corpus doubles as an integration test of the whole construction layer.
+Everything here is built as the library builds it, through the same
+constructors and assembled constructions, so the corpus doubles as an
+integration test of the whole construction layer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .gradedmod import (
     direct_sum,
     dual,
     induced_module,
-    make_map,
     shift,
     tensor,
     trivial_module,
@@ -68,7 +68,11 @@ def _adjoint_rep(alg: SuperAlgebra) -> Rep:
 
 
 def _mixed(free: GradedModule, triv: GradedModule):
-    """free + trivial, with the inclusion/projection maps of the summands."""
+    """free + trivial, with the inclusion/projection maps of the summands.
+
+    The maps are assembled unchecked: they are the block maps of a direct
+    sum, whose actions are block-diagonal, so they commute with every
+    action (a test runs `check_map` on them)."""
     m = direct_sum(free, triv)
     incl, proj_triv, proj_free = {}, {}, {}
     for j in m.degrees():
@@ -78,10 +82,7 @@ def _mixed(free: GradedModule, triv: GradedModule):
             proj_free[j] = Matrix.identity(df).hstack(Matrix.zero(df, dt))
         if dt:
             proj_triv[j] = Matrix.zero(dt, df).hstack(Matrix.identity(dt))
-    incl_map = make_map(free, m, incl)
-    proj_free_map = make_map(m, free, proj_free)
-    proj_triv_map = make_map(m, triv, proj_triv)
-    return m, incl_map, proj_free_map, proj_triv_map
+    return m, GradedMap(free, m, incl), GradedMap(m, free, proj_free), GradedMap(m, triv, proj_triv)
 
 
 def corpus_modules() -> dict:

@@ -29,22 +29,34 @@ class PolyIdeal:
 
 @dataclass(frozen=True)
 class DsResult:
+    """The DS fiber M_x at one point: `ds_dim` = dim M - 2 rank x_M from
+    the module, `per_degree` from the fiber of the rigid complex.  A record
+    whose two computations disagree is refused."""
+
     point: OddPoint
     total_dim: int
     rank_x: int
-    ds_dim: int
     per_degree: CohomologyTable
 
     def __post_init__(self):
-        # ds_dim comes from rank x_M, per_degree from the fiber complex:
-        # this is where the two computations must meet
-        if self.ds_dim != self.total_dim - 2 * self.rank_x:
-            raise ValueError(f"ds_dim {self.ds_dim} is not dim M - 2 rank x_M")
-        if self.ds_dim != self.per_degree.total:
+        if not self.consistent:
             raise ValueError(
                 f"DS dimension {self.ds_dim} disagrees with the fiber cohomology "
                 f"total {self.per_degree.total}"
             )
+
+    @property
+    def ds_dim(self) -> int:
+        return self.total_dim - 2 * self.rank_x
+
+    @property
+    def in_variety(self) -> bool:
+        """x lies in the associated variety: the DS fiber is nonzero."""
+        return self.ds_dim > 0
+
+    @property
+    def consistent(self) -> bool:
+        return self.ds_dim == self.per_degree.total
 
 
 def ds_at(m: GradedModule, x: OddPoint) -> DsResult:
@@ -59,12 +71,12 @@ def _ds_result(m: GradedModule, lm: GradedModule, x: OddPoint) -> DsResult:
     the graded table is the cohomology of lm's fiber at x."""
     r = sum(a.rank() for (a,) in fiber(m, x).odd)
     per = fiber_cohomology(fiber(lm, x))
-    return DsResult(x, m.total_dim, r, m.total_dim - 2 * r, per)
+    return DsResult(x, m.total_dim, r, per)
 
 
 def in_variety(m: GradedModule, x: OddPoint) -> bool:
     """True iff rank x_M < dim M / 2, equivalently the DS fiber is nonzero."""
-    return ds_at(m, x).ds_dim > 0
+    return ds_at(m, x).in_variety
 
 
 def symbolic_x_matrix(m: GradedModule) -> list:
@@ -167,23 +179,8 @@ def random_points(dim1: int, count: int, seed: int) -> list:
 
 
 @dataclass(frozen=True)
-class SupportCheckEntry:
-    point: OddPoint
-    fiber_total: int
-    ds_dim: int
-    in_variety: bool
-
-    @property
-    def consistent(self) -> bool:
-        ok = self.fiber_total == self.ds_dim
-        if self.fiber_total != 0:
-            ok = ok and self.in_variety
-        return ok
-
-
-@dataclass(frozen=True)
 class SupportCheckReport:
-    entries: tuple
+    entries: tuple  # one DsResult per sample
 
     @property
     def ok(self) -> bool:
@@ -191,15 +188,9 @@ class SupportCheckReport:
 
 
 def support_check(m: GradedModule, samples) -> SupportCheckReport:
-    """Fiberwise comparison of rigid-complex cohomology with the DS fiber.
-
-    For each sample: total fiber cohomology must equal ds_dim, and a
-    nonzero fiber must certify variety membership.  L_of(m) is built once;
-    each point's fiber cohomology is the one its `DsResult` carries.
+    """Fiberwise comparison of rigid-complex cohomology with the DS fiber:
+    the `DsResult` of each sample, which refuses a disagreement.  L_of(m)
+    is built once for all samples.
     """
     lm = L_of(m)
-    entries = []
-    for x in samples:
-        res = _ds_result(m, lm, x)
-        entries.append(SupportCheckEntry(x, res.per_degree.total, res.ds_dim, res.ds_dim > 0))
-    return SupportCheckReport(tuple(entries))
+    return SupportCheckReport(tuple(_ds_result(m, lm, x) for x in samples))

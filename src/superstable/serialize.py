@@ -97,6 +97,10 @@ def matrix_to_json(m: Matrix):
 def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
     # every entry is checked by scalar_from_str, which gives a Fraction:
     # from_nonzeros hands Fractions on as they are
+    if obj == [] and rows is not None:
+        # an empty array stands for a zero matrix of any size; any other
+        # matrix has its slot's shape
+        return Matrix.zero(rows, cols)
     if isinstance(obj, dict):
         # no larger than the expected shape, which bounds the allocation
         r = int_from_json(_field(obj, "rows", "sparse matrix"), "matrix rows", lo=0, hi=rows)
@@ -116,17 +120,13 @@ def matrix_from_json(obj, rows=None, cols=None) -> Matrix:
         for row in obj:
             _array(row, "matrix row")
         r = len(obj)
-        c = len(obj[0]) if r else (cols if cols is not None else 0)
+        c = len(obj[0]) if r else 0
         if any(len(row) != c for row in obj):
             raise FormatError("ragged matrix rows")
         m = Matrix.from_nonzeros(r, c, [(i, j, x) for i, row in enumerate(obj) for j, s in enumerate(row)
                                         if (x := scalar_from_str(s))])
     if rows is not None and (m.rows, m.cols) != (rows, cols):
-        # empty nested arrays cannot carry their column count
-        if m.rows == 0 or m.cols == 0:
-            m = Matrix.zero(rows, cols)
-        else:
-            raise FormatError(f"matrix shape {(m.rows, m.cols)}, expected {(rows, cols)}")
+        raise FormatError(f"matrix shape {(m.rows, m.cols)}, expected {(rows, cols)}")
     return m
 
 

@@ -313,6 +313,22 @@ def test_sparse_entry_given_twice_exit_2(capsys, files, tmp_path):
     assert "sparse matrix entry (0, 0) is given twice" in err and "Traceback" not in err
 
 
+def test_matrix_of_another_shape_than_its_slot_exit_2(capsys, tmp_path):
+    # only [] stands for a zero matrix of any size; an empty row or a
+    # sparse 0 x 0 matrix in a 1 x 1 slot is malformed, not zero
+    obj = module_to_json(corpus_modules()["sl2_triv1_free"].module)
+    path = str(tmp_path / "m.json")
+    for bad, shape in (([[]], (1, 0)), ({"rows": 0, "cols": 0}, (0, 0))):
+        obj["rho0"][0][0] = bad
+        dump(obj, path)
+        assert main(["module-info", "--module", path]) == 2, bad
+        err = capsys.readouterr().err
+        assert f"matrix shape {shape}, expected (1, 1)" in err and "Traceback" not in err, err
+    obj["rho0"][0][0] = []
+    dump(obj, path)
+    assert main(["module-info", "--module", path]) == 0
+
+
 def test_bracket_entry_given_twice_exit_2(capsys, tmp_path):
     # the second triple would overwrite the first, and with it the
     # antisymmetry failure of [x, x] = x
@@ -502,6 +518,21 @@ def test_is_projective_answers_no_at_any_size_and_caps_only_the_section(tmp_path
     assert out.returncode == 1, out.stderr
     assert out.stderr.startswith("error: the trace sum has size 2^6 * 128, over the limit of")
     assert "Traceback" not in out.stderr
+
+
+def test_is_projective_decides_semisimplicity_once(capsys, tmp_path, monkeypatch):
+    # the rank test and the section both need g0 semisimple: the algebra
+    # read from the file decides it with one Killing form
+    import superstable.algebra as algebra
+
+    calls = []
+    real = algebra.killing_form
+    monkeypatch.setattr(algebra, "killing_form", lambda g: calls.append(g) or real(g))
+    path = str(tmp_path / "m.json")
+    dump(module_to_json(corpus_modules()["sl2_adjoint_natural"].module), path)
+    assert main(["is-projective", "--module", path]) == 0
+    assert "projective: yes" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_files_are_utf8_in_any_locale(tmp_path):

@@ -1,5 +1,6 @@
-from superstable.algebra import validate
+from superstable.algebra import grassmann, sl2_trivial, validate
 from superstable.corpus import (
+    _mixed,
     corpus_modules,
     corpus_morphisms,
     corpus_reps,
@@ -7,7 +8,7 @@ from superstable.corpus import (
     random_module,
     random_modules,
 )
-from superstable.gradedmod import check_map, trivial_module
+from superstable.gradedmod import Rep, check_map, identity_map, induced_module, trivial_module
 
 
 def test_corpus_required_entries_present():
@@ -39,6 +40,17 @@ def test_corpus_morphisms_are_valid_maps():
     assert kinds == {True, False}
     not_zero = [e for e in corpus_morphisms().values() if not e.stably_zero]
     assert len(not_zero) >= 4
+
+
+def test_mixed_block_maps_are_g_maps():
+    # `_mixed` assembles its inclusion and projections unchecked: every
+    # pair of summands the corpus sums
+    for alg, degree in ((grassmann(2), 0), (sl2_trivial(1), 0), (sl2_trivial(2), 1)):
+        free = induced_module(Rep.trivial(alg, 1))
+        _, incl, proj_free, proj_triv = _mixed(free, trivial_module(alg, degree=degree))
+        for f in (incl, proj_free, proj_triv):
+            check_map(f)  # raises on failure
+        assert proj_free.compose(incl) == identity_map(free)
 
 
 def test_corpus_reps_valid():

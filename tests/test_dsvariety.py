@@ -190,11 +190,10 @@ def test_support_check_entries_match_ds_at_and_fiber(name, data):
     pts = unit_points(n) + [OddPoint(c) for c in data.draw(st.lists(coords, max_size=3))]
     report = support_check(v, pts)
     for e, x in zip(report.entries, pts):
-        res = ds_at(v, x)
+        assert e == ds_at(v, x)
         assert e.point == x
-        assert e.fiber_total == fiber_cohomology(fiber(L_of(v), x)).total
-        assert (e.ds_dim, e.in_variety) == (res.ds_dim, res.ds_dim > 0)
-        assert e.in_variety == in_variety(v, x)
+        assert e.per_degree.total == fiber_cohomology(fiber(L_of(v), x)).total
+        assert e.in_variety == (e.ds_dim > 0) == in_variety(v, x)
 
 
 def test_ds_is_the_reduced_part_of_the_fiber():
@@ -220,9 +219,9 @@ def test_ds_is_the_reduced_part_of_the_fiber():
 
 
 def test_ds_result_rejects_inconsistent_dimensions():
+    # ds_dim = dim M - 2 rank x_M is derived; the fiber cohomology must agree
     x = OddPoint((1,))
-    with pytest.raises(ValueError, match="fiber cohomology"):
-        DsResult(x, total_dim=2, rank_x=1, ds_dim=0, per_degree=CohomologyTable.from_dict({0: 1}))
-    with pytest.raises(ValueError, match="rank x_M"):
-        DsResult(x, total_dim=2, rank_x=0, ds_dim=0, per_degree=CohomologyTable.from_dict({0: 0}))
-    DsResult(x, total_dim=2, rank_x=0, ds_dim=2, per_degree=CohomologyTable.from_dict({0: 2}))
+    with pytest.raises(ValueError, match="disagrees with the fiber cohomology"):
+        DsResult(x, total_dim=2, rank_x=1, per_degree=CohomologyTable.from_dict({0: 1}))
+    res = DsResult(x, total_dim=2, rank_x=0, per_degree=CohomologyTable.from_dict({0: 2}))
+    assert (res.ds_dim, res.in_variety, res.consistent) == (2, True, True)

@@ -64,14 +64,13 @@ def test_only_graded_map_system_constructs_a_linear_system():
 
 
 # the functions that may call a validating constructor: each takes data
-# from outside (a file, the corpus built through the validating
-# constructors on purpose) or is a constructor itself
+# from outside (a file) or is a constructor itself, but for the two whose
+# comments say why
 VALIDATING_CALLERS = {
     ("gradedmod.py", "make_map"),  # shapes, then check_map
     ("serialize.py", "module_from_json"),
     ("serialize.py", "map_from_json"),
     ("serialize.py", "complex_from_json"),
-    ("corpus.py", "_mixed"),
     # L_of re-validates a valid module's signed family: dropping it waits
     # on a benchmark whose peak RSS does not grow with its pass count
     # (ROADMAP item 1)

@@ -17,6 +17,7 @@ from superstable.rigid import (
     fiber,
     fiber_cohomology,
 )
+from test_gradedmod import dense_module_failure
 
 
 def test_roundtrip_on_corpus():
@@ -131,58 +132,7 @@ def test_cohomology_table_of_complex():
 
 # ---------------------------------------------------------------------------
 # a rigid complex is validated by the module identities (make_module); the
-# former dense complex validator is kept here as the oracle
-
-
-def dense_check_complex(l):
-    """Composability and g0-equivariance of the differential, by dense
-    Matrix arithmetic on the D family; raises ModuleError."""
-    alg = l.alg
-    n0, n1 = alg.dim0, alg.dim1
-
-    def rho_at(j, i):
-        return l.rho0[j - l.lo][i] if l.lo <= j <= l.hi else Matrix.zero(0, 0)
-
-    for j in l.degrees():
-        d = l.dim_at(j)
-        for e in range(n1):
-            for f in range(e, n1):
-                s = l.odd_at(j + 1, e) * l.odd_at(j, f) + l.odd_at(j + 1, f) * l.odd_at(j, e)
-                if not s.is_zero():
-                    raise ModuleError(f"composability fails at degree {j}, pair ({e},{f})")
-        for i in range(n0):
-            for e in range(n1):
-                lhs = rho_at(j + 1, i) * l.odd_at(j, e) - l.odd_at(j, e) * rho_at(j, i)
-                rhs = Matrix.zero(l.dim_at(j + 1), d)
-                ai = alg.action[i]
-                for k in range(n1):
-                    c = ai.data[k][e]
-                    if c != 0:
-                        rhs = rhs + l.odd_at(j, k).scale(c)
-                if lhs != rhs:
-                    raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
-
-
-def dense_is_representation(g0, mats) -> bool:
-    """[rho_i, rho_l] = sum_k c_il^k rho_k for all i, l, by dense products."""
-    for i in range(g0.dim0):
-        for l in range(g0.dim0):
-            lhs = mats[i] * mats[l] - mats[l] * mats[i]
-            for k in range(g0.dim0):
-                lhs = lhs - mats[k].scale(g0.bracket[i][l][k])
-            if not lhs.is_zero():
-                return False
-    return True
-
-
-def oracle_rejects(alg, lo, hi, dims, rho0, diff) -> bool:
-    if not all(dense_is_representation(alg, per) for per in rho0):
-        return True
-    try:
-        dense_check_complex(GradedModule(alg, lo, hi, tuple(dims), rho0, diff))
-    except ModuleError:
-        return True
-    return False
+# dense oracle of those identities lives in test_gradedmod
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,7 +174,7 @@ def test_make_complex_agrees_with_the_dense_oracle(data):
         rho0 = perturbed(rho0, k, x, r, c, delta)
     else:
         diff = perturbed(diff, k, x, r, c, delta)
-    expect = oracle_rejects(l.alg, l.lo, l.hi, l.dims, rho0, diff)
+    expect = dense_module_failure(GradedModule(l.alg, l.lo, l.hi, l.dims, rho0, diff)) is not None
     try:
         got = make_module(l.alg, l.lo, l.hi, l.dims, rho0, diff)
     except ModuleError:
@@ -242,7 +192,7 @@ def test_complex_with_non_representation_rho0_is_refused():
     rho0 = ((ident,) * 3,)
     diff = ((Matrix.zero(0, 2),),)
     l = GradedModule(g, 0, 0, (2,), rho0, diff)
-    dense_check_complex(l)  # the composability/equivariance checks pass
+    assert dense_module_failure(l) == "even representation"
     with pytest.raises(ModuleError, match="even representation fails at degree 0"):
         make_module(g, 0, 0, (2,), rho0, diff)
 
