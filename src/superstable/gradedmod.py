@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .algebra import SuperAlgebra, representation_failure
 from .linalg import LinearSystem, Matrix, vanishes
@@ -580,24 +581,61 @@ def induced_sum(reps: dict) -> GradedModule:
     Odd generators act by left wedge on the exterior factor; even ones by
     the derivation action on Lambda(g1) plus the given action on Q.  The
     window is [min j, max j + dim1], and the basis is that of
-    `induced_blocks`.  Nothing is checked here.  Lambda(g1) is
-    assembled: derivations extend the g0-representation g1 (checked
-    where the algebra came in) to one on each Lambda^l, left wedges
-    anticommute, and [x, e_i ^ -] = (x.e_i) ^ - as x acts by
-    derivations.  Q_j in one degree with zero odd action is a module
-    because reps[j] is a representation (checked where it came in, or
-    built as one), and `tensor` and `direct_sum` preserve validity; they
-    refuse Reps over another algebra.  The summands are added by one
-    `direct_sum`, so each block is copied once.
+    `induced_blocks`: block (j, S) of degree l is e_S (x) Q_j, with the
+    lexicographic Kronecker convention.  Each action matrix is written
+    once, by one `Matrix.place_kron`, from the blocks of Lambda(g1):
+    x acts on summand j of degree l by x_(l-j) (x) I + I (x) x_Q, and
+    e maps it into summand j of degree l + 1 by e_(l-j) (x) I.
+
+    Nothing is checked here.  Every action matrix is block diagonal over
+    the summands, so each identity holds summand by summand.  In each,
+    the derivations extend the g0-representation g1 (checked where the
+    algebra came in) to one on each Lambda^l, left wedges anticommute,
+    and [x, e_i ^ -] = (x.e_i) ^ - as x acts by derivations; the action
+    on Q_j is a representation (checked where reps[j] came in, or built
+    as one) and commutes with every action on the exterior factor.  Reps
+    over another algebra are refused.
     """
     if not reps:
         raise ModuleError("an induced sum needs at least one summand")
     alg = next(iter(reps.values())).alg
+    if any(q.alg != alg for q in reps.values()):
+        raise ModuleError("algebra mismatch in induced sum")
     n = alg.dim1
     check_exterior_size(n, max(1, sum(q.dim for q in reps.values())), "the induced module")
-    lam = _assemble(alg, 0, n, [len(s) for s in _positions(n)],
-                    exterior_even_action(alg), exterior_odd_action(n))
-    return direct_sum(*(tensor(lam, concentrated(q, j)) for j, q in sorted(reps.items())))
+    even, wedge = exterior_even_action(alg), exterior_odd_action(n)
+    lo, hi = min(reps), max(reps) + n
+    # per degree l: {j: offset of summand j}, and the dimension; degree
+    # hi + 1, empty, is the target of the odd action on degree hi
+    offsets, dims = [], []
+    for l in range(lo, hi + 2):
+        off, run = {}, 0
+        for j in sorted(reps):
+            if 0 <= l - j <= n:
+                off[j] = run
+                run += comb(n, l - j) * reps[j].dim
+        offsets.append(off)
+        dims.append(run)
+    rho0, odd = [], []
+    for k, l in enumerate(range(lo, hi + 1)):
+        rho0.append(tuple(
+            Matrix.place_kron(dims[k], dims[k], [
+                blk
+                for j, c0 in offsets[k].items()
+                for blk in ((c0, c0, 1, even[l - j][i], reps[j].dim, True),
+                            (c0, c0, 1, reps[j].mats[i], comb(n, l - j), False))
+            ])
+            for i in range(alg.dim0)
+        ))
+        odd.append(tuple(
+            Matrix.place_kron(dims[k + 1], dims[k], [
+                (offsets[k + 1][j], c0, 1, wedge[l - j][e], reps[j].dim, True)
+                for j, c0 in offsets[k].items()
+                if j in offsets[k + 1]
+            ])
+            for e in range(n)
+        ))
+    return _assemble(alg, lo, hi, dims[:-1], rho0, odd)
 
 
 def induced_module(q: Rep, base_degree: int = 0) -> GradedModule:

@@ -223,7 +223,7 @@ def decompose(v: GradedModule) -> Decomposition:
     )
 
 
-def _trace_preimage(h: GradedMap):
+def _trace_preimage(h: GradedMap, a_v=None):
     """A g0-map tau of degree -n with Tr(tau) = h, or None.
 
     Tr(tau) = sum over S of eps(S, S^c) a^W_{S^c} tau a^V_S, with eps
@@ -235,12 +235,13 @@ def _trace_preimage(h: GradedMap):
     returns {j: tau_j: V^j -> W^(j-n)} over the degrees where both spaces
     are nonzero.  The solution is returned as it is: its constraints are
     the squares `check_map` evaluates and the trace sums themselves.
+    a_v, if given, is V's `_odd_words`, whose words a caller reuses.
     """
     v, w = h.source, h.target
     n = v.alg.dim1
     check_exterior_size(n, max(v.total_dim, w.total_dim), "the trace sum")
     sys = graded_map_system(restrict(v), shift(restrict(w), n))
-    a_v, a_w = _odd_words(v), _odd_words(w)
+    a_v, a_w = a_v or _odd_words(v), _odd_words(w)
     for d in v.degrees():
         if not (v.dim_at(d) and w.dim_at(d)):
             continue
@@ -261,15 +262,16 @@ def _lift_along_evaluation(target_map: GradedMap):
     `induced_blocks` is eps(S, S^c) tau a_S, with tau from degree j + n.
     sigma is a g-map because tau is a g0-map (the dual bases e_S and
     eps(S, S^c) e_{S^c} of the Frobenius extension), and ev o sigma =
-    Tr(tau) = target_map by construction."""
-    tau = _trace_preimage(target_map)
+    Tr(tau) = target_map by construction.  The words a_S of V are
+    formed once, for the trace sums and for sigma."""
+    v, w = target_map.source, target_map.target
+    a_v = _odd_words(v)
+    tau = _trace_preimage(target_map, a_v)
     if tau is None:
         return None
-    v, w = target_map.source, target_map.target
     n = v.alg.dim1
     reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
     ind = _induced_on(w, reps)
-    a_v = _odd_words(v)
     comps = {}
     for d, blocks in induced_blocks(n, reps).items():
         if not v.dim_at(d):

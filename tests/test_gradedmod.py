@@ -14,6 +14,7 @@ from superstable.gradedmod import (
     ModuleError,
     Rep,
     check_map,
+    concentrated,
     direct_sum,
     dual,
     exterior_even_action,
@@ -462,6 +463,96 @@ def test_induced_sum_matches_fold_on_random_reps(case):
     got = induced_sum(reps)
     assert got == expect
     assert module_to_json(got) == module_to_json(expect)
+
+
+# ---------------------------------------------------------------------------
+# induced_sum writes each action matrix in one placement; the construction
+# it replaced, Lambda(g1) tensored with each Q_j in degree j and summed by
+# one direct_sum, is the oracle
+
+
+def induced_tensor_oracle(reps):
+    alg = next(iter(reps.values())).alg
+    n = alg.dim1
+    lam = make_module(alg, 0, n, [comb(n, l) for l in range(n + 1)],
+                      exterior_even_action(alg), exterior_odd_action(n))
+    return direct_sum(*(tensor(lam, concentrated(q, j)) for j, q in sorted(reps.items())))
+
+
+def assert_induced_sum_matches_tensor_oracle(reps):
+    got, expect = induced_sum(reps), induced_tensor_oracle(reps)
+    assert got == expect
+    for j in expect.degrees():
+        for i in range(expect.alg.dim0):
+            assert got.rho_at(j, i) == expect.rho_at(j, i), (j, i)
+        for e in range(expect.alg.dim1):
+            assert got.odd_at(j, e) == expect.odd_at(j, e), (j, e)
+
+
+def test_induced_sum_matches_tensor_oracle_on_corpus_reps():
+    for e in corpus_reps().values():
+        for reps in ({0: e.rep}, {-1: e.rep, 1: e.rep}, {-2: e.rep, 0: e.rep, 3: e.rep}):
+            assert_induced_sum_matches_tensor_oracle(reps)
+
+
+def test_induced_sum_matches_tensor_oracle_on_the_qs_of_decompose(monkeypatch):
+    """Every induced sum that `decompose` and the certificates build on a
+    corpus module: its Q's and the degree components of the module."""
+    from superstable import projstable
+
+    seen = []
+
+    def recording(reps):
+        seen.append(dict(reps))
+        return induced_sum(reps)
+
+    monkeypatch.setattr(projstable, "induced_sum", recording)
+    for e in corpus_modules().values():
+        projstable.decompose(e.module)
+        projstable.projective_certificate(e.module)
+    assert seen
+    for reps in seen:
+        assert_induced_sum_matches_tensor_oracle(reps)
+
+
+ORACLE_ALGEBRAS = INDUCED_ALGEBRAS + [sl2_trivial(0)]
+
+
+@st.composite
+def unequal_reps(draw):
+    """Two to four summands over one algebra, of drawn dimensions: trivial
+    ones of dim 0-3 and, for g0 = sl2, the natural and adjoint ones."""
+    alg = draw(st.sampled_from(ORACLE_ALGEBRAS))
+    degrees = draw(st.sets(st.integers(-3, 3), min_size=2, max_size=4))
+    kinds = [0, 1, 2, 3] + (["natural", "adjoint"] if alg.dim0 else [])
+    reps = {}
+    for j in sorted(degrees):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "natural":
+            reps[j] = _natural_rep(alg)
+        elif kind == "adjoint":
+            reps[j] = _adjoint_rep(alg)
+        else:
+            reps[j] = Rep.trivial(alg, kind)
+    return reps
+
+
+@given(unequal_reps())
+@settings(max_examples=60, deadline=None)
+def test_induced_sum_matches_tensor_oracle_on_random_reps(reps):
+    assert_induced_sum_matches_tensor_oracle(reps)
+
+
+def test_induced_sum_matches_tensor_oracle_without_odd_or_even_part():
+    sl2 = sl2_trivial(0)  # dim g1 = 0: Ind(Q) is Q in its degree
+    assert (sl2.dim0, sl2.dim1) == (3, 0)
+    for reps in ({0: _natural_rep(sl2)}, {-1: _adjoint_rep(sl2), 2: _natural_rep(sl2)}):
+        assert_induced_sum_matches_tensor_oracle(reps)
+    for n in (1, 2, 3):  # dim g0 = 0
+        g = grassmann(n)
+        assert g.dim0 == 0
+        assert_induced_sum_matches_tensor_oracle({0: Rep.trivial(g, 2), 1: Rep.trivial(g, 1)})
+        assert_induced_sum_matches_tensor_oracle({-2: Rep.trivial(g, 0), 2: Rep.trivial(g, 3)})
 
 
 # ---------------------------------------------------------------------------

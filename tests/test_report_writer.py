@@ -1,0 +1,163 @@
+"""The JSON report writer of the CLI (`cli._dumps`) against the text it
+stands for, `json.dumps(report, indent=1, sort_keys=True)`, byte for
+byte: on the report of every subcommand, and on JSON-like values."""
+
+import argparse
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superstable import cli
+from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps, nonfullness_witness
+from superstable.gradedmod import zero_map
+from superstable.serialize import dump, map_to_json, module_to_json, rep_to_json
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def outcome(fn, obj):
+    """The text fn writes for obj, or the type of the error it raises."""
+    try:
+        return fn(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("writer")
+
+    def write(name, obj):
+        path = str(d / f"{name}.json")
+        dump(obj, path)
+        return path
+
+    mods = corpus_modules()
+    paths = {name: write(name, module_to_json(mods[name].module))
+             for name in ("grassmann2_free", "grassmann2_mixed", "sl2_triv2_mixed", "sl2_adjoint_natural")}
+    f = corpus_morphisms()["sl2_triv1_mixed_proj"].map
+    paths["f"] = write("f", map_to_json(f))
+    paths["g"] = write("g", map_to_json(zero_map(f.source, f.target)))
+    paths["q"] = write("q", rep_to_json(nonfullness_witness()["v"]))
+    paths["rep_adjoint"] = write("rep_adjoint", rep_to_json(corpus_reps()["sl2_adjoint_natural"].rep))
+    from test_algebra import BROKEN_JACOBI
+
+    triples = [[i, j, k, str(x)] for i, per in enumerate(BROKEN_JACOBI)
+               for j, row in enumerate(per) for k, x in enumerate(row) if x]
+    paths["broken"] = write("broken", {"dim0": 3, "dim1": 0, "bracket": triples, "action": [[]] * 3})
+    paths["complex"] = str(d / "complex.json")
+    return paths
+
+
+def report_commands(p):
+    """(subcommand, argv) of at least one call of every subcommand; the
+    `rigid l` call writes the complex file the other `rigid` calls read."""
+    mixed, free, adj = p["sl2_triv2_mixed"], p["grassmann2_free"], p["sl2_adjoint_natural"]
+    return [
+        ("validate", ["validate", "--algebra", "sl2_trivial(2)"]),
+        ("validate", ["validate", "--algebra", p["broken"]]),
+        ("module-info", ["module-info", "--module", mixed]),
+        ("shift", ["shift", "--module", mixed, "--by", "-2"]),
+        ("tensor", ["tensor", "--module", free, "--other", p["grassmann2_mixed"]]),
+        ("dual", ["dual", "--module", mixed]),
+        ("hom", ["hom", "--module", p["grassmann2_mixed"], "--other", p["grassmann2_mixed"]]),
+        ("induce", ["induce", "--algebra", "sl2_adjoint", "--q", p["rep_adjoint"]]),
+        ("rigid", ["rigid", "l", "--module", mixed, "--out", p["complex"]]),
+        ("rigid", ["rigid", "l", "--module", mixed]),
+        ("rigid", ["rigid", "v", p["complex"]]),
+        ("rigid", ["rigid", "fiber", p["complex"], "--point", "1,2"]),
+        ("rigid", ["rigid", "roundtrip", "--module", mixed]),
+        ("ds", ["ds", "--module", mixed, "--point", "1,-1/2"]),
+        ("variety", ["variety", "--module", mixed, "--sample", "5"]),
+        ("variety", ["variety", "--module", mixed, "--ideal"]),
+        ("support-check", ["support-check", "--module", mixed, "--sample", "4"]),
+        ("decompose", ["decompose", "--module", adj]),
+        ("is-projective", ["is-projective", "--module", adj]),
+        ("is-projective", ["is-projective", "--module", mixed]),
+        ("is-reduced", ["is-reduced", "--module", mixed]),
+        ("stable-eq", ["stable-eq", "--f", p["f"], "--g", p["g"]]),
+        ("frobenius-check", ["frobenius-check", "--algebra", "sl2_trivial(1)", "--q", p["q"]]),
+        ("cech", ["cech", "-r", "2", "-d", "-5"]),
+        ("ext", ["ext", "-i", "3", "-j", "0", "-r", "2"]),
+        ("ce", ["ce", "--algebra", "sl2_trivial(1)", "--module", p["q"]]),
+        ("koszul", ["koszul", "--algebra", "sl2_trivial(2)", "--module", mixed, "--pmax", "3"]),
+        ("nonfullness", ["nonfullness", "--algebra", "sl2_trivial(1)", "--v", p["q"],
+                         "--w", p["q"], "-i", "3", "-j", "0"]),
+        ("corpus", ["corpus"]),
+    ]
+
+
+def test_every_subcommand_report_is_json_dumps_byte_for_byte(inputs, capsys, monkeypatch):
+    reports = []
+    emit = cli._emit
+
+    def recording(report, fmt):
+        reports.append(report)
+        emit(report, fmt)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    cmds = report_commands(inputs)
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name for name, _ in cmds} == set(sub.choices)
+    for _, argv in cmds:
+        reports.clear()
+        code = cli.main(["--format", "json", *argv])
+        out = capsys.readouterr().out
+        [report] = reports
+        assert report["exit_code"] == code
+        assert out == reference(report) + "\n", argv
+        assert json.loads(out) == json.loads(reference(report))
+    # the failing validate report holds its failures as tuples, which
+    # json writes as lists
+    cli.main(["--format", "json", "validate", "--algebra", inputs["broken"]])
+    capsys.readouterr()
+    [(kind, pair)] = reports[-1]["report"]["failures"]
+    assert kind == "jacobi" and isinstance(pair, tuple)
+
+
+def test_writer_edge_cases():
+    cases = [
+        {}, [], (), [[]], [{}], {"a": []}, {"a": {}}, {"a": ()}, [[], [{}], ((),)],
+        {"b": 1, "a": (1, "x", None, True, False, 0, -1)},
+        "quote \" backslash \\ newline \n tab \t nul \x00 del \x7f",
+        "é ü ß   \U0001F600 \ud800",
+        10**200, -(10**200), True, False, None, 0,
+        ["a", "b"], [["0", "1/2"], ["-3/4", "0"]], ("a", ("b",)),
+        # left to json.dumps: floats, non-string keys, keys json refuses
+        1.5, [1.5, {"k": {2: "a", 1: "b", 10: "c"}}], {"z": {True: 1, None: 2}},
+        float("nan"), {1: 2, "x": 3}, {"x": object()}, [b"bytes"],
+    ]
+    for obj in cases:
+        assert outcome(cli._dumps, obj) == outcome(reference, obj), obj
+
+
+KEYS = st.text(max_size=6) | st.sampled_from(["", "a", "b", "\"", "\\", "é", "\x01"])
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.text()
+    | st.floats()
+)
+JSONISH = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=5)
+        | st.dictionaries(st.integers(-3, 3), inner, max_size=3)
+        | st.lists(st.text(max_size=4), max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@given(JSONISH)
+@settings(max_examples=400, deadline=None)
+def test_writer_matches_json_dumps(obj):
+    assert outcome(cli._dumps, obj) == outcome(reference, obj)
