@@ -52,6 +52,7 @@ from .rigid import L_of, OddPoint, V_of, fiber, fiber_cohomology
 from .serialize import (
     FormatError,
     complex_to_json,
+    dumps,
     load_algebra,
     load_complex,
     load_map,
@@ -101,69 +102,9 @@ def _table_json(table):
     return {str(k): v for k, v in table.entries}
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_parts(o, pad: str, out: list):
-    """Append to `out` the text of `json.dumps(o, indent=1, sort_keys=True)`
-    for o written at indentation `pad`.  That call goes through json's
-    pure-Python encoder, as its C encoder takes no indent; this one
-    formats strings with the C string encoder and writes a list of
-    strings (a matrix row) with one join.  What it does not handle
-    itself (floats, non-string keys, other types) goes to `json.dumps`,
-    re-indented, so the text is the same byte for byte."""
-    if isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif type(o) is int:
-        out.append(repr(o))
-    elif isinstance(o, dict) and all(type(k) is str for k in o):
-        if not o:
-            out.append("{}")
-            return
-        inner = pad + " "
-        out.append("{\n" + inner)
-        for n, k in enumerate(sorted(o)):
-            if n:
-                out.append(",\n" + inner)
-            out.append(_encode_str(k) + ": ")
-            _json_parts(o[k], inner, out)
-        out.append("\n" + pad + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = pad + " "
-        sep = ",\n" + inner
-        if all(type(x) is str for x in o):
-            out.append("[\n" + inner + sep.join(map(_encode_str, o)) + "\n" + pad + "]")
-            return
-        out.append("[\n" + inner)
-        for n, x in enumerate(o):
-            if n:
-                out.append(sep)
-            _json_parts(x, inner, out)
-        out.append("\n" + pad + "]")
-    else:
-        # the output holds no raw newline but those between items
-        out.append(json.dumps(o, indent=1, sort_keys=True).replace("\n", "\n" + pad))
-
-
-def _dumps(report) -> str:
-    """`json.dumps(report, indent=1, sort_keys=True)`, byte for byte."""
-    out = []
-    _json_parts(report, "", out)
-    return "".join(out)
-
-
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(_dumps(report))
+        print(dumps(report, sort_keys=True))
         return
     for line in report.get("lines", []):
         print(line)

@@ -123,6 +123,10 @@ class Matrix:
     def copy_data(self):
         return [row[:] for row in self.data]
 
+    def format_rows(self, fmt) -> list:
+        """The rows read in place: "0" for a zero (the shared one told by identity), else fmt(x)."""
+        return [["0" if x is _ZERO or not x else fmt(x) for x in row] for row in self.data]
+
     def nonzeros(self):
         """(i, j, x) for each nonzero entry x at (i, j), row by row."""
         return ((i, j, x) for i, row in enumerate(self.data) for j, x in enumerate(row) if x)

@@ -7,7 +7,9 @@ through a projective exactly when it is the trace of a g0-map, a linear
 solve on degree blocks.  The certificate is the lift along the
 canonical evaluation epimorphism from an induced module (projective
 whenever the even part is semisimple or zero), written in closed form
-from that g0-map.  Every map here is solved for or written in closed
+from that g0-map.  The projector of the decomposition is the trace of
+a g0-map pi too, written into the induced basis by the same writer
+(`_write_trace`).  Every map here is solved for or written in closed
 form, and is returned as it is: the solve imposes exactly the
 identities a check would evaluate, and each closed form says why it is
 a g-map.  The tests hold the checks; the one `check_map` here is
@@ -184,33 +186,38 @@ def decompose(v: GradedModule) -> Decomposition:
 
     K = ker(top operator); Q is a g0-equivariant complement of K found by
     a linear section solve; the induced part is the image of the
-    evaluation map on Q; the reduced part is the kernel of a g-equivariant
-    retraction found by a second linear solve, a solution of
-    `graded_map_system` and so a g-map as it is.
+    evaluation map emb on Q.  The projector r is the trace of a g0-map pi
+    of degree -n, written like sigma (`_write_trace`): pi_j: V^(j+n) ->
+    Q_j is one small solve, `graded_map_system` on two `concentrated`
+    modules plus pi_j o emb = the projection onto the top block (j,
+    {0..n-1}), a g0-map as g0 acts on Lambda^n(g1) by its trace on g1,
+    zero for g0 semisimple.  So r o emb = id: on a generator q of Q_j the
+    trace keeps only S = {0..n-1}, as pi kills every other block of emb's
+    image, and gives 1 (x) pi(E q) = 1 (x) q; a g-map fixing Q is the
+    identity.  So emb is injective, and ker r, the reduced part, has the
+    dimension left over.
     """
     _require_semisimple(v)
-    op = top_operator(v)
-    qs = {j: _equivariant_complement(v, j, op.comp_at(j).nullspace()) for j in v.degrees()}
+    n, a_v = v.alg.dim1, _odd_words(v)
+    full = tuple(range(n))
+    qs = {j: _equivariant_complement(v, j, a_v(j, full).nullspace()) for j in v.degrees()}
     q_basis = {j: s for j, (s, _) in qs.items()}
-    q_reps = {j: rep for j, (_, rep) in qs.items()}
-    ind = _induced_on(v, q_reps)
+    reps = {j: rep for j, (_, rep) in qs.items() if rep.dim}
+    ind = _induced_on(v, reps)
     emb = _evaluation_map(v, q_basis, ind)
-    if ind.total_dim and emb.total_matrix().rank() != ind.total_dim:
-        raise ModuleError("evaluation map unexpectedly fails to be injective")
-    # retraction r: V -> Ind with r o emb = id
-    sys = graded_map_system(v, ind)
-    for j in ind.degrees():
-        if ind.dim_at(j) and v.dim_at(j):
-            sys.add_constraint([(1, j, emb.comp_at(j))], Matrix.identity(ind.dim_at(j)))
-        elif ind.dim_at(j):
-            raise ModuleError("induced part exceeds the module in some degree")
-    sol = sys.solve()
-    if sol is None:
-        raise ModuleError("no equivariant retraction found; upstream invariant violated")
-    projector = GradedMap(v, ind, sol)
+    blocks, pi = induced_blocks(n, reps), {}
+    for j, q in reps.items():
+        d = j + n
+        off = sum(reps[i].dim for i, _ in blocks[d][: blocks[d].index((j, full))])
+        top = Matrix.place(q.dim, ind.dim_at(d), [(0, off, 1, Matrix.identity(q.dim))])
+        sys = graded_map_system(concentrated(v.rep_at(d), d), concentrated(q, d))
+        sys.add_constraint([(1, d, emb.comp_at(d))], top)
+        sol = sys.solve()
+        if sol is None:
+            raise ModuleError("no equivariant retraction found; upstream invariant violated")
+        pi[d] = sol[d]
+    projector = _write_trace(v, ind, reps, pi, a_v)
     reduced, red_emb = submodule(v, {j: projector.comp_at(j).nullspace() for j in v.degrees()})
-    if v.total_dim != ind.total_dim + reduced.total_dim:
-        raise ModuleError("decomposition dimensions do not add up")
     if reduced.total_dim and not is_reduced(reduced):
         raise ModuleError("complement of the induced part is not reduced")
     return Decomposition(
@@ -254,24 +261,15 @@ def _trace_preimage(h: GradedMap, a_v=None):
     return sys.solve()
 
 
-def _lift_along_evaluation(target_map: GradedMap):
-    """sigma with ev o sigma = target_map, for ev the canonical evaluation
-    Ind(W as g0-module) ->> W, or None.  From the trace preimage tau,
-    sigma(x) = sum over S of eps(S, S^c) e_{S^c} (x) tau(a_S x), written
-    straight into the induced basis: on V^d, the block (j, S^c) of
-    `induced_blocks` is eps(S, S^c) tau a_S, with tau from degree j + n.
-    sigma is a g-map because tau is a g0-map (the dual bases e_S and
-    eps(S, S^c) e_{S^c} of the Frobenius extension), and ev o sigma =
-    Tr(tau) = target_map by construction.  The words a_S of V are
-    formed once, for the trace sums and for sigma."""
-    v, w = target_map.source, target_map.target
-    a_v = _odd_words(v)
-    tau = _trace_preimage(target_map, a_v)
-    if tau is None:
-        return None
+def _write_trace(v: GradedModule, ind: GradedModule, reps: dict, tau: dict, a_v) -> GradedMap:
+    """Tr(tau) written into the induced basis: the map V -> ind, x -> sum
+    over S of eps(S, S^c) e_{S^c} (x) tau(a_S x), for ind = `_induced_on`
+    the nonzero Reps {j: Q_j} and tau {j + n: V^(j+n) -> Q_j}.  On V^d
+    the block (j, S^c) of `induced_blocks` is eps(S, S^c) tau a_S.  It
+    is a g-map when tau is a g0-map (the dual bases e_S and eps(S, S^c)
+    e_{S^c} of the Frobenius extension), and evaluating it gives Tr(tau).
+    a_v is V's `_odd_words`."""
     n = v.alg.dim1
-    reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
-    ind = _induced_on(w, reps)
     comps = {}
     for d, blocks in induced_blocks(n, reps).items():
         if not v.dim_at(d):
@@ -281,9 +279,23 @@ def _lift_along_evaluation(target_map: GradedMap):
             s = _complement(n, sc)
             if j + n in tau:
                 placed.append((r0, 0, merge_sign(s, sc), tau[j + n] * a_v(d, s)))
-            r0 += w.dim_at(j)
+            r0 += reps[j].dim
         comps[d] = Matrix.place(ind.dim_at(d), v.dim_at(d), placed)
     return GradedMap(v, ind, comps)
+
+
+def _lift_along_evaluation(target_map: GradedMap):
+    """sigma with ev o sigma = target_map, for ev the canonical evaluation
+    Ind(W as g0-module) ->> W, or None: the trace of the trace preimage
+    tau, written by `_write_trace`, so ev o sigma = Tr(tau) = target_map.
+    The words a_S of V are formed once, for the trace sums and for sigma."""
+    v, w = target_map.source, target_map.target
+    a_v = _odd_words(v)
+    tau = _trace_preimage(target_map, a_v)
+    if tau is None:
+        return None
+    reps = {j: w.rep_at(j) for j in w.degrees() if w.dim_at(j)}
+    return _write_trace(v, _induced_on(w, reps), reps, tau, a_v)
 
 
 def is_projective(v: GradedModule) -> bool:

@@ -488,6 +488,10 @@ def test_nonzeros_and_block_match_dense_scans(r, c, data):
     a = data.draw(sparse_matrices(r, c))
     rows = a.copy_data()
     assert list(a.nonzeros()) == [(i, j, rows[i][j]) for i in range(r) for j in range(c) if rows[i][j]]
+    seen = []
+    assert a.format_rows(lambda x: seen.append(x) or repr(x)) == [
+        [repr(x) if x else "0" for x in row] for row in rows]
+    assert seen == [x for _, _, x in a.nonzeros()]  # zeros are never formatted
     r0, c0 = data.draw(st.integers(0, r)), data.draw(st.integers(0, c))
     h, w = data.draw(st.integers(0, r - r0)), data.draw(st.integers(0, c - c0))
     b = a.block(r0, c0, h, w)
@@ -497,6 +501,14 @@ def test_nonzeros_and_block_match_dense_scans(r, c, data):
     for bad in ((r0, c0, r - r0 + 1, w), (r0, c0, h, c - c0 + 1), (-1, c0, h, w), (r0, -1, h, w)):
         with pytest.raises(ValueError):
             a.block(*bad)
+
+
+def test_format_rows_writes_any_zero_as_0():
+    # the shared zero by identity, a zero Fraction of its own by its value
+    m = Matrix(2, 2, [[Fraction(0), 3], ["-1/2", 0]])
+    assert m[0, 0] == 0 and m[0, 0] is not Matrix.zero(1, 1)[0, 0]
+    assert m.format_rows(str) == [["0", "3"], ["-1/2", "0"]]
+    assert Matrix.zero(2, 3).format_rows(str) == [["0"] * 3] * 2
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.data())

@@ -105,9 +105,9 @@ def test_decompose_corpus_expectations():
 
 
 def _check_decomposition_maps(dec):
-    """The solved projector and both embeddings are g-maps, the assembled
-    reduced part passes the module checks, and the projector restricted
-    to the induced part is the identity."""
+    """The projector (the trace of pi) and both embeddings are g-maps,
+    the assembled reduced part passes the module checks, and the
+    projector restricted to the induced part is the identity."""
     for phi in (dec.projector, dec.induced_embedding, dec.reduced_embedding):
         check_map(phi)
     r = dec.reduced_part
@@ -120,6 +120,45 @@ def test_decompose_reduced_part_has_nonzero_fiber():
     dec = decompose(v)
     for x in random_points(2, 5, seed=3):
         assert fiber_cohomology(fiber(L_of(dec.reduced_part), x)).total > 0
+
+
+def retraction_oracle(dec):
+    """The former retraction solve: a g-map r: V -> Ind(Q) with r o emb =
+    id by one solve over every component of a graded map into the induced
+    part, and whether it is the only one (the homogeneous system, r o emb
+    = 0, has only the zero solution)."""
+    v, ind, emb = dec.projector.source, dec.induced_part, dec.induced_embedding
+    systems = []
+    for rhs in (Matrix.identity, lambda k: Matrix.zero(k, k)):
+        sys = graded_map_system(v, ind)
+        for j in ind.degrees():
+            if ind.dim_at(j):
+                sys.add_constraint([(1, j, emb.comp_at(j))], rhs(ind.dim_at(j)))
+        systems.append(sys)
+    solve, homogeneous = systems
+    return GradedMap(v, ind, solve.solve()), not homogeneous.solution_basis()
+
+
+def test_projector_matches_the_retraction_solve():
+    # the closed-form projector is a g-map and a retraction everywhere, and
+    # it is the solve's retraction wherever that one is unique: on the 12
+    # corpus modules with an induced part and on 186 of the 195 such
+    # random ones (seeds 0-299)
+    corpus = [e.module for e in corpus_modules().values()]
+    unique = []
+    for k, v in enumerate(corpus + [random_module(seed, 12) for seed in range(300)]):
+        try:
+            dec = decompose(v)
+        except HypothesisError:
+            continue
+        check_map(dec.projector)
+        assert dec.projector.compose(dec.induced_embedding) == identity_map(dec.induced_part)
+        if dec.induced_part.total_dim:
+            oracle, is_unique = retraction_oracle(dec)
+            if is_unique:
+                assert dec.projector == oracle, v
+                unique.append(k)
+    assert sum(k < len(corpus) for k in unique) == 12 and len(unique) == 198
 
 
 def test_is_projective_matches_decomposition(monkeypatch):

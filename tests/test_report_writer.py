@@ -1,9 +1,12 @@
-"""The JSON report writer of the CLI (`cli._dumps`) against the text it
-stands for, `json.dumps(report, indent=1, sort_keys=True)`, byte for
-byte: on the report of every subcommand, and on JSON-like values."""
+"""The indented JSON writer (`serialize.dumps`) against the text it
+stands for, byte for byte: `json.dumps(report, indent=1, sort_keys=True)`
+for the report of every subcommand and for JSON-like values, and
+`json.dump(obj, fh, indent=1)` for the files `serialize.dump` writes."""
 
 import argparse
+import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,26 @@ from hypothesis import strategies as st
 from superstable import cli
 from superstable.corpus import corpus_modules, corpus_morphisms, corpus_reps, nonfullness_witness
 from superstable.gradedmod import zero_map
-from superstable.serialize import dump, map_to_json, module_to_json, rep_to_json
+from superstable.serialize import dump, dumps, map_to_json, module_to_json, rep_to_json
 
 
 def reference(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def sorted_text(obj) -> str:
+    return dumps(obj, sort_keys=True)
+
+
+def file_reference(obj) -> str:
+    """What `json.dump(obj, fh, indent=1)` writes."""
+    fh = io.StringIO()
+    json.dump(obj, fh, indent=1)
+    return fh.getvalue()
+
+
+def file_text(obj) -> str:
+    return dumps(obj, sort_keys=False)
 
 
 def outcome(fn, obj):
@@ -130,9 +148,17 @@ def test_writer_edge_cases():
         # left to json.dumps: floats, non-string keys, keys json refuses
         1.5, [1.5, {"k": {2: "a", 1: "b", 10: "c"}}], {"z": {True: 1, None: 2}},
         float("nan"), {1: 2, "x": 3}, {"x": object()}, [b"bytes"],
+        # rows of strings, one join after one escape check: plain scalars
+        # mixed with what the encoder escapes
+        ["0", "1/2", 'a"b'], ["-3", "\\", "0"], ["0", "\x00"], ["\x7f", "5"],
+        ["0", "é"], ["\ud800", "0"], ["0", "\n", "1"], [["0", "é"], ["1/2", "0"]],
+        # a row whose first item is a string and a later one is not
+        ["0", 1], ["0", None], ["0", ["1"]], ("0", 1.5), ["0", "1", {"a": "b"}],
+        [["0", 1], ["0", None]],
     ]
     for obj in cases:
-        assert outcome(cli._dumps, obj) == outcome(reference, obj), obj
+        assert outcome(sorted_text, obj) == outcome(reference, obj), obj
+        assert outcome(file_text, obj) == outcome(file_reference, obj), obj
 
 
 KEYS = st.text(max_size=6) | st.sampled_from(["", "a", "b", "\"", "\\", "é", "\x01"])
@@ -160,4 +186,27 @@ JSONISH = st.recursive(
 @given(JSONISH)
 @settings(max_examples=400, deadline=None)
 def test_writer_matches_json_dumps(obj):
-    assert outcome(cli._dumps, obj) == outcome(reference, obj)
+    assert outcome(sorted_text, obj) == outcome(reference, obj)
+
+
+@given(JSONISH)
+@settings(max_examples=400, deadline=None)
+def test_unsorted_writer_matches_json_dump(obj):
+    # dicts in their own order, as module, map and rep files are written
+    assert outcome(file_text, obj) == outcome(file_reference, obj)
+
+
+def test_dump_files_are_json_dump_byte_for_byte(tmp_path):
+    mods = corpus_modules()
+    assert cli.main(["corpus", "--write", str(tmp_path)]) == 0
+    for name, e in mods.items():
+        with open(os.path.join(tmp_path, f"{name}.json"), encoding="utf-8") as fh:
+            assert fh.read() == file_reference(module_to_json(e.module)) + "\n", name
+    f = corpus_morphisms()["sl2_triv1_mixed_proj"].map
+    objs = [map_to_json(f), rep_to_json(corpus_reps()["sl2_adjoint_natural"].rep),
+            {"z": 1, "a": [["0", "é"]], "m": {"y": None, "b": 1.5}}]
+    for k, obj in enumerate(objs):
+        path = str(tmp_path / f"obj{k}.json")
+        dump(obj, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == file_reference(obj) + "\n"
