@@ -7,14 +7,13 @@ g0-action matrices; the odd bracket [g1, g1] is always zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .linalg import Matrix, scalar, vanishes
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SuperAlgebra:
+class SuperAlgebra(Record, uncompared=("name",)):
     """g = g0 + g1 with [g1, g1] = 0.  The even part has basis
     x_1..x_dim0 with [x_i, x_j] = sum_k bracket[i][j][k] x_k; the odd
     part is the dim1-dimensional g0-module with [x_i, e_j] = sum_k
@@ -25,7 +24,7 @@ class SuperAlgebra:
     bracket: tuple  # bracket[i][j] is a tuple of dim0 Fractions
     dim1: int
     action: tuple   # one dim1 x dim1 Matrix per even basis index
-    name: str = field(default="", compare=False)
+    name: str = ""
 
     def __post_init__(self):
         c = tuple(tuple(tuple(scalar(x) for x in cij) for cij in ci) for ci in self.bracket)
@@ -46,15 +45,13 @@ class SuperAlgebra:
         )
 
 
-@dataclass
 class ValidationReport:
     """Which identities hold; `failures` lists (kind, (i, j)), the first
     failing pair of even indices of each kind."""
 
-    antisymmetry: bool = True
-    jacobi: bool = True
-    representation: bool = True
-    failures: list = field(default_factory=list)
+    def __init__(self):
+        self.antisymmetry = self.jacobi = self.representation = True
+        self.failures = []
 
     @property
     def ok(self) -> bool:

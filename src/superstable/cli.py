@@ -52,6 +52,7 @@ from .rigid import L_of, OddPoint, V_of, fiber, fiber_cohomology
 from .serialize import (
     FormatError,
     complex_to_json,
+    dump,
     dumps,
     load_algebra,
     load_complex,
@@ -146,11 +147,18 @@ def _cmd_module_info(args):
     )
 
 
+def _unwritable(exc: OSError, path: str) -> FormatError:
+    """An output path the OS refuses, reported as unreadable inputs are:
+    as malformed input (exit 2), in one line naming the path."""
+    return FormatError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
 def _dump_or_show(args, obj_json, label):
     if getattr(args, "out", None):
-        from .serialize import dump
-
-        dump(obj_json, args.out)
+        try:
+            dump(obj_json, args.out)
+        except OSError as exc:
+            raise _unwritable(exc, args.out) from exc
         return [f"{label} written to {args.out}"]
     return [f"{label}: {json.dumps(obj_json)}"]
 
@@ -445,11 +453,12 @@ def _cmd_corpus(args):
     if args.write:
         import os
 
-        from .serialize import dump
-
-        os.makedirs(args.write, exist_ok=True)
-        for name, e in mods.items():
-            dump(module_to_json(e.module), os.path.join(args.write, f"{name}.json"))
+        try:
+            os.makedirs(args.write, exist_ok=True)
+            for name, e in mods.items():
+                dump(module_to_json(e.module), os.path.join(args.write, f"{name}.json"))
+        except OSError as exc:
+            raise _unwritable(exc, args.write) from exc
         lines.append(f"written to {args.write}")
     return EXIT_OK, _report("corpus", lines, entries=entries)
 

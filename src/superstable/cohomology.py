@@ -8,7 +8,6 @@ ranks; closed-form binomial counts appear only as cross-checks in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -17,6 +16,7 @@ from .gradedmod import (
     GradedModule, ModuleError, Rep, check_tensor_size, concentrated, dual, merge_sign, tensor,
 )
 from .linalg import Matrix
+from .record import Record
 from .rigid import CohomologyTable
 
 
@@ -117,16 +117,14 @@ def cech_closed_form(r: int, d: int) -> CohomologyTable:
 # the two-term shape of twisted extension spaces
 
 
-@dataclass(frozen=True)
-class ExtEntry:
+class ExtEntry(Record):
     cohom_degree: int      # l: which H^l on P^r contributes
     sym_degree: int        # symmetric power of the tautological weight
     top_twist_present: bool
     dim: int
 
 
-@dataclass(frozen=True)
-class ExtDescriptor:
+class ExtDescriptor(Record):
     source_twist: int
     target_twist: int
     proj_dim: int  # r

@@ -9,7 +9,6 @@ integration test of the whole construction layer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import (
     SL2_NATURAL,
@@ -31,25 +30,23 @@ from .gradedmod import (
     zero_map,
 )
 from .linalg import Matrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CorpusModule:
+class CorpusModule(Record):
     name: str
     module: GradedModule
     induced: bool      # known projective by construction
     reduced_dim: int   # expected dimension of the reduced part
 
 
-@dataclass(frozen=True)
-class CorpusMorphism:
+class CorpusMorphism(Record):
     name: str
     map: GradedMap
     stably_zero: bool
 
 
-@dataclass(frozen=True)
-class CorpusRep:
+class CorpusRep(Record):
     name: str
     alg: SuperAlgebra
     rep: Rep

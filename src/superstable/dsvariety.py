@@ -8,18 +8,17 @@ x_M(t) with entries linear in the odd coordinates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
 from .gradedmod import GradedModule
 from .linalg import Polynomial
+from .record import Record
 from .rigid import CohomologyTable, L_of, OddPoint, fiber, fiber_cohomology
 
 
-@dataclass(frozen=True)
-class PolyIdeal:
+class PolyIdeal(Record):
     nvars: int
     generators: tuple
 
@@ -27,8 +26,7 @@ class PolyIdeal:
         return all(g.eval(point) == 0 for g in self.generators)
 
 
-@dataclass(frozen=True)
-class DsResult:
+class DsResult(Record):
     """The DS fiber M_x at one point: `ds_dim` = dim M - 2 rank x_M from
     the module, `per_degree` from the fiber of the rigid complex.  A record
     whose two computations disagree is refused."""
@@ -178,8 +176,7 @@ def random_points(dim1: int, count: int, seed: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SupportCheckReport:
+class SupportCheckReport(Record):
     entries: tuple  # one DsResult per sample
 
     @property

@@ -13,12 +13,12 @@ induced module (`induced_blocks`); every other module reads them here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .algebra import SuperAlgebra, representation_failure
 from .linalg import LinearSystem, Matrix, vanishes
+from .record import Record
 
 # largest 2^dim(g1) * dim allowed for a build or sum over the exterior
 # algebra (the induced modules, the Frobenius comparison and the trace
@@ -54,8 +54,7 @@ def check_exterior_size(n: int, dim: int, what: str):
 # plain g0-representations (coefficients for induced modules, CE, Sym powers)
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(Record):
     """Finite-dimensional module over the even part g0 of `alg`: one
     dim x dim matrix per even basis index.  `check` is its one
     validation, run where its data come in (`serialize.rep_from_json`);
@@ -87,8 +86,7 @@ class Rep:
 # graded modules
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(Record):
     """Graded module on a window [lo, hi].
 
     dims[j-lo] is the dimension in degree j; rho0[j-lo][i] the even
@@ -224,8 +222,7 @@ def trivial_module(alg: SuperAlgebra, degree: int = 0, dim: int = 1) -> GradedMo
 # graded maps
 
 
-@dataclass(frozen=True)
-class GradedMap:
+class GradedMap(Record):
     source: GradedModule
     target: GradedModule
     comps: dict  # degree -> Matrix target.dim_at(j) x source.dim_at(j)

@@ -18,7 +18,6 @@ a g-map.  The tests hold the checks; the one `check_map` here is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .algebra import is_semisimple
 from .gradedmod import (
@@ -44,6 +43,7 @@ from .gradedmod import (
     trivial_module,
 )
 from .linalg import Matrix
+from .record import Record
 
 
 class HypothesisError(ValueError):
@@ -84,8 +84,7 @@ def _coordinate_complement(basis: Matrix) -> list:
     return [c - k for c in basis.hstack(Matrix.identity(basis.rows)).pivot_columns() if c >= k]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     q_basis: dict            # degree -> Matrix, g0-stable complement of ker E
     induced_part: GradedModule
     induced_embedding: GradedMap

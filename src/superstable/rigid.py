@@ -16,18 +16,16 @@ restricted to the line k[x]/(x^2) through x (`fiber`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import grassmann
 from .gradedmod import GradedModule, make_module
 from .linalg import Matrix, scalar
+from .record import Record
 
 # the line k[x]/(x^2) = Lambda(kx), over which every fiber is a module
 LINE = grassmann(1)
 
 
-@dataclass(frozen=True)
-class OddPoint:
+class OddPoint(Record):
     """A representative of a point of P(g1): a nonzero coordinate vector."""
 
     coords: tuple
@@ -41,8 +39,7 @@ class OddPoint:
         return OddPoint(tuple(scalar(c) * x for x in self.coords))
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(Record):
     """degree -> dimension, the universal output of all cohomology calculators."""
 
     entries: tuple  # sorted tuple of (degree, dim)

@@ -1014,3 +1014,45 @@ def test_cli_survives_mutated_module_files(case):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main([argv[0], "--module", path, *argv[1:]])
             assert code in (0, 1, 2), (argv, code)
+
+
+def test_unwritable_output_path_exit_2(capsys, files, tmp_path):
+    # an output path the OS refuses is bad input, reported in one line
+    # naming the path and the reason, with nothing reported as written
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n")
+    module = files["grassmann2_free"]
+    outs = {
+        str(tmp_path / "adir"): "Is a directory",
+        str(tmp_path / "missing" / "m.json"): "No such file or directory",
+    }
+    commands = [
+        ["shift", "--module", module, "--by", "1"],
+        ["tensor", "--module", module, "--other", module],
+        ["dual", "--module", module],
+        ["induce", "--algebra", "sl2_trivial(1)", "--q", files["rep_k"]],
+        ["rigid", "l", module],
+    ]
+    for out, why in outs.items():
+        for argv in commands:
+            assert main(argv + ["--out", out]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"input error: cannot write {out}: {why}\n", argv
+            assert captured.out == ""
+    cpath = str(tmp_path / "c.json")
+    assert main(["rigid", "l", module, "--out", cpath]) == 0
+    capsys.readouterr()
+    for out, why in outs.items():
+        assert main(["rigid", "v", cpath, "--out", out]) == 2
+        assert capsys.readouterr().err == f"input error: cannot write {out}: {why}\n"
+    for target, why in (("afile", "File exists"), ("afile/sub", "Not a directory")):
+        out = str(tmp_path / target)
+        assert main(["corpus", "--write", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: cannot write {out}: {why}\n"
+        assert captured.out == ""
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    # missing directories of `corpus --write` are made, as before
+    assert main(["corpus", "--write", str(tmp_path / "new" / "corpus")]) == 0
+    assert "written to" in capsys.readouterr().out
+    assert (tmp_path / "new" / "corpus" / "grassmann2_free.json").is_file()

@@ -1,6 +1,8 @@
 """The runtime is standard-library only: importing every `superstable`
 submodule in a fresh interpreter loads no module from outside the
-standard library."""
+standard library.  Start-up stays light: neither `import superstable`
+nor `import superstable.cli` loads `dataclasses` or `inspect` (with
+`ast`, `dis` and `tokenize`, which `inspect` imports)."""
 
 import json
 import os
@@ -9,13 +11,21 @@ import sys
 
 import superstable
 
+HEAVY = ("dataclasses", "inspect")
+
 CODE = """
-import importlib, json, pkgutil, sys
+import importlib, json, sys
+HEAVY, heavy = %r, {}
 import superstable
+heavy["superstable"] = [m for m in HEAVY if m in sys.modules]
+import superstable.cli
+heavy["superstable.cli"] = [m for m in HEAVY if m in sys.modules]
+# pkgutil imports inspect itself, so the modules are listed before it
+import pkgutil
 for info in pkgutil.iter_modules(superstable.__path__):
     importlib.import_module("superstable." + info.name)
-print(json.dumps(sorted(sys.modules)))
-"""
+print(json.dumps({"heavy": heavy, "loaded": sorted(sys.modules)}))
+""" % (HEAVY,)
 
 
 def test_every_submodule_imports_only_the_standard_library():
@@ -31,7 +41,9 @@ def test_every_submodule_imports_only_the_standard_library():
         check=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    loaded = json.loads(out.stdout)
+    result = json.loads(out.stdout)
+    assert result["heavy"] == {"superstable": [], "superstable.cli": []}, result["heavy"]
+    loaded = result["loaded"]
     assert "superstable.cli" in loaded and "superstable.cohomology" in loaded
     top = {name.split(".")[0] for name in loaded}
     outside = top - set(sys.stdlib_module_names) - {"superstable", "__main__"}
