@@ -45,28 +45,6 @@ class SuperAlgebra(Record, uncompared=("name",)):
         )
 
 
-class ValidationReport:
-    """Which identities hold; `failures` lists (kind, (i, j)), the first
-    failing pair of even indices of each kind."""
-
-    def __init__(self):
-        self.antisymmetry = self.jacobi = self.representation = True
-        self.failures = []
-
-    @property
-    def ok(self) -> bool:
-        return self.antisymmetry and self.jacobi and self.representation
-
-    def as_dict(self):
-        return {
-            "antisymmetry": self.antisymmetry,
-            "jacobi": self.jacobi,
-            "representation": self.representation,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
-
-
 def representation_failure(alg: SuperAlgebra, mats, dim: int):
     """First (i, j) at which [rho_i, rho_j] = sum_k c_ij^k rho_k fails,
     or None if the dim x dim matrices `mats` (as `Matrix.sparse_rows`)
@@ -80,12 +58,14 @@ def representation_failure(alg: SuperAlgebra, mats, dim: int):
     return None
 
 
-def validate(g: SuperAlgebra) -> ValidationReport:
+def validate(g: SuperAlgebra) -> dict:
     """Check antisymmetry, Jacobi, and the g0-representation property on g1.
 
-    Failures are data in the report, the first offending index pair of
-    each kind.  Given antisymmetry, the Jacobi identity says exactly that
-    ad is a representation, [ad x_i, ad x_j] = ad [x_i, x_j], so a Jacobi
+    Returns {"antisymmetry", "jacobi", "representation": whether each
+    holds, "failures": (kind, (i, j)) for the first failing pair of even
+    indices of each kind, "ok": whether all three hold}.  Given
+    antisymmetry, the Jacobi identity says exactly that ad is a
+    representation, [ad x_i, ad x_j] = ad [x_i, x_j], so a Jacobi
     failure is the first pair (i, j) where that fails.
     """
     c, n0 = g.bracket, g.dim0
@@ -96,12 +76,8 @@ def validate(g: SuperAlgebra) -> ValidationReport:
         "jacobi": representation_failure(g, ads, n0),
         "representation": representation_failure(g, [a.sparse_rows() for a in g.action], g.dim1),
     }
-    rep = ValidationReport()
-    for kind, bad in found.items():
-        if bad is not None:
-            setattr(rep, kind, False)
-            rep.failures.append((kind, bad))
-    return rep
+    failures = [(kind, bad) for kind, bad in found.items() if bad is not None]
+    return {**{kind: bad is None for kind, bad in found.items()}, "failures": failures, "ok": not failures}
 
 
 def killing_form(g: SuperAlgebra) -> Matrix:

@@ -124,9 +124,8 @@ def _cmd_validate(args):
     rep = validate_algebra(g)
     lines = [f"algebra: {g.name or '<inline>'} (dim0={g.dim0}, dim1={g.dim1})"]
     for key in ("antisymmetry", "jacobi", "representation"):
-        lines.append(f"  {key}: {'ok' if getattr(rep, key) else 'FAIL'}")
-    code = EXIT_OK if rep.ok else EXIT_FAIL
-    return code, _report("validate", lines, report=rep.as_dict())
+        lines.append(f"  {key}: {'ok' if rep[key] else 'FAIL'}")
+    return EXIT_OK if rep["ok"] else EXIT_FAIL, _report("validate", lines, report=rep)
 
 
 def _cmd_module_info(args):

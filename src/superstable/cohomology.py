@@ -27,6 +27,9 @@ MAX_CECH_SIZE = 400_000
 MAX_KOSZUL_DEGREE = 10_000
 MAX_KOSZUL_ENTRIES = 4_000_000
 MAX_CE_ENTRIES = 4_000_000
+# a refused size is printed when it is at most this, and otherwise only
+# said to be over its limit
+_PRINTED_SIZE = 10 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +89,15 @@ def cech_line_bundle(r: int, d: int) -> CohomologyTable:
     """
     if r < 1:
         raise ValueError("projective space dimension must be >= 1")
-    size = cech_size(r, d)
-    if size > MAX_CECH_SIZE:
-        raise ValueError(f"the Cech complex of O({d}) on P^{r} has size {size}, over the limit of {MAX_CECH_SIZE}")
+    lo, t = _multidegree_range(r, d)
+    # 2^(r+1) and t + 1 <= C(t + r, r) bound cech_size below, so a huge r
+    # or d is refused before the binomial is formed
+    size = None if MAX_CECH_SIZE >> (r + 1) == 0 or t >= MAX_CECH_SIZE else cech_size(r, d)
+    if size is None or size > MAX_CECH_SIZE:
+        shown = f" {size}," if size is not None and size <= _PRINTED_SIZE else ""
+        raise ValueError(f"the Cech complex of O({d}) on P^{r} has size{shown} over the limit of {MAX_CECH_SIZE}")
     totals = {p: 0 for p in range(r + 1)}
     cache = {}
-    lo, t = _multidegree_range(r, d)
     for e in _exponents(r + 1, t):
         neg = frozenset(i for i, x in enumerate(e) if x + lo < 0)
         piece = cache.get(neg)
@@ -271,9 +277,18 @@ def _sym_dim(n: int, p: int) -> int:
 def koszul_size(v: GradedModule, p_max: int) -> int:
     """The entries of the dense differentials of `koszul_odd(v, p_max)`:
     the sum over p < p_max of dim C^(p+1) * dim C^p, where dim C^p =
-    C(p + n - 1, p) * dim V counts the monomials of S^p(g1*)."""
-    sym = [_sym_dim(v.alg.dim1, p) for p in range(p_max + 1)]
-    return sum(sym[p + 1] * sym[p] for p in range(p_max)) * v.total_dim ** 2
+    C(p + n - 1, p) * dim V counts the monomials of S^p(g1*).  Summing
+    stops once the total is over `_PRINTED_SIZE`, so a result over it
+    only bounds the size below, and no larger term is formed."""
+    n, dv2 = v.alg.dim1, v.total_dim ** 2
+    total, sym = 0, 1  # dim S^0
+    for p in range(p_max):
+        nxt = sym * (p + n) // (p + 1)  # C(p + n, p + 1), exactly
+        total += nxt * sym * dv2
+        if total > _PRINTED_SIZE:
+            break
+        sym = nxt
+    return total
 
 
 def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
@@ -286,10 +301,8 @@ def koszul_odd(v: GradedModule, p_max: int) -> CohomologyTable:
         raise ValueError(f"p_max must be in [1, {MAX_KOSZUL_DEGREE}], got {p_max}")
     size = koszul_size(v, p_max)
     if size > MAX_KOSZUL_ENTRIES:
-        raise ValueError(
-            f"the Koszul complex up to p_max = {p_max} has {size} differential entries, "
-            f"over the limit of {MAX_KOSZUL_ENTRIES}"
-        )
+        shown = f"{size} differential entries, over" if size <= _PRINTED_SIZE else "differential entries over"
+        raise ValueError(f"the Koszul complex up to p_max = {p_max} has {shown} the limit of {MAX_KOSZUL_ENTRIES}")
     n = v.alg.dim1
     dv = v.total_dim
     acts = [v.total_odd(e) for e in range(n)]

@@ -75,10 +75,10 @@ def _mixed(free: GradedModule, triv: GradedModule):
     for j in m.degrees():
         df, dt = free.dim_at(j), triv.dim_at(j)
         if df:
-            incl[j] = Matrix.identity(df).vstack(Matrix.zero(dt, df))
-            proj_free[j] = Matrix.identity(df).hstack(Matrix.zero(df, dt))
+            incl[j] = Matrix.place(df + dt, df, [(0, 0, 1, Matrix.identity(df))])
+            proj_free[j] = Matrix.place(df, df + dt, [(0, 0, 1, Matrix.identity(df))])
         if dt:
-            proj_triv[j] = Matrix.zero(dt, df).hstack(Matrix.identity(dt))
+            proj_triv[j] = Matrix.place(dt, df + dt, [(0, df, 1, Matrix.identity(dt))])
     return m, GradedMap(free, m, incl), GradedMap(m, free, proj_free), GradedMap(m, triv, proj_triv)
 
 

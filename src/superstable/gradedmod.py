@@ -125,9 +125,13 @@ class GradedModule(Record):
         return Matrix.zero(self.dim_at(j + 1), 0)
 
     def total_odd(self, e: int) -> Matrix:
-        """Ungraded action of the e-th odd generator on the total space."""
-        blocks = Matrix.block_diag(self.odd_at(j, e) for j in self.degrees())
-        return Matrix.zero(self.dim_at(self.lo), self.total_dim).vstack(blocks)
+        """Ungraded action of the e-th odd generator on the total space:
+        a_e^j fills the rows of degree j + 1 and the columns of degree j."""
+        n, blocks, c0 = self.total_dim, [], 0
+        for j in self.degrees():
+            blocks.append((c0 + self.dim_at(j), c0, 1, self.odd_at(j, e)))
+            c0 += self.dim_at(j)
+        return Matrix.place(n, n, blocks)
 
     def rep_at(self, j: int) -> Rep:
         """Degree-j component as a plain g0-module."""

@@ -8,7 +8,7 @@ so no operation ever rounds.
 storage: they go through `Matrix` operations.  Those touch only
 nonzeros: `scale` (and so unary `-`), products, `place`, `place_kron`
 and `kron` skip a zero entry without an arithmetic call, and `scale(1)`
-is the matrix itself; a sum `+` still adds every entry (ROADMAP item 5).
+is the matrix itself; a sum `+` still adds every entry.
 Every elimination (rank, pivot_columns, nullspace, solve_matrix and the
 `LinearSystem` solvers) runs one sparse Gauss-Jordan kernel,
 `gauss_jordan`, over rows held as dicts {column: nonzero}.  It takes
@@ -120,9 +120,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
 
-    def copy_data(self):
-        return [row[:] for row in self.data]
-
     def format_rows(self, fmt) -> list:
         """The rows read in place: "0" for a zero (the shared one told by identity), else fmt(x)."""
         return [["0" if x is _ZERO or not x else fmt(x) for x in row] for row in self.data]
@@ -179,16 +176,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix._of(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows and self.cols else [[] for _ in range(self.cols)])
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Matrix._of(self.rows, self.cols + other.cols, [r1 + r2 for r1, r2 in zip(self.data, other.data)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return Matrix._of(self.rows + other.rows, self.cols, self.copy_data() + other.copy_data())
 
     @staticmethod
     def place(rows: int, cols: int, blocks) -> "Matrix":

@@ -80,8 +80,9 @@ def _coordinate_complement(basis: Matrix) -> list:
     the span of `basis`: e_c is taken iff it is not in the span of
     `basis` and e_0..e_(c-1), so the indices are the pivot columns past
     `basis` of one elimination of [basis | I]."""
-    k = basis.cols
-    return [c - k for c in basis.hstack(Matrix.identity(basis.rows)).pivot_columns() if c >= k]
+    d, k = basis.rows, basis.cols
+    joined = Matrix.place(d, k + d, [(0, 0, 1, basis), (0, k, 1, Matrix.identity(d))])
+    return [c - k for c in joined.pivot_columns() if c >= k]
 
 
 class Decomposition(Record):
@@ -111,10 +112,9 @@ def _equivariant_complement(v: GradedModule, j: int, k_cols: Matrix):
         return Matrix.zero(d, 0), Rep.trivial(v.alg, 0)
     comp_idx = _coordinate_complement(k_cols)
     picks = Matrix.from_nonzeros(d, q, [(c, p, 1) for p, c in enumerate(comp_idx)])
-    t = k_cols.hstack(picks)
-    tinv = t.solve_matrix(Matrix.identity(d))
-    pi = tinv.block(k, 0, q, d)  # quotient coordinates
-    rho_q = tuple((tinv * v.rho_at(j, i) * t).block(k, k, q, q) for i in range(v.alg.dim0))
+    t = Matrix.place(d, d, [(0, 0, 1, k_cols), (0, k, 1, picks)])
+    pi = t.solve_matrix(Matrix.identity(d)).block(k, 0, q, d)  # quotient coordinates
+    rho_q = tuple(pi * v.rho_at(j, i) * picks for i in range(v.alg.dim0))
     rep_q = Rep(v.alg, q, rho_q)
     sys = graded_map_system(concentrated(rep_q, j), concentrated(v.rep_at(j), j))
     sys.add_constraint([(pi, j, 1)], Matrix.identity(q))

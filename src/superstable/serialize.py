@@ -202,9 +202,8 @@ def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
     if not isinstance(name, str):
         raise FormatError(f"algebra name must be a string, got {json.dumps(name)[:40]}")
     g = SuperAlgebra(dim0, c, dim1, action, name=name)
-    rep = validate(g) if check else None
-    if rep is not None and not rep.ok:
-        raise FormatError(f"algebra fails validation: {rep.failures}")
+    if check and not (rep := validate(g))["ok"]:
+        raise FormatError(f"algebra fails validation: {rep['failures']}")
     return g
 
 
@@ -243,7 +242,7 @@ def _algebra_ref(g: SuperAlgebra):
 
 def _graded_to_json(x: GradedModule, key: str):
     """The file object of a module (key "odd") or a rigid complex (key
-    "diff"), both graded modules; `_graded_families` reads both back."""
+    "diff"), both graded modules; `_graded_from_json` reads both back."""
     return {
         "algebra": _algebra_ref(x.alg),
         "lo": x.lo,
@@ -258,7 +257,10 @@ def module_to_json(v: GradedModule):
     return _graded_to_json(v, "odd")
 
 
-def _graded_families(obj, alg, key, what):
+def _graded_from_json(obj, key: str, what: str) -> GradedModule:
+    """The validated module (key "odd") or rigid complex (key "diff") of
+    a file object, as `_graded_to_json` writes them."""
+    alg = algebra_from_json(_field(obj, "algebra", what))
     lo = int_from_json(_field(obj, "lo", what), "lo")
     hi = int_from_json(_field(obj, "hi", what), "hi")
     dims = [int_from_json(d, "dims entry", lo=0) for d in _array(_field(obj, "dims", what), "dims")]
@@ -281,13 +283,11 @@ def _graded_families(obj, alg, key, what):
         fam.append(tuple(matrix_from_json(m, dnext, d) for m in _array(per, f"{key} entry")))
         if len(fam[-1]) != alg.dim1:
             raise FormatError(f"need one {key} matrix per odd basis element")
-    return lo, hi, dims, rho0, fam
+    return make_module(alg, lo, hi, dims, rho0, fam)
 
 
 def module_from_json(obj) -> GradedModule:
-    alg = algebra_from_json(_field(obj, "algebra", "module"))
-    lo, hi, dims, rho0, odd = _graded_families(obj, alg, "odd", "module")
-    return make_module(alg, lo, hi, dims, rho0, odd)
+    return _graded_from_json(obj, "odd", "module")
 
 
 def complex_to_json(l: GradedModule):
@@ -297,9 +297,7 @@ def complex_to_json(l: GradedModule):
 
 def complex_from_json(obj) -> GradedModule:
     """A rigid complex, validated by the module identities (see `rigid`)."""
-    alg = algebra_from_json(_field(obj, "algebra", "complex"))
-    lo, hi, dims, rho0, diff = _graded_families(obj, alg, "diff", "complex")
-    return make_module(alg, lo, hi, dims, rho0, diff)
+    return _graded_from_json(obj, "diff", "complex")
 
 
 def _module_once(obj, seen: dict) -> GradedModule:
@@ -398,8 +396,9 @@ def _json_parts(o, pad: str, out: list, sort_keys: bool):
     sort_keys)` at indentation `pad`, without that call's pure-Python
     encoder (the C one takes no indent): strings go through the C string
     encoder, and a list of strings (a matrix row) is one join after one
-    escape check.  The rest (floats, non-string keys, other types) goes
-    to `json.dumps`, re-indented, so the text is the same byte for byte."""
+    escape check.  Reports and files hold only strings, ints, booleans,
+    None, lists, tuples and dicts with string keys; anything else, a
+    float above all, is a `TypeError`."""
     if isinstance(o, str):
         out.append(_encode_str(o))
     elif o is None:
@@ -444,12 +443,13 @@ def _json_parts(o, pad: str, out: list, sort_keys: bool):
             _json_parts(x, inner, out, sort_keys)
         out.append("\n" + pad + "]")
     else:
-        # the output holds no raw newline but those between items
-        out.append(json.dumps(o, indent=1, sort_keys=sort_keys).replace("\n", "\n" + pad))
+        what = "a dict with a key that is not a string" if isinstance(o, dict) else type(o).__name__
+        raise TypeError(f"cannot write {what} into a report or file")
 
 
 def dumps(obj, sort_keys: bool) -> str:
-    """`json.dumps(obj, indent=1, sort_keys=sort_keys)`, byte for byte."""
+    """`json.dumps(obj, indent=1, sort_keys=sort_keys)`, byte for byte, for
+    the types `_json_parts` takes."""
     out = []
     _json_parts(obj, "", out, sort_keys)
     return "".join(out)

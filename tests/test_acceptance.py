@@ -131,7 +131,7 @@ def test_criterion_07_decomposition_and_frobenius(monkeypatch):
 
         if m_dim:
             ok = ok and top_operator(dec.reduced_part).is_zero()
-        ok = ok and validate(dec.induced_part.alg).ok and validate(dec.reduced_part.alg).ok
+        ok = ok and validate(dec.induced_part.alg)["ok"] and validate(dec.reduced_part.alg)["ok"]
         for phi in (dec.projector, dec.induced_embedding, dec.reduced_embedding):
             check_map(phi)  # raises on failure
         ok = ok and (is_projective(e.module) == (m_dim == 0))

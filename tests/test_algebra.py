@@ -20,11 +20,11 @@ from superstable.linalg import Matrix
 
 def test_sl2_validates():
     for g in (sl2_trivial(1), sl2_trivial(3), sl2_adjoint(), sl2_natural_sum(2)):
-        assert validate(g).ok
+        assert validate(g)["ok"]
 
 
 def test_grassmann_validates():
-    assert validate(grassmann(3)).ok
+    assert validate(grassmann(3))["ok"]
 
 
 def test_killing_form_sl2_values():
@@ -61,7 +61,7 @@ def test_validation_failure_recorded():
     # break antisymmetry: [x,x] = x
     g = SuperAlgebra(1, [[[1]]], 0, (Matrix.zero(0, 0),))
     rep = validate(g)
-    assert not rep.ok and rep.failures[0][0] == "antisymmetry"
+    assert not rep["ok"] and rep["failures"][0][0] == "antisymmetry"
 
 
 def jacobi_failure_oracle(g0):
@@ -98,9 +98,9 @@ BROKEN_JACOBI = [[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
 def test_broken_jacobi_reported_as_a_pair():
     g0 = SuperAlgebra(3, BROKEN_JACOBI, 0, (Matrix.zero(0, 0),) * 3)
     rep = validate(g0)
-    assert rep.antisymmetry and rep.representation and not rep.jacobi and not rep.ok
+    assert rep["antisymmetry"] and rep["representation"] and not rep["jacobi"] and not rep["ok"]
     assert jacobi_failure_oracle(g0) is not None
-    [(kind, (i, j))] = rep.failures
+    [(kind, (i, j))] = rep["failures"]
     assert kind == "jacobi"
     # ad fails to be a representation there, and at no earlier pair
     assert _dense_ad_failure(g0, i, j)
@@ -122,7 +122,7 @@ def _antisymmetric(dim0, entries):
 @example(3, [0, 1, 0, 0, 0, 0, 1, 0, 0] + [0] * 15)  # BROKEN_JACOBI
 def test_jacobi_as_ad_representation_matches_the_cyclic_sum(dim0, entries):
     g = _antisymmetric(dim0, entries)
-    assert validate(g).jacobi == (jacobi_failure_oracle(g) is None)
+    assert validate(g)["jacobi"] == (jacobi_failure_oracle(g) is None)
 
 
 def test_representation_failure_recorded():
@@ -130,7 +130,7 @@ def test_representation_failure_recorded():
     acts = (Matrix.from_rows([[1]]), Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))
     g = SuperAlgebra(3, sl2_trivial(0).bracket, 1, acts)
     rep = validate(g)
-    assert not rep.representation
+    assert not rep["representation"]
 
 
 def test_builtin_parser():

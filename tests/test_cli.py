@@ -251,7 +251,8 @@ def test_module_dims_must_be_integers(capsys, files, tmp_path):
     for bad in ("1.5", True, 2.0, "two"):
         obj["dims"][0] = bad
         path = str(tmp_path / "bad.json")
-        dump(obj, path)
+        with open(path, "w") as fh:
+            json.dump(obj, fh)  # `dump` refuses the float itself
         assert main(["module-info", "--module", path]) == 2, bad
         assert "dims entry must be an integer" in capsys.readouterr().err
     obj["dims"][0] = -1
@@ -727,6 +728,35 @@ def test_koszul_at_and_over_the_limits(tmp_path):
                  f"differential entries, over the limit of {MAX_KOSZUL_ENTRIES}")
     _refused(koszul("grassmann1_trivial", MAX_KOSZUL_DEGREE + 1), 1,
              f"error: p_max must be in [1, {MAX_KOSZUL_DEGREE}]")
+
+
+def test_sizes_far_over_the_limits_are_refused_unformed(tmp_path, capsys):
+    # each size has thousands of digits, or more: the refusal comes from a
+    # small lower bound and names the limit, not the size
+    import time
+
+    from superstable.cohomology import MAX_CECH_SIZE, MAX_KOSZUL_ENTRIES
+
+    alg = {"dim0": 0, "dim1": 3000, "action": []}
+    (tmp_path / "alg.json").write_text(json.dumps(alg))
+    (tmp_path / "mod.json").write_text(json.dumps(
+        {"algebra": alg, "lo": 0, "hi": 0, "dims": [1], "rho0": [[]], "odd": [[[]] * 3000]}))
+    cases = [
+        (["cech", "-r", "1000000", "-d", "0"], MAX_CECH_SIZE),
+        (["ext", "-i", "0", "-j", "0", "-r", "1000000"], MAX_CECH_SIZE),
+        (["cech", "-r", "7200", "-d", "0"], MAX_CECH_SIZE),
+        (["cech", "-r", "3", "-d", str(10 ** 1500)], MAX_CECH_SIZE),
+        (["koszul", "--algebra", str(tmp_path / "alg.json"), "--module", str(tmp_path / "mod.json"),
+          "--pmax", "10000"], MAX_KOSZUL_ENTRIES),
+    ]
+    for argv, limit in cases:
+        t0 = time.monotonic()
+        code = main(argv)
+        elapsed = time.monotonic() - t0
+        err = capsys.readouterr().err
+        assert code == 1, (argv, err)
+        assert err.startswith("error: ") and f"over the limit of {limit}\n" in err, err[:200]
+        assert elapsed < 1, (argv, elapsed)
 
 
 def test_variety_ideal_over_the_minor_cap_exit_1(tmp_path):

@@ -137,6 +137,20 @@ def test_koszul_free_rank_one():
     assert table2[0] == 1 and all(table2[p] == 0 for p in range(1, 6))
 
 
+def test_koszul_size_is_the_binomial_sum_until_it_passes_the_printed_bound():
+    from superstable.cohomology import _PRINTED_SIZE, koszul_size
+
+    mods = [corpus_modules()[name].module for name in ("grassmann1_trivial", "sl2_adjoint_natural")]
+    mods.append(concentrated(Rep.trivial(grassmann(40), 1), 0))
+    for v in mods:
+        n = v.alg.dim1
+        for p_max in range(1, 45):
+            exact = sum(comb(p + n, p + 1) * comb(p + n - 1, p) for p in range(p_max)) * v.total_dim ** 2
+            size = koszul_size(v, p_max)
+            assert size == exact if exact <= _PRINTED_SIZE else size > _PRINTED_SIZE
+    assert koszul_size(mods[-1], 44) > _PRINTED_SIZE
+
+
 def test_nonfullness_witness_value():
     w = nonfullness_witness()
     assert (

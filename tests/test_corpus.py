@@ -30,7 +30,7 @@ def test_corpus_required_entries_present():
 
 def test_every_corpus_algebra_validates():
     for e in corpus_modules().values():
-        assert validate(e.module.alg).ok
+        assert validate(e.module.alg)["ok"]
 
 
 def test_corpus_morphisms_are_valid_maps():

@@ -266,9 +266,7 @@ def dense_map_failure(phi):
 
 
 def bump(m, r, c, delta):
-    data = m.copy_data()
-    data[r][c] += delta
-    return Matrix(m.rows, m.cols, data)
+    return Matrix.from_nonzeros(m.rows, m.cols, [*m.nonzeros(), (r, c, delta)])
 
 
 def module_mutants(v, delta):

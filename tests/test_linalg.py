@@ -75,7 +75,7 @@ def test_solve_affine_consistency(r, c, data):
     m = data.draw(matrices(r, c))
     b = data.draw(st.lists(scalars, min_size=r, max_size=r))
     x = solve_vector(m, b)
-    aug = m.hstack(column(b))
+    aug = Matrix.place(r, c + 1, [(0, 0, 1, m), (0, c, 1, column(b))])
     if x is None:
         assert aug.rank() > m.rank()
     else:
@@ -172,8 +172,10 @@ def test_no_floats_leak():
 
 def dense_rref(m):
     """Dense Gauss-Jordan with first-nonzero pivoting: (rows, pivots)."""
-    a = m.copy_data()
     rows, cols = m.rows, m.cols
+    a = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, j, x in m.nonzeros():
+        a[i][j] = x
     pivots = []
     r = 0
     for c in range(cols):
@@ -434,7 +436,7 @@ def test_operations_hand_over_fractions_in_their_shape(r, c, k, data):
     assert placed == place_oracle(r + c + 1, c + k, blocks)
     results = [
         Matrix.zero(r, c), Matrix.identity(r), a + b, a - b, -a, a.scale(x), a.scale(2),
-        a * d, a.transpose(), a.hstack(e), a.vstack(b), placed, Matrix.block_diag([a, d, b]),
+        a * d, a.transpose(), placed, Matrix.block_diag([a, d, b]),
         kron(a, d), a.nullspace(),
     ]
     for rhs in (a * d, e):
@@ -486,7 +488,7 @@ def test_zero_skipping_arithmetic_matches_dense_oracles(r, c, data):
 @settings(max_examples=80, deadline=None)
 def test_nonzeros_and_block_match_dense_scans(r, c, data):
     a = data.draw(sparse_matrices(r, c))
-    rows = a.copy_data()
+    rows = a.data
     assert list(a.nonzeros()) == [(i, j, rows[i][j]) for i in range(r) for j in range(c) if rows[i][j]]
     seen = []
     assert a.format_rows(lambda x: seen.append(x) or repr(x)) == [

@@ -68,9 +68,8 @@ def test_only_graded_map_system_constructs_a_linear_system():
 # comments say why
 VALIDATING_CALLERS = {
     ("gradedmod.py", "make_map"),  # shapes, then check_map
-    ("serialize.py", "module_from_json"),
+    ("serialize.py", "_graded_from_json"),  # modules and rigid complexes
     ("serialize.py", "map_from_json"),
-    ("serialize.py", "complex_from_json"),
     # L_of re-validates a valid module's signed family: dropping it waits
     # on a benchmark whose peak RSS does not grow with its pass count
     # (ROADMAP item 1)

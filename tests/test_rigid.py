@@ -144,9 +144,8 @@ def complexes():
 
 
 def perturbed(fam, k, x, r, c, delta):
-    data = fam[k][x].copy_data()
-    data[r][c] += delta
-    m = Matrix(len(data), fam[k][x].cols, data)
+    old = fam[k][x]
+    m = Matrix.from_nonzeros(old.rows, old.cols, [*old.nonzeros(), (r, c, delta)])
     return tuple(
         tuple(m if (kk, xx) == (k, x) else mm for xx, mm in enumerate(per))
         for kk, per in enumerate(fam)
