@@ -7,7 +7,7 @@ g0-action matrices; the odd bracket [g1, g1] is always zero.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .linalg import Matrix, scalar, vanishes
 from .record import Record
@@ -169,12 +169,18 @@ BUILTIN_ALGEBRAS = {
 _BUILTIN_SPEC = re.compile(r"\s*([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*")
 
 
+# built-in algebras kept, by name and argument: each is built, and its
+# semisimplicity decided, once per process while it stays among these
+_BUILTINS_KEPT = 32
+
+
 def builtin_algebra(spec: str) -> SuperAlgebra:
     """Parse names like "grassmann(2)", "sl2_adjoint".
 
     Raises KeyError when `spec` does not name a built-in, and ValueError
     when it does but the argument is missing, extra, not a non-negative
-    integer, or too large (`check_algebra_size`).
+    integer, or too large (`check_algebra_size`).  Every spelling of one
+    algebra returns the same object.
     """
     m = _BUILTIN_SPEC.fullmatch(spec)
     fn = BUILTIN_ALGEBRAS.get(m.group(1)) if m else None
@@ -185,9 +191,17 @@ def builtin_algebra(spec: str) -> SuperAlgebra:
     if arg is None:
         if takes_arg:
             raise ValueError(f"builtin algebra {name} needs an argument, as in {name}(2)")
-        return fn()
+        return _built(name, None)
     if not takes_arg:
         raise ValueError(f"builtin algebra {name} takes no argument")
     if not re.fullmatch(r"\s*\d+\s*", arg):
         raise ValueError(f"builtin algebra {name}: argument {arg.strip()!r} is not a non-negative integer")
-    return fn(int(arg))
+    return _built(name, int(arg))
+
+
+@lru_cache(maxsize=_BUILTINS_KEPT)
+def _built(name: str, arg) -> SuperAlgebra:
+    """The built-in `name` at `arg` (None for none).  A refusal raises
+    and so is never kept: it is made again on every call."""
+    fn = BUILTIN_ALGEBRAS[name]
+    return fn() if arg is None else fn(arg)

@@ -32,6 +32,19 @@ MAX_CE_ENTRIES = 4_000_000
 _PRINTED_SIZE = 10 ** 30
 
 
+def _printed(n: int) -> str:
+    """n in digits, or by its digit count when |n| is over `_PRINTED_SIZE`
+    (counted without `str`, which refuses an int of over 4300 digits)."""
+    a = abs(n)
+    if a <= _PRINTED_SIZE:
+        return str(n)
+    k = (a.bit_length() - 1) * 3010 // 10000  # 10**k <= a, as 0.3010 < log10(2)
+    p = 10 ** k
+    while p * 10 <= a:
+        p, k = p * 10, k + 1
+    return f"{'-' if n < 0 else ''}<{k + 1} digits>"
+
+
 # ---------------------------------------------------------------------------
 # Cech cohomology of O(d) on P^r
 
@@ -95,7 +108,10 @@ def cech_line_bundle(r: int, d: int) -> CohomologyTable:
     size = None if MAX_CECH_SIZE >> (r + 1) == 0 or t >= MAX_CECH_SIZE else cech_size(r, d)
     if size is None or size > MAX_CECH_SIZE:
         shown = f" {size}," if size is not None and size <= _PRINTED_SIZE else ""
-        raise ValueError(f"the Cech complex of O({d}) on P^{r} has size{shown} over the limit of {MAX_CECH_SIZE}")
+        raise ValueError(
+            f"the Cech complex of O({_printed(d)}) on P^{_printed(r)} has size{shown} "
+            f"over the limit of {MAX_CECH_SIZE}"
+        )
     totals = {p: 0 for p in range(r + 1)}
     cache = {}
     for e in _exponents(r + 1, t):

@@ -412,7 +412,9 @@ class Polynomial:
     """Multivariate polynomial: map exponent-vector -> nonzero Fraction.
 
     Term order for printing is graded lexicographic; semantics do not
-    depend on it.
+    depend on it.  The constructor, for data from outside, coerces every
+    exponent and coefficient and merges repeats; operations on
+    Polynomials build their results with `_of`.
     """
 
     __slots__ = ("nvars", "terms")
@@ -428,6 +430,14 @@ class Polynomial:
             if c != 0:
                 clean[exps] = clean.get(exps, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
+
+    @staticmethod
+    def _of(nvars: int, terms: dict) -> "Polynomial":
+        """A Polynomial owning `terms`, a fresh dict from int tuples of
+        length nvars to nonzero Fractions: nothing is coerced or checked."""
+        p = object.__new__(Polynomial)
+        p.nvars, p.terms = nvars, terms
+        return p
 
     @staticmethod
     def constant(nvars: int, c) -> "Polynomial":
@@ -452,29 +462,41 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def _check_nvars(self, other: "Polynomial"):
+        if self.nvars != other.nvars:
+            raise ValueError("polynomials in different numbers of variables")
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        self._check_nvars(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
-        return Polynomial(self.nvars, t)
+            s = t.pop(e, None)
+            s = c if s is None else s + c
+            if s:
+                t[e] = s
+        return Polynomial._of(self.nvars, t)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, c) -> "Polynomial":
         c = scalar(c)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return Polynomial._of(self.nvars, {})
+        return Polynomial._of(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
+        return Polynomial._of(self.nvars, {e: -v for e, v in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        self._check_nvars(other)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, t)
+                s = t.get(e)
+                t[e] = c1 * c2 if s is None else s + c1 * c2
+        return Polynomial._of(self.nvars, {e: c for e, c in t.items() if c})
 
     def eval(self, point) -> Fraction:
         point = [scalar(x) for x in point]

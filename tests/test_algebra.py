@@ -147,6 +147,25 @@ def test_builtin_parser():
             builtin_algebra(bad)
 
 
+def test_builtin_algebra_built_once_per_spelling(monkeypatch):
+    from superstable import algebra
+
+    algebra._built.cache_clear()
+    calls = []
+    real = algebra.killing_form
+    monkeypatch.setattr(algebra, "killing_form", lambda g: calls.append(g) or real(g))
+    g = builtin_algebra("sl2_trivial(2)")
+    for spelling in ("sl2_trivial(2)", " sl2_trivial( 02 ) ", "sl2_trivial (2)"):
+        assert builtin_algebra(spelling) is g
+        assert is_semisimple(builtin_algebra(spelling))
+    assert calls == [g]
+    assert builtin_algebra("sl2_trivial(3)") is not g
+    # a refusal is never kept: every call refuses again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="over the limit"):
+            builtin_algebra("sl2_trivial(30000)")
+
+
 def test_name_is_not_part_of_the_identity():
     g = sl2_trivial(1)
     renamed = SuperAlgebra(g.dim0, g.bracket, g.dim1, g.action, name="other")

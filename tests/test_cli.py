@@ -704,6 +704,20 @@ def test_cech_at_and_over_the_size_limit(cmd):
                  f"over the limit of {MAX_CECH_SIZE}")
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["cech", "-r", "3", "-d", "9" * 4000], "O(<4000 digits>) on P^3"),
+    (["cech", "-r", "7" * 4000, "-d", "-2"], "O(-2) on P^<4000 digits>"),
+    (["ext", "-i", "0", "-j", "9" * 4000, "-r", "2"], "O(<4000 digits>) on P^2"),
+    (["ext", "-i", "9" * 4000, "-j", "0", "-r", "2"], "O(-<4000 digits>) on P^2"),
+])
+def test_cech_refusal_shows_a_long_number_by_its_digit_count(capsys, argv, shown):
+    from superstable.cohomology import MAX_CECH_SIZE
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: the Cech complex of {shown} has size over the limit of {MAX_CECH_SIZE}\n"
+
+
 def test_koszul_at_and_over_the_limits(tmp_path):
     from superstable.cohomology import MAX_KOSZUL_DEGREE, MAX_KOSZUL_ENTRIES, koszul_size
 

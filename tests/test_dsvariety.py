@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +10,16 @@ from hypothesis import strategies as st
 from superstable.algebra import grassmann
 from superstable.corpus import corpus_modules, random_module
 from superstable.dsvariety import (
+    MAX_MINOR_DIM,
     DsResult,
     ds_at,
     in_variety,
     random_points,
     support_check,
-    symbolic_x_matrix,
     variety_ideal,
 )
-from superstable.gradedmod import make_module
-from superstable.linalg import Matrix
+from superstable.gradedmod import make_module, submodule
+from superstable.linalg import Matrix, Polynomial
 from superstable.rigid import (
     CohomologyTable,
     L_of,
@@ -120,6 +123,50 @@ def test_ds_scale_invariance():
         assert ds_at(v, x).ds_dim == ds_at(v, x.scale(Fraction(7, 3))).ds_dim
 
 
+def symbolic_x_matrix(m):
+    """Oracle: x_M(t) as a total-space matrix of linear forms in t_1..t_n."""
+    n1 = m.alg.dim1
+    n = m.total_dim
+    rows = [[Polynomial(n1) for _ in range(n)] for _ in range(n)]
+    for e in range(n1):
+        te = Polynomial.variable(n1, e)
+        for r, c, x in m.total_odd(e).nonzeros():
+            rows[r][c] = rows[r][c] + te.scale(x)
+    return rows
+
+
+def cofactor_det(entries, rows, cols):
+    """Oracle: the determinant of entries[rows][cols] by cofactor expansion
+    along the first row."""
+    if not rows:
+        return Polynomial.constant(entries[0][0].nvars, 1)
+    total = Polynomial(entries[0][0].nvars)
+    for ci, c in enumerate(cols):
+        p = entries[rows[0]][c]
+        if not p.is_zero():
+            term = p * cofactor_det(entries, rows[1:], cols[:ci] + cols[ci + 1 :])
+            total = total + (term.scale(-1) if ci % 2 else term)
+    return total
+
+
+def whole_matrix_ideal(m):
+    """Oracle: the distinct monic minors of size ceil(dim M / 2) of the
+    whole x_M(t), in the order of their first occurrence among the
+    rows-then-columns combinations of its nonzero rows and columns."""
+    d = m.total_dim
+    size = ceil(Fraction(d, 2))
+    entries = symbolic_x_matrix(m)
+    live_rows = [r for r in range(d) if any(not p.is_zero() for p in entries[r])]
+    live_cols = [c for c in range(d) if any(not entries[r][c].is_zero() for r in range(d))]
+    gens = []
+    for rows in combinations(live_rows, size) if size else ():
+        for cols in combinations(live_cols, size):
+            p = cofactor_det(entries, list(rows), list(cols))
+            if not p.is_zero() and p.monic() not in gens:
+                gens.append(p.monic())
+    return tuple(gens)
+
+
 def test_symbolic_matrix_specializes_to_x_operator():
     v = corpus_modules()["sl2_triv2_free"].module
     sym = symbolic_x_matrix(v)
@@ -128,6 +175,29 @@ def test_symbolic_matrix_specializes_to_x_operator():
         for r in range(v.total_dim):
             for c in range(v.total_dim):
                 assert sym[r][c].eval(x.coords) == xm.data[r][c]
+
+
+def dense_basis(m, seed):
+    """m in the basis of the columns of L U in each degree, L and U seeded
+    unit lower and upper triangular: the same module with dense blocks,
+    whose minors are many and mostly distinct."""
+    rng = random.Random(seed)
+
+    def unit(n, lower):
+        return Matrix.from_rows([[1 if r == c else rng.randint(-2, 2) if (r > c) == lower else 0
+                                  for c in range(n)] for r in range(n)])
+
+    return submodule(m, {j: unit(m.dim_at(j), True) * unit(m.dim_at(j), False) for j in m.degrees()})[0]
+
+
+def test_variety_ideal_matches_the_whole_matrix_minors():
+    # the same generators in the same order: the ideal is built from the
+    # degree blocks, the oracle from every square submatrix of x_M(t)
+    mods = [e.module for e in corpus_modules().values() if e.module.total_dim <= MAX_MINOR_DIM]
+    mods += [random_module(seed, 12) for seed in range(300)]
+    mods += [dense_basis(random_module(seed, 8), seed) for seed in range(60)]
+    for k, v in enumerate(mods):
+        assert variety_ideal(v).generators == whole_matrix_ideal(v), k
 
 
 def test_variety_ideal_vs_rank_test():

@@ -3,7 +3,7 @@ corpus: a change that alters any answer, certificate or report layout
 changes the digest.  `golden_digests.txt` also holds one digest per
 command, a line "<list> <sha256> <command>", so a mismatch names the
 first command whose report changed.
-After a deliberate change of the reports, update both constants and
+After a deliberate change of the reports, update the list's constant and
 rewrite that file with `PYTHONPATH=src python tests/test_golden_reports.py`."""
 
 import contextlib
@@ -131,9 +131,30 @@ def test_golden_rigid_reports(tmp_path):
     _check("rigid", rigid_commands(tmp_path), tmp_path, GOLDEN_RIGID_SHA256)
 
 
+# sha256 of the reports of `variety_commands`, written the same way
+GOLDEN_VARIETY_SHA256 = "d162337c8528e9e220264cd133cc8359c3b0f7af446066c580c3464d811c0c29"
+
+
+def variety_commands(tmp_path):
+    """`variety --ideal` on every corpus module of total dimension at most
+    12, the minor cap when the list was first written."""
+    cmds = []
+    for name, e in corpus_modules().items():
+        if e.module.total_dim <= 12:
+            f = str(tmp_path / f"{name}.json")
+            dump(module_to_json(e.module), f)
+            cmds.append(["variety", "--module", f, "--ideal"])
+    return cmds
+
+
+def test_golden_variety_reports(tmp_path):
+    _check("variety", variety_commands(tmp_path), tmp_path, GOLDEN_VARIETY_SHA256)
+
+
 if __name__ == "__main__":
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cmds in (("reports", golden_commands), ("rigid", rigid_commands)):
+        lists = (("reports", golden_commands), ("rigid", rigid_commands), ("variety", variety_commands))
+        for name, cmds in lists:
             lines += [f"{name} {sha} {cmd}\n" for cmd, sha in _per_command(_reports(cmds(Path(tmp)), tmp))]
     DIGESTS.write_text("".join(lines))

@@ -128,6 +128,39 @@ def test_polynomial_monic_normalization():
     assert m.scale(p.sorted_terms()[0][1]) == p
 
 
+polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), scalars, max_size=5
+).map(lambda t: Polynomial(2, t))
+
+
+@given(polynomials, polynomials, scalars)
+@settings(max_examples=200, deadline=None)
+def test_polynomial_operations_match_the_checking_constructor(p, q, c):
+    # the operations build their results unchecked: each must equal the
+    # constructor's result from the same terms, with no zero coefficient
+    def summed(*pairs):
+        t = {}
+        for e, x in pairs:
+            t[e] = t.get(e, 0) + x
+        return Polynomial(2, t)
+
+    neg_q = [(e, -x) for e, x in q.terms.items()]
+    product = [(tuple(a + b for a, b in zip(e, f)), x * y)
+               for e, x in p.terms.items() for f, y in q.terms.items()]
+    cases = [
+        (p + q, summed(*p.terms.items(), *q.terms.items())),
+        (p - q, summed(*p.terms.items(), *neg_q)),
+        (p * q, summed(*product)),
+        (p.scale(c), summed(*((e, c * x) for e, x in p.terms.items()))),
+        (-q, summed(*neg_q)),
+    ]
+    for got, want in cases:
+        assert got == want and hash(got) == hash(want)
+        assert all(type(x) is Fraction and x for x in got.terms.values())
+    with pytest.raises(ValueError, match="different numbers of variables"):
+        p * Polynomial(3)
+
+
 def test_linear_system_matrix_unknowns():
     # solve A X = B for a 2x2 unknown X
     a = Matrix.from_rows([[1, 1], [0, 1]])
