@@ -36,6 +36,33 @@ class SuperAlgebra(Record, uncompared=("name",)):
         # `is_semisimple`, derived and so no field: computed once per object
         return killing_form(self).rank() == self.dim0
 
+    @cached_property
+    def _symmetric_part(self) -> dict:
+        # (i, j) with i >= j -> the nonzero (k, c_ij^k + c_ji^k): the part of
+        # the bracket that antisymmetry would cancel, empty for a Lie algebra
+        c = self.bracket
+        out = {}
+        for i in range(self.dim0):
+            for j in range(i + 1):
+                terms = tuple((k, x + y) for k, (x, y) in enumerate(zip(c[i][j], c[j][i])) if x + y)
+                if terms:
+                    out[i, j] = terms
+        return out
+
+    @cached_property
+    def generators(self) -> tuple:
+        """A Lie generating subset of the even basis: every index, less
+        each one, in increasing order, that the rest still generate.
+        (0, 2), e and f, for sl2 in the basis (e, h, f); every index for
+        an abelian g0.  The x that a g-map commutes with form a
+        subalgebra, so commuting with these x_i is commuting with g0."""
+        keep = list(range(self.dim0))
+        for i in range(self.dim0):
+            rest = [k for k in keep if k != i]
+            if _generated_dim(self, rest) == self.dim0:
+                keep = rest
+        return tuple(keep)
+
     def ad(self, i: int) -> Matrix:
         """Matrix of ad x_i: column j holds the coefficients of [x_i, x_j]."""
         return Matrix(
@@ -45,14 +72,72 @@ class SuperAlgebra(Record, uncompared=("name",)):
         )
 
 
+def _generated_dim(g: SuperAlgebra, idx) -> int:
+    """Dimension of the subalgebra of g0 that the basis elements x_i, i in
+    `idx`, generate: their span, closed under the bracket in both orders
+    (a bracket that fails antisymmetry is closed all the same).  A
+    bracket of two spanning vectors is formed only when it is reached,
+    and the span is kept in echelon form, one row per pivot column."""
+    n0 = g.dim0
+    nz = [[[(k, z) for k, z in enumerate(cab) if z] for cab in ca] for ca in g.bracket]
+    span, echelon = [], {}
+
+    def bracket(u: list, v: list) -> list:
+        out = [0] * n0
+        for a, x in enumerate(u):
+            if x:
+                for b, y in enumerate(v):
+                    if y:
+                        for k, z in nz[a][b]:
+                            out[k] += x * y * z
+        return out
+
+    def independent(w: list) -> bool:
+        for p in sorted(echelon):
+            if w[p]:
+                f = w[p]
+                w = [x - f * y for x, y in zip(w, echelon[p])]
+        lead = next((k for k, x in enumerate(w) if x), None)
+        if lead is not None:
+            echelon[lead] = [x / w[lead] for x in w]
+        return lead is not None
+
+    # spanning vectors still to try: unit vectors, and (a, b) for the
+    # bracket of span[a] and span[b]
+    todo = [[scalar(int(k == i)) for k in range(n0)] for i in idx]
+    while todo and len(span) < n0:
+        w = todo.pop()
+        if isinstance(w, tuple):
+            w = bracket(span[w[0]], span[w[1]])
+        if independent(w):
+            m = len(span)
+            span.append(w)
+            todo += [(m, m)] + [pair for a in range(m) for pair in ((m, a), (a, m))]
+    return len(span)
+
+
 def representation_failure(alg: SuperAlgebra, mats, dim: int):
-    """First (i, j) at which [rho_i, rho_j] = sum_k c_ij^k rho_k fails,
-    or None if the dim x dim matrices `mats` (as `Matrix.sparse_rows`)
-    form a representation of the even part of `alg`."""
+    """First (i, j), in lexicographic order, at which [rho_i, rho_j] =
+    sum_k c_ij^k rho_k fails, or None if the dim x dim matrices `mats`
+    (as `Matrix.sparse_rows`) form a representation of the even part of
+    `alg`, antisymmetric or not.
+
+    The product identity is evaluated only for i < j.  At (i, j) with
+    i >= j it is minus the one at (j, i), which came first and held,
+    plus sum_k (c_ij^k + c_ji^k) rho_k (at i = j that sum is twice
+    sum_k c_ii^k rho_k), so only that linear check runs there, and none
+    where every coefficient is zero, as for a Lie algebra.
+    """
+    sym = alg._symmetric_part
     for i in range(alg.dim0):
         for j in range(alg.dim0):
-            terms = [(1, (mats[i], mats[j])), (-1, (mats[j], mats[i]))]
-            terms += [(-c, (mats[k],)) for k, c in enumerate(alg.bracket[i][j]) if c]
+            if i < j:
+                terms = [(1, (mats[i], mats[j])), (-1, (mats[j], mats[i]))]
+                terms += [(-c, (mats[k],)) for k, c in enumerate(alg.bracket[i][j]) if c]
+            elif (i, j) in sym:
+                terms = [(c, (mats[k],)) for k, c in sym[i, j]]
+            else:
+                continue
             if not vanishes(terms, dim):
                 return (i, j)
     return None
@@ -95,11 +180,14 @@ def is_semisimple(g: SuperAlgebra) -> bool:
 
 # largest dim0^3 + dim0 * dim1^2, the entries of the bracket table and of
 # the odd action matrices, of a built-in or inline algebra.  A dense
-# bracket sets the limit: the Jacobi check multiplies dim0^2 pairs of
-# ad matrices, each product dim0^3 work when they are dense.  Measured
-# in process on a 2-CPU host: sl4 with its sparse bracket (dim0 = 15)
-# validates in 48 ms, but sl3 in a dense rational basis (dim0 = 8, at
-# the limit) takes 0.6 s and sl4 likewise 17 s.
+# bracket sets the limit: the Jacobi check multiplies dim0 (dim0 - 1) / 2
+# pairs of ad matrices, each product dim0^3 work when they are dense.
+# Measured in process on a 2-CPU host: sl4 with its sparse bracket
+# (dim0 = 15) validates in under 48 ms, but sl3 in a dense rational
+# basis (dim0 = 8, at the limit; a random integer unitriangular change
+# of basis) takes 0.17 s, 0.35 s when every ordered pair was checked,
+# and sl4 likewise 4.7 s.  Its generating set, found on the first map
+# check, takes 0.09 s more.
 MAX_ALGEBRA_ENTRIES = 512
 
 

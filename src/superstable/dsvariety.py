@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
 from .gradedmod import GradedModule
 from .linalg import Polynomial
@@ -148,6 +148,21 @@ def _block_minors(entries, s: int, memo: dict) -> dict:
 # basis of a (2, 6, 6, 2) module takes 1.4-4.9 s for its ~10^4 generators
 MAX_MINOR_DIM = 15
 
+# most terms C(s + n - 1, s), the monomials of degree s in n odd
+# coordinates, that a block minor of size s may have: per block of x_M(t),
+# s is the largest size it contributes to the minors `variety_ideal`
+# takes and n the number of odd basis elements acting nonzero on it.
+# The cost of a cofactor expansion grows with it, and the total dimension
+# does not bound it.  Measured in process on a 2-CPU host, a dense
+# two-degree (d, d) module over grassmann(n): at most 92 ms over the
+# modules at or under the limit, (7, 7) over grassmann(3) at 36 terms the
+# slowest, as slow as dim g1 <= 3 allows within `MAX_MINOR_DIM`; (6, 6)
+# over grassmann(4), at the limit, 80 ms.  Over it, (5, 5) over
+# grassmann(5) at 126 terms takes 52 ms, (7, 7) over grassmann(4) at 120
+# 0.24 s, (6, 6) over grassmann(8) at 1716 1.2 s and (7, 7) over
+# grassmann(10) at 11440 9.9 s
+MAX_MINOR_TERMS = 84
+
 
 def variety_ideal(m: GradedModule) -> PolyIdeal:
     """Determinantal ideal of the associated variety.
@@ -162,7 +177,8 @@ def variety_ideal(m: GradedModule) -> PolyIdeal:
     the generators are the distinct monic minors in the order of their
     first occurrence among the rows-then-columns combinations.  Minor
     enumeration is combinatorial, so a module of total dimension over
-    `MAX_MINOR_DIM` is refused.
+    `MAX_MINOR_DIM` is refused, and so is one whose block minors may have
+    more than `MAX_MINOR_TERMS` terms, before any minor is formed.
     """
     n1 = m.alg.dim1
     d = m.total_dim
@@ -174,6 +190,18 @@ def variety_ideal(m: GradedModule) -> PolyIdeal:
     size = ceil(Fraction(d, 2))
     if size == 0:
         return PolyIdeal(n1, ())
+    worst = (1, 0, 0)  # (terms, size, odd coordinates) of the largest block minor
+    for j in m.degrees():
+        s = min(size, m.dim_at(j), m.dim_at(j + 1))
+        n = sum(1 for e in range(n1) if not m.odd_at(j, e).is_zero())
+        if s and n:
+            worst = max(worst, (comb(s + n - 1, s), s, n))
+    terms, s, n = worst
+    if terms > MAX_MINOR_TERMS:
+        raise ValueError(
+            f"a block minor of size {s} in {n} odd coordinates has up to {terms} terms, "
+            f"over the limit of {MAX_MINOR_TERMS}; use the sampling test instead (variety --sample)"
+        )
     blocks = _symbolic_blocks(m)
     caps = [min(len(a), len(a[0]) if a else 0) for _, _, a in blocks]
     # per product of one minor from each block so far, the global (rows,

@@ -282,14 +282,20 @@ class GradedMap(Record):
 
 
 def _squares(v: GradedModule, w: GradedModule):
-    """Every square a graded g-map f: v -> w must close, f_k A = B f_j
+    """The squares a graded g-map f: v -> w must close, f_k A = B f_j
     with A acting on v^j and B on w^j, as (kind, j, k, A, B): per degree
-    j, the even ones (k = j, one per even basis element), then the odd
-    ones (k = j + 1, one per odd basis element).  Squares whose corner
-    w^k or v^j is zero hold trivially and are left out."""
+    j, the even ones (k = j, one per index of `SuperAlgebra.generators`),
+    then the odd ones (k = j + 1, one per odd basis element).  Squares
+    whose corner w^k or v^j is zero hold trivially and are left out.
+
+    v and w must be modules.  Then the x in g0 with f_j x = x f_j form a
+    subalgebra, as x -> x_v and x -> x_w keep the bracket, so closing the
+    generators' squares closes every even square: the squares left out
+    are linear consequences of these."""
+    gens = v.alg.generators
     for j in sorted(set(v.degrees()) | set(w.degrees())):
         if v.dim_at(j) and w.dim_at(j):
-            for i in range(v.alg.dim0):
+            for i in gens:
                 yield "even", j, j, v.rho_at(j, i), w.rho_at(j, i)
         if v.dim_at(j) and w.dim_at(j + 1):
             for e in range(v.alg.dim1):
@@ -298,7 +304,10 @@ def _squares(v: GradedModule, w: GradedModule):
 
 def check_map(phi: GradedMap):
     """Verify phi commutes with every even and odd action: the one check
-    that a map is equivariant."""
+    that a map is equivariant.  Source and target must be modules
+    (validated where they came in, or built as modules): the squares
+    evaluated are those of `_squares`, whose even ones, over the
+    generators of g0, imply the rest only between modules."""
     v, w = phi.source, phi.target
     if v.alg != w.alg:
         raise ModuleError("source and target live over different algebras")
@@ -466,7 +475,12 @@ def graded_map_system(v: GradedModule, w: GradedModule) -> LinearSystem:
     are nonzero, with the constraint that it close every square of
     `_squares`.  The one builder of a `LinearSystem`: a solution is the
     map's component dict, and a caller adds its own constraints.  A
-    g0-map v -> w of degree -n is a g-map restrict(v) -> shift(restrict(w), n)."""
+    g0-map v -> w of degree -n is a g-map restrict(v) -> shift(restrict(w), n).
+    v and w must be modules: then the even squares left out, those of
+    the basis elements outside `SuperAlgebra.generators`, are linear
+    consequences of the kept homogeneous rows, so the system has the
+    row space, and so the reduced echelon form, of the one with every
+    square."""
     sys = LinearSystem()
     for j in sorted(set(v.degrees()) | set(w.degrees())):
         if v.dim_at(j) and w.dim_at(j):

@@ -44,12 +44,19 @@ class Record:
         get = attrgetter(*compared)
         key = get if len(compared) > 1 else lambda r: (get(r),)
 
+        # field by field from the instance dicts, stopping at the first
+        # difference; `is` first, as a tuple comparison would
         def __eq__(self, other):
-            if self is other:  # the tuples would hold the same objects
+            if self is other:
                 return True
-            if other.__class__ is self.__class__:
-                return key(self) == key(other)
-            return NotImplemented
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            mine, theirs = self.__dict__, other.__dict__
+            for name in compared:
+                a, b = mine[name], theirs[name]
+                if a is not b and a != b:
+                    return False
+            return True
 
         def __hash__(self):
             return hash(key(self))

@@ -10,6 +10,7 @@ from superstable.algebra import (
     grassmann,
     is_semisimple,
     killing_form,
+    representation_failure,
     sl2_adjoint,
     sl2_natural_sum,
     sl2_trivial,
@@ -62,6 +63,14 @@ def test_validation_failure_recorded():
     g = SuperAlgebra(1, [[[1]]], 0, (Matrix.zero(0, 0),))
     rep = validate(g)
     assert not rep["ok"] and rep["failures"][0][0] == "antisymmetry"
+
+
+def test_jacobi_failure_found_only_by_the_linear_check():
+    # [x0, x1] = [x1, x0] = x1: ad holds at (0, 1) and fails at (1, 0),
+    # where twice ad x1 is the linear part of the identity
+    g = SuperAlgebra(2, [[[0, 0], [0, 1]], [[0, 1], [0, 0]]], 1,
+                     (Matrix.from_rows([[1]]), Matrix.from_rows([[0]])))
+    assert validate(g)["failures"] == [("antisymmetry", (0, 1)), ("jacobi", (1, 0))]
 
 
 def jacobi_failure_oracle(g0):
@@ -173,3 +182,96 @@ def test_name_is_not_part_of_the_identity():
     assert sl2_trivial(1) != sl2_trivial(2) and sl2_trivial(3) != sl2_adjoint()
     # entries are coerced to exact scalars, so an int bracket is the same algebra
     assert SuperAlgebra(1, [[[0]]], 0, [Matrix.zero(0, 0)]).bracket == ((((Fraction(0),),),))
+
+
+# representation_failure evaluates the product identity only on the pairs
+# i < j; these check it against every ordered pair, dense
+
+
+def ordered_pairs_failure(g, mats):
+    """The first (i, j) in lexicographic order, over all dim0^2 ordered
+    pairs, at which [rho_i, rho_j] = sum_k c_ij^k rho_k fails, by dense
+    products."""
+    for i in range(g.dim0):
+        for j in range(g.dim0):
+            lhs = mats[i] * mats[j] - mats[j] * mats[i]
+            for k, c in enumerate(g.bracket[i][j]):
+                lhs = lhs - mats[k].scale(c)
+            if not lhs.is_zero():
+                return (i, j)
+    return None
+
+
+@st.composite
+def brackets_and_matrices(draw):
+    dim0, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2])
+    c = [[[draw(small) for _ in range(dim0)] for _ in range(dim0)] for _ in range(dim0)]
+    if draw(st.booleans()):  # an antisymmetric bracket
+        for i in range(dim0):
+            for j in range(i + 1):
+                c[i][j] = [-x for x in c[j][i]] if i != j else [0] * dim0
+    g = SuperAlgebra(dim0, c, 0, (Matrix.zero(0, 0),) * dim0)
+    kind = draw(st.sampled_from(["dense", "sparse", "scalar", "ad"]))
+    if kind == "ad":  # a representation when the bracket is a Lie bracket
+        return g, [g.ad(i) for i in range(dim0)]
+    if kind == "scalar":  # commuting: only the linear part of each identity is left
+        return g, [Matrix.identity(dim).scale(draw(small)) for _ in range(dim0)]
+    entries = st.sampled_from([0, 1, -1] if kind == "dense" else [0] * 5 + [1, -1])
+    return g, [Matrix.from_rows([[draw(entries) for _ in range(dim)] for _ in range(dim)])
+               for _ in range(dim0)]
+
+
+@given(brackets_and_matrices())
+@settings(max_examples=150, deadline=None)
+@example((SuperAlgebra(1, [[[1]]], 0, (Matrix.zero(0, 0),)), [Matrix.from_rows([[1]])]))
+@example((SuperAlgebra(2, [[[0, 0], [0, 0]], [[0, 1], [0, 0]]], 0, (Matrix.zero(0, 0),) * 2),
+          [Matrix.zero(1, 1), Matrix.from_rows([[1]])]))  # fails only at (1, 0)
+def test_representation_failure_matches_every_ordered_pair(case):
+    g, mats = case
+    dim = mats[0].rows
+    assert representation_failure(g, [m.sparse_rows() for m in mats], dim) == ordered_pairs_failure(g, mats)
+
+
+@given(brackets_and_matrices())
+@settings(max_examples=60, deadline=None)
+def test_validate_reports_the_ordered_pairs_failure(case):
+    g, _ = case
+    ads = [g.ad(i) for i in range(g.dim0)]
+    jacobi = ordered_pairs_failure(g, ads)
+    rep = validate(g)
+    assert rep["jacobi"] == (jacobi is None)
+    assert ("jacobi", jacobi) in rep["failures"] or jacobi is None
+
+
+def generated_dim_oracle(g, idx):
+    """Dimension of the span of the right-normed brackets
+    [x_a1, [x_a2, ... x_ak]] of the x_a, a in idx: the subalgebra they
+    generate, for a Lie bracket."""
+    n, ads = g.dim0, [g.ad(i) for i in idx]
+
+    def rank(rows):
+        return Matrix.from_rows(rows).rank() if rows else 0
+
+    span = [[int(k == i) for k in range(n)] for i in idx]
+    while True:
+        images = [[sum(ad[r, c] * v[c] for c in range(n)) for r in range(n)] for ad in ads for v in span]
+        if rank(span + images) == rank(span):
+            return rank(span)
+        span = span + images
+
+
+def test_generators_generate_g0_and_none_is_redundant():
+    abelian = SuperAlgebra(2, [[[0, 0]] * 2] * 2, 1, (Matrix.zero(1, 1),) * 2)
+    solvable = SuperAlgebra(2, [[[0, 0], [0, 1]], [[0, -1], [0, 0]]], 0, (Matrix.zero(0, 0),) * 2)
+    algebras = [grassmann(2), sl2_trivial(0), sl2_trivial(2), sl2_adjoint(), sl2_natural_sum(2),
+                abelian, solvable]
+    for g in algebras:
+        gens = g.generators
+        assert generated_dim_oracle(g, gens) == g.dim0, (g.name, gens)
+        for i in gens:
+            assert generated_dim_oracle(g, [k for k in gens if k != i]) < g.dim0, (g.name, gens, i)
+    assert sl2_adjoint().generators == (0, 2)  # e and f; h = [e, f]
+    assert abelian.generators == (0, 1)
+    assert solvable.generators == (0, 1)  # [x0, x1] = x1 reaches nothing new
+    assert grassmann(2).generators == ()

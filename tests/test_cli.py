@@ -784,6 +784,51 @@ def test_variety_ideal_over_the_minor_cap_exit_1(tmp_path):
     assert main(["--max-minor-dim", "100", "variety", "--module", path, "--ideal"]) == 2
 
 
+def _dense_two_degree(n, d, seed):
+    """A (d, d) module over grassmann(n) with dense random odd blocks: two
+    degrees, so anticommutation holds whatever the blocks."""
+    import random
+
+    from superstable.algebra import grassmann
+    from superstable.gradedmod import make_module
+    from superstable.linalg import Matrix
+
+    rng = random.Random(seed)
+    top = tuple(Matrix.from_rows([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]) for _ in range(n))
+    return make_module(grassmann(n), 0, 1, (d, d), ((), ()), (top, (Matrix.zero(0, d),) * n))
+
+
+def test_variety_ideal_over_the_minor_term_cap_exit_1(tmp_path):
+    from math import comb
+
+    from superstable.dsvariety import MAX_MINOR_TERMS
+
+    # the dense (6, 6) module over grassmann(8), 1716 terms a minor, took
+    # over a second; it is refused at once
+    path = str(tmp_path / "many_odd.json")
+    dump(module_to_json(_dense_two_degree(8, 6, 8)), path)
+    _refused(["variety", "--module", path, "--ideal"], 1,
+             f"error: a block minor of size 6 in 8 odd coordinates has up to {comb(13, 6)} terms, "
+             f"over the limit of {MAX_MINOR_TERMS}; use the sampling test instead (variety --sample)")
+    assert main(["variety", "--module", path, "--sample", "3"]) == 0
+    # within MAX_MINOR_DIM = 15 a block's minors have size at most 7, so
+    # no module with dim g1 <= 3, as every corpus and random module, is
+    # refused; at the limit, (6, 6) over grassmann(4) has C(9, 6) = 84
+    assert comb(7 + 3 - 1, 7) < MAX_MINOR_TERMS == comb(9, 6)
+    path = str(tmp_path / "at_the_limit.json")
+    dump(module_to_json(_dense_two_degree(4, 6, 4)), path)
+    assert main(["variety", "--module", path, "--ideal"]) == 0
+    # only the odd coordinates acting nonzero on a block count: two of 100
+    from superstable.algebra import grassmann
+    from superstable.gradedmod import make_module
+    from superstable.linalg import Matrix
+
+    odd = tuple(Matrix.from_rows([[1 if e < 2 else 0]]) for e in range(100))
+    path = str(tmp_path / "two_of_many.json")
+    dump(module_to_json(make_module(grassmann(100), 0, 1, (1, 1), ((), ()), (odd, (Matrix.zero(0, 1),) * 100))), path)
+    assert main(["variety", "--module", path, "--ideal"]) == 0
+
+
 def test_algebra_at_and_over_the_size_limit(tmp_path):
     from superstable.algebra import MAX_ALGEBRA_ENTRIES
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 from fractions import Fraction
 from math import comb
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superstable.algebra import SL2_NATURAL, grassmann, sl2_adjoint, sl2_trivial
+from superstable.algebra import SL2_NATURAL, SuperAlgebra, grassmann, sl2_adjoint, sl2_trivial
 from superstable.corpus import _adjoint_rep, _natural_rep, corpus_modules, corpus_reps
 from superstable.gradedmod import (
     GradedMap,
@@ -785,3 +786,68 @@ def test_assembled_modules_pass_the_dense_oracle(case):
         # each summand sits in the blocks of `induced_blocks`
         for incl in summand_inclusions(*args, out):
             assert dense_map_failure(incl) is None
+
+
+# `_squares` keeps one even square per generator of g0; these check the
+# answers against the system with one per even basis element
+
+
+@contextlib.contextmanager
+def every_even_square():
+    """`_squares`, `check_map` and `graded_map_system` with an even square
+    for every even basis element, as if every one were a generator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuperAlgebra, "generators", property(lambda g: tuple(range(g.dim0))))
+        yield
+
+
+def same_hom_basis(v, w):
+    fast = hom_graded(v, w)
+    with every_even_square():
+        slow = hom_graded(v, w)
+    assert [phi.comps for phi in fast] == [phi.comps for phi in slow]
+    return fast
+
+
+def same_verdict(phi):
+    msg = caught(lambda: check_map(phi))
+    with every_even_square():
+        assert caught(lambda: check_map(phi)) == msg
+    return msg
+
+
+def test_generator_squares_give_the_hom_bases_of_every_square_on_corpus_pairs():
+    mods = [e.module for e in corpus_modules().values()]
+    pairs = [(v, w) for v in mods for w in mods if v.alg == w.alg]
+    assert any(v.alg.generators != tuple(range(v.alg.dim0)) for v, _ in pairs)
+    for v, w in pairs:
+        for phi in same_hom_basis(v, w):
+            assert same_verdict(phi) is None
+
+
+@given(module_pairs())
+@settings(max_examples=40, deadline=None)
+def test_generator_squares_give_the_hom_bases_of_every_square_on_random_pairs(pair):
+    v, w = pair
+    for phi in same_hom_basis(v, w):
+        assert same_verdict(phi) is None
+
+
+def test_generator_squares_give_the_verdicts_of_every_square_on_map_mutants():
+    from superstable.corpus import corpus_morphisms
+
+    maps = [e.map for e in corpus_morphisms().values()]
+    for v in small_modules().values():
+        maps.append(identity_map(v))
+        maps.extend(hom_graded(v, v)[:2])
+    seen = set()
+    for n, phi in enumerate(maps):
+        delta = (1, -2, Fraction(1, 3))[n % 3]
+        for j, m in phi.comps.items():
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    comps = dict(phi.comps)
+                    comps[j] = bump(m, r, c, delta)
+                    seen.add(same_verdict(GradedMap(phi.source, phi.target, comps)))
+    assert {msg.split(" at ")[0] if msg else msg for msg in seen} == {
+        None, "map fails to commute with even action", "map fails to commute with odd action"}
