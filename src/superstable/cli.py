@@ -53,7 +53,6 @@ from .serialize import (
     FormatError,
     complex_to_json,
     dump,
-    dumps,
     load_algebra,
     load_complex,
     load_map,
@@ -105,7 +104,7 @@ def _table_json(table):
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
         return
     for line in report.get("lines", []):
         print(line)

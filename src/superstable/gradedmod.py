@@ -398,7 +398,9 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
         raise ModuleError("algebra mismatch in tensor product")
     check_tensor_size(v.total_dim, w.total_dim)
     alg = v.alg
-    lo, hi = v.lo + w.lo, v.hi + w.hi
+    lo = v.lo + w.lo
+    # two empty windows (hi = lo - 1) give an empty window, not hi = lo - 2
+    hi = max(v.hi + w.hi, lo - 1)
 
     def blocks(l):
         return [

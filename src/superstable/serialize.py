@@ -331,6 +331,8 @@ def map_from_json(obj, seen=None) -> GradedMap:
     comps = {}
     for j, m in _obj(obj.get("comps", {}), "map comps").items():
         j = int_from_json(j, "component degree")
+        if j in comps:
+            raise FormatError(f"map component of degree {j} is given twice")
         comps[j] = matrix_from_json(m, tgt.dim_at(j), src.dim_at(j))
     return make_map(src, tgt, comps)
 
@@ -386,77 +388,8 @@ def load_rep(path: str, alg: SuperAlgebra, check_dim=None) -> Rep:
     return load_reps([path], alg, check_dim)[0]
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-# what that encoder escapes: quotes, backslashes, all but printable ASCII
-_NEEDS_ESCAPE = re.compile(r'["\\]|[^ -~]')
-
-
-def _json_parts(o, pad: str, out: list, sort_keys: bool):
-    """Append to `out` the text of `json.dumps(o, indent=1, sort_keys=
-    sort_keys)` at indentation `pad`, without that call's pure-Python
-    encoder (the C one takes no indent): strings go through the C string
-    encoder, and a list of strings (a matrix row) is one join after one
-    escape check.  Reports and files hold only strings, ints, booleans,
-    None, lists, tuples and dicts with string keys; anything else, a
-    float above all, is a `TypeError`."""
-    if isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif type(o) is int:
-        out.append(repr(o))
-    elif isinstance(o, dict) and all(type(k) is str for k in o):
-        if not o:
-            out.append("{}")
-            return
-        inner = pad + " "
-        out.append("{\n" + inner)
-        for n, k in enumerate(sorted(o) if sort_keys else o):
-            if n:
-                out.append(",\n" + inner)
-            out.append(_encode_str(k) + ": ")
-            _json_parts(o[k], inner, out, sort_keys)
-        out.append("\n" + pad + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = pad + " "
-        sep = ",\n" + inner
-        if type(o[0]) is str:
-            try:
-                plain = _NEEDS_ESCAPE.search("".join(o)) is None
-            except TypeError:  # an item that is not a string
-                pass
-            else:
-                row = '"' + ('"' + sep + '"').join(o) + '"' if plain else sep.join(map(_encode_str, o))
-                out.append("[\n" + inner + row + "\n" + pad + "]")
-                return
-        out.append("[\n" + inner)
-        for n, x in enumerate(o):
-            if n:
-                out.append(sep)
-            _json_parts(x, inner, out, sort_keys)
-        out.append("\n" + pad + "]")
-    else:
-        what = "a dict with a key that is not a string" if isinstance(o, dict) else type(o).__name__
-        raise TypeError(f"cannot write {what} into a report or file")
-
-
-def dumps(obj, sort_keys: bool) -> str:
-    """`json.dumps(obj, indent=1, sort_keys=sort_keys)`, byte for byte, for
-    the types `_json_parts` takes."""
-    out = []
-    _json_parts(obj, "", out, sort_keys)
-    return "".join(out)
-
-
 def dump(obj, path: str):
-    """Write obj as `json.dump(obj, fh, indent=1)` does, plus a newline."""
-    text = dumps(obj, sort_keys=False)
+    """Write obj as one line of JSON, dict keys in their own order, plus a
+    newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(obj) + "\n")

@@ -314,6 +314,20 @@ def test_sparse_entry_given_twice_exit_2(capsys, files, tmp_path):
     assert "sparse matrix entry (0, 0) is given twice" in err and "Traceback" not in err
 
 
+def test_map_component_given_twice_exit_2(capsys, files, tmp_path):
+    # "0" and "+0" name the same degree: whichever came last used to win,
+    # so the file loaded as the zero map or as the identity by key order
+    with open(files["id_k"]) as fh:
+        obj = json.load(fh)
+    path = str(tmp_path / "twice.json")
+    for comps in ({"0": [["1"]], "+0": [["0"]]}, {"+0": [["0"]], "0": [["1"]]}):
+        obj["comps"] = comps
+        dump(obj, path)
+        assert main(["stable-eq", "--f", path, "--g", files["zero_k"]]) == 2, comps
+        err = capsys.readouterr().err
+        assert "map component of degree 0 is given twice" in err and "Traceback" not in err, err
+
+
 def test_matrix_of_another_shape_than_its_slot_exit_2(capsys, tmp_path):
     # only [] stands for a zero matrix of any size; an empty row or a
     # sparse 0 x 0 matrix in a 1 x 1 slot is malformed, not zero

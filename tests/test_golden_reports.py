@@ -20,7 +20,7 @@ from superstable.serialize import dump, map_to_json, module_to_json, rep_to_json
 
 # sha256 of the reports below, paths under the temporary directory
 # written as "<tmp>"
-GOLDEN_REPORTS_SHA256 = "0ff7fc91291ac0597d2b1b72e459b2c9a75d6be62a7221392de56b03cc72909c"
+GOLDEN_REPORTS_SHA256 = "0ba1f9fcb5992bfb7b6ac8874f7516accea0969a4ef4fc301ce27ea753b75180"
 
 
 def golden_commands(tmp_path):
@@ -105,7 +105,7 @@ def test_golden_reports(tmp_path):
 
 
 # sha256 of the reports of `rigid_commands`, written the same way
-GOLDEN_RIGID_SHA256 = "793af6c504fb80c2c41a3f8c41f540cdd8e4184c0c7112663c3983acf9e220b2"
+GOLDEN_RIGID_SHA256 = "4d0c530d820bc545c084bda32277ddcc25b0a5d4be1bfc9826a7975a59f0695b"
 
 
 def rigid_commands(tmp_path):
@@ -132,7 +132,7 @@ def test_golden_rigid_reports(tmp_path):
 
 
 # sha256 of the reports of `variety_commands`, written the same way
-GOLDEN_VARIETY_SHA256 = "d162337c8528e9e220264cd133cc8359c3b0f7af446066c580c3464d811c0c29"
+GOLDEN_VARIETY_SHA256 = "3578c538cc0286cc7133ee95100a03f76aa796575055f1e13397a677b4d28c03"
 
 
 def variety_commands(tmp_path):

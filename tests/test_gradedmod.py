@@ -377,6 +377,10 @@ def test_empty_window_module_and_map():
     v = make_module(grassmann(1), 0, -1, (), (), ())
     assert v.total_dim == 0
     assert make_map(v, v, {}).is_zero()
+    # the product of two empty windows is the empty window at v.lo + w.lo
+    w = make_module(grassmann(1), 3, 2, (), (), ())
+    t = tensor(v, w)
+    assert (t.lo, t.hi, t.dims, t.total_dim) == (3, 2, (), 0)
 
 
 # ---------------------------------------------------------------------------
