@@ -198,6 +198,8 @@ def _cmd_induce(args):
 
 
 def _cmd_rigid(args):
+    if args.path and args.module:
+        raise FormatError("rigid: the file is given both positionally and with --module; give it once")
     path = args.path or args.module
     if path is None:
         raise FormatError("rigid: provide a file (positional or --module)")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import ceil
 
 from .gradedmod import GradedModule
 from .linalg import Polynomial
@@ -80,7 +80,32 @@ def in_variety(m: GradedModule, x: OddPoint) -> bool:
     return ds_at(m, x).in_variety
 
 
-def _symbolic_blocks(m: GradedModule) -> list:
+# work units `variety_ideal` may spend, each charged before its work is
+# done: an entry of a block a^j(t), a (rows, cols) pair whose block minor is
+# looked up, a minor expanded by cofactors, and |p| |q| for a product of
+# polynomials of |p| and |q| terms.  Measured in process on a 2-CPU host, a
+# unit takes 3.3-5.5 us, so a refusal comes after about 0.4 s; the modules
+# the former caps on total dimension (15) and on minor terms accepted take
+# at most 27 672 units, a dense basis of random_module(163, 15)
+MINOR_BUDGET = 100_000
+
+
+class _Budget:
+    """The work units one `variety_ideal` has left."""
+
+    def __init__(self):
+        self.left = MINOR_BUDGET
+
+    def charge(self, units: int):
+        if units > self.left:
+            raise ValueError(
+                f"the minors of x_M(t) take more work than the limit of {MINOR_BUDGET} units; "
+                "use the sampling test instead (variety --sample)"
+            )
+        self.left -= units
+
+
+def _symbolic_blocks(m: GradedModule, budget: _Budget) -> list:
     """(row offset, column offset, a^j(t)) per degree j, where a^j(t) =
     sum_e t_e a_e^j, the block of x_M(t) from degree j to degree j + 1,
     is a list of rows of linear forms in t_1..t_n and the offsets place
@@ -90,6 +115,7 @@ def _symbolic_blocks(m: GradedModule) -> list:
     out, c0 = [], 0
     for j in m.degrees():
         rows, cols = m.dim_at(j + 1), m.dim_at(j)
+        budget.charge(rows * cols)
         terms = [[{} for _ in range(cols)] for _ in range(rows)]
         for e in range(n1):
             for r, c, x in m.odd_at(j, e).nonzeros():
@@ -99,7 +125,7 @@ def _symbolic_blocks(m: GradedModule) -> list:
     return out
 
 
-def _poly_det(entries, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
+def _poly_det(entries, rows: tuple, cols: tuple, memo: dict, budget: _Budget) -> Polynomial:
     """Determinant of entries[rows][cols] (k >= 1 of each) by cofactor
     expansion along the first row.  `memo` keeps each minor of size >= 2
     once found, so the minors of one block share their subminors."""
@@ -107,20 +133,22 @@ def _poly_det(entries, rows: tuple, cols: tuple, memo: dict) -> Polynomial:
         return entries[rows[0]][cols[0]]
     p = memo.get((rows, cols))
     if p is None:
+        budget.charge(1)
         r, sub = rows[0], rows[1:]
         p = Polynomial(entries[r][cols[0]].nvars)
         for ci, c in enumerate(cols):
             a = entries[r][c]
             if not a.is_zero():
-                minor = _poly_det(entries, sub, cols[:ci] + cols[ci + 1 :], memo)
+                minor = _poly_det(entries, sub, cols[:ci] + cols[ci + 1 :], memo, budget)
                 if not minor.is_zero():
+                    budget.charge(len(a.terms) * len(minor.terms))
                     term = a * minor
                     p = p + (-term if ci % 2 else term)
         memo[(rows, cols)] = p
     return p
 
 
-def _block_minors(entries, s: int, memo: dict) -> dict:
+def _block_minors(entries, s: int, memo: dict, budget: _Budget) -> dict:
     """The distinct nonzero minors of size s of the block `entries` (rows
     of Polynomials), monic, each mapped to (rows, cols) of its first
     occurrence in the order of (rows, cols), increasing tuples of block
@@ -134,34 +162,11 @@ def _block_minors(entries, s: int, memo: dict) -> dict:
     first = {}
     for rows in combinations(live_rows, s):
         for cols in combinations(live_cols, s):
-            p = _poly_det(entries, rows, cols, memo)
+            budget.charge(1)
+            p = _poly_det(entries, rows, cols, memo, budget)
             if not p.is_zero():
                 first.setdefault(p.monic(), (rows, cols))
     return first
-
-
-# largest total dimension whose minors `variety_ideal` enumerates; measured
-# in process on a 2-CPU host: at most 2.1 ms over the 84 random modules of
-# total dimension 13-15 among `random_module(seed, 15)`, seeds 0-1499, and
-# at most 40 ms over the same modules in a dense basis (a random integer
-# unitriangular change of basis in each degree).  At dimension 16 a dense
-# basis of a (2, 6, 6, 2) module takes 1.4-4.9 s for its ~10^4 generators
-MAX_MINOR_DIM = 15
-
-# most terms C(s + n - 1, s), the monomials of degree s in n odd
-# coordinates, that a block minor of size s may have: per block of x_M(t),
-# s is the largest size it contributes to the minors `variety_ideal`
-# takes and n the number of odd basis elements acting nonzero on it.
-# The cost of a cofactor expansion grows with it, and the total dimension
-# does not bound it.  Measured in process on a 2-CPU host, a dense
-# two-degree (d, d) module over grassmann(n): at most 92 ms over the
-# modules at or under the limit, (7, 7) over grassmann(3) at 36 terms the
-# slowest, as slow as dim g1 <= 3 allows within `MAX_MINOR_DIM`; (6, 6)
-# over grassmann(4), at the limit, 80 ms.  Over it, (5, 5) over
-# grassmann(5) at 126 terms takes 52 ms, (7, 7) over grassmann(4) at 120
-# 0.24 s, (6, 6) over grassmann(8) at 1716 1.2 s and (7, 7) over
-# grassmann(10) at 11440 9.9 s
-MAX_MINOR_TERMS = 84
 
 
 def variety_ideal(m: GradedModule) -> PolyIdeal:
@@ -175,35 +180,19 @@ def variety_ideal(m: GradedModule) -> PolyIdeal:
     product of the block minors a^j(t)[R_(j+1), C_j].  The minors of each
     block are combined across blocks and taken in the order of (R, C), so
     the generators are the distinct monic minors in the order of their
-    first occurrence among the rows-then-columns combinations.  Minor
-    enumeration is combinatorial, so a module of total dimension over
-    `MAX_MINOR_DIM` is refused, and so is one whose block minors may have
-    more than `MAX_MINOR_TERMS` terms, before any minor is formed.
+    first occurrence among the rows-then-columns combinations.  Neither
+    the dimension nor the block shapes bound the cost, so the work is
+    counted as it is done, and a module that needs more than
+    `MINOR_BUDGET` units of it is refused.
     """
     n1 = m.alg.dim1
-    d = m.total_dim
-    if d > MAX_MINOR_DIM:
-        raise ValueError(
-            f"total dimension {d} exceeds the minor-enumeration cap {MAX_MINOR_DIM}; "
-            "use the sampling test instead"
-        )
-    size = ceil(Fraction(d, 2))
+    size = ceil(Fraction(m.total_dim, 2))
     if size == 0:
         return PolyIdeal(n1, ())
-    worst = (1, 0, 0)  # (terms, size, odd coordinates) of the largest block minor
-    for j in m.degrees():
-        s = min(size, m.dim_at(j), m.dim_at(j + 1))
-        n = sum(1 for e in range(n1) if not m.odd_at(j, e).is_zero())
-        if s and n:
-            worst = max(worst, (comb(s + n - 1, s), s, n))
-    terms, s, n = worst
-    if terms > MAX_MINOR_TERMS:
-        raise ValueError(
-            f"a block minor of size {s} in {n} odd coordinates has up to {terms} terms, "
-            f"over the limit of {MAX_MINOR_TERMS}; use the sampling test instead (variety --sample)"
-        )
-    blocks = _symbolic_blocks(m)
+    budget = _Budget()
+    blocks = _symbolic_blocks(m, budget)
     caps = [min(len(a), len(a[0]) if a else 0) for _, _, a in blocks]
+    later = sum(caps)
     # per product of one minor from each block so far, the global (rows,
     # cols) of its first occurrence.  Two choices with one product have
     # one size (its degree), and each later block appends the same rows
@@ -211,14 +200,16 @@ def variety_ideal(m: GradedModule) -> PolyIdeal:
     # factors is monic, as grlex is a monomial order
     first = {None: ((), ())}
     for k, (r0, c0, a) in enumerate(blocks):
-        later = sum(caps[k + 1 :])
+        later -= caps[k]
         minors, memo, grown = {}, {}, {}
         for p, (rows, cols) in first.items():
             for s in range(max(0, size - later - len(rows)), min(caps[k], size - len(rows)) + 1):
                 if s not in minors:
                     minors[s] = [(q, tuple(r0 + r for r in br), tuple(c0 + c for c in bc))
-                                 for q, (br, bc) in _block_minors(a, s, memo).items()]
+                                 for q, (br, bc) in _block_minors(a, s, memo, budget).items()]
                 for q, br, bc in minors[s]:
+                    if p is not None and q is not None:
+                        budget.charge(len(p.terms) * len(q.terms))
                     pq = q if p is None else p if q is None else p * q
                     key = (rows + br, cols + bc)
                     if pq not in grown or key < grown[pq]:

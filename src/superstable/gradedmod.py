@@ -399,8 +399,8 @@ def tensor(v: GradedModule, w: GradedModule) -> GradedModule:
     check_tensor_size(v.total_dim, w.total_dim)
     alg = v.alg
     lo = v.lo + w.lo
-    # two empty windows (hi = lo - 1) give an empty window, not hi = lo - 2
-    hi = max(v.hi + w.hi, lo - 1)
+    # a product with an empty window (hi = lo - 1) is the empty window at lo
+    hi = v.hi + w.hi if v.dims and w.dims else lo - 1
 
     def blocks(l):
         return [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from superstable.cli import main
 from superstable.corpus import corpus_modules, corpus_morphisms
+from superstable.dsvariety import MINOR_BUDGET
 from superstable.gradedmod import ModuleError, Rep, zero_map
 from superstable.serialize import dump, map_to_json, module_from_json, module_to_json, rep_to_json
 
@@ -72,6 +73,18 @@ def test_rigid_roundtrip(capsys, files):
     code, out = run(capsys, "rigid", "roundtrip", "--module", files["grassmann2_free"])
     assert code == 0
     assert "V(L(V)) = V: exact" in out
+
+
+def test_rigid_file_given_both_ways_exit_2(capsys, files, tmp_path):
+    # the positional file was read and --module ignored, even a missing one
+    for other in (files["sl2_triv2_free"], str(tmp_path / "missing.json")):
+        code = main(["rigid", "roundtrip", files["grassmann2_free"], "--module", other])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("input error: rigid: the file is given both")
+        assert "give it once" in captured.err and captured.out == ""
+    code, out = run(capsys, "rigid", "roundtrip", files["grassmann2_free"])
+    assert code == 0 and "V(L(V)) = V: exact" in out
 
 
 def test_rigid_l_and_fiber(capsys, files, tmp_path):
@@ -787,15 +800,38 @@ def test_sizes_far_over_the_limits_are_refused_unformed(tmp_path, capsys):
         assert elapsed < 1, (argv, elapsed)
 
 
-def test_variety_ideal_over_the_minor_cap_exit_1(tmp_path):
-    from superstable.dsvariety import MAX_MINOR_DIM
-
+def test_variety_ideal_on_sl2_adjoint_natural_exit_0(tmp_path, capsys):
+    # 16-dim, 1 392 work units
     path = str(tmp_path / "adjoint_natural.json")
     dump(module_to_json(corpus_modules()["sl2_adjoint_natural"].module), path)
-    _refused(["variety", "--module", path, "--ideal"], 1,
-             f"error: total dimension 16 exceeds the minor-enumeration cap {MAX_MINOR_DIM}")
-    # the cap is a constant: there is no flag to raise it
+    code, out = run(capsys, "--format", "json", "variety", "--module", path, "--ideal")
+    assert code == 0 and len(json.loads(out)["generators"]) == 45
+    # the budget is a constant: there is no flag to raise it
     assert main(["--max-minor-dim", "100", "variety", "--module", path, "--ideal"]) == 2
+
+
+def _over_the_budget(path, capsys):
+    """`variety --ideal` on the module file refuses it, exit 1, in under 1 s."""
+    import time
+
+    t0 = time.monotonic()
+    code = main(["variety", "--module", path, "--ideal"])
+    elapsed = time.monotonic() - t0
+    assert code == 1 and capsys.readouterr().err == (
+        f"error: the minors of x_M(t) take more work than the limit of {MINOR_BUDGET} units; "
+        "use the sampling test instead (variety --sample)\n")
+    assert elapsed < 1, elapsed
+
+
+def test_variety_ideal_over_the_budget_exit_1(tmp_path, capsys):
+    from test_dsvariety import dense_basis
+
+    # a dense basis of sl2_adjoint_natural: the same block shapes
+    # (2, 6, 6, 2), but 4.0-4.5 million work units, some 20 s
+    path = str(tmp_path / "dense_adjoint_natural.json")
+    dump(module_to_json(dense_basis(corpus_modules()["sl2_adjoint_natural"].module, 0)), path)
+    _over_the_budget(path, capsys)
+    assert main(["variety", "--module", path, "--sample", "3"]) == 0
 
 
 def _dense_two_degree(n, d, seed):
@@ -812,27 +848,17 @@ def _dense_two_degree(n, d, seed):
     return make_module(grassmann(n), 0, 1, (d, d), ((), ()), (top, (Matrix.zero(0, d),) * n))
 
 
-def test_variety_ideal_over_the_minor_term_cap_exit_1(tmp_path):
-    from math import comb
-
-    from superstable.dsvariety import MAX_MINOR_TERMS
-
-    # the dense (6, 6) module over grassmann(8), 1716 terms a minor, took
-    # over a second; it is refused at once
+def test_variety_ideal_of_dense_two_degree_modules(tmp_path, capsys):
+    # the dense (6, 6) module over grassmann(8) needs 157 284 work units
     path = str(tmp_path / "many_odd.json")
     dump(module_to_json(_dense_two_degree(8, 6, 8)), path)
-    _refused(["variety", "--module", path, "--ideal"], 1,
-             f"error: a block minor of size 6 in 8 odd coordinates has up to {comb(13, 6)} terms, "
-             f"over the limit of {MAX_MINOR_TERMS}; use the sampling test instead (variety --sample)")
+    _over_the_budget(path, capsys)
     assert main(["variety", "--module", path, "--sample", "3"]) == 0
-    # within MAX_MINOR_DIM = 15 a block's minors have size at most 7, so
-    # no module with dim g1 <= 3, as every corpus and random module, is
-    # refused; at the limit, (6, 6) over grassmann(4) has C(9, 6) = 84
-    assert comb(7 + 3 - 1, 7) < MAX_MINOR_TERMS == comb(9, 6)
-    path = str(tmp_path / "at_the_limit.json")
-    dump(module_to_json(_dense_two_degree(4, 6, 4)), path)
+    # (7, 7) over grassmann(4), minors of up to 120 terms: 37 735 units
+    path = str(tmp_path / "under_the_budget.json")
+    dump(module_to_json(_dense_two_degree(4, 7, 4)), path)
     assert main(["variety", "--module", path, "--ideal"]) == 0
-    # only the odd coordinates acting nonzero on a block count: two of 100
+    # a polynomial counts its terms, not the odd coordinates: two of 100
     from superstable.algebra import grassmann
     from superstable.gradedmod import make_module
     from superstable.linalg import Matrix

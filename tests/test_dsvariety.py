@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from superstable.algebra import grassmann
 from superstable.corpus import corpus_modules, random_module
 from superstable.dsvariety import (
-    MAX_MINOR_DIM,
     DsResult,
     ds_at,
     in_variety,
@@ -18,7 +17,7 @@ from superstable.dsvariety import (
     support_check,
     variety_ideal,
 )
-from superstable.gradedmod import make_module, submodule
+from superstable.gradedmod import direct_sum, make_module, submodule, trivial_module
 from superstable.linalg import Matrix, Polynomial
 from superstable.rigid import (
     CohomologyTable,
@@ -192,8 +191,9 @@ def dense_basis(m, seed):
 
 def test_variety_ideal_matches_the_whole_matrix_minors():
     # the same generators in the same order: the ideal is built from the
-    # degree blocks, the oracle from every square submatrix of x_M(t)
-    mods = [e.module for e in corpus_modules().values() if e.module.total_dim <= MAX_MINOR_DIM]
+    # degree blocks, the oracle from every square submatrix of x_M(t),
+    # which is feasible up to total dimension 15
+    mods = [e.module for e in corpus_modules().values() if e.module.total_dim <= 15]
     mods += [random_module(seed, 12) for seed in range(300)]
     mods += [dense_basis(random_module(seed, 8), seed) for seed in range(60)]
     for k, v in enumerate(mods):
@@ -216,10 +216,33 @@ def test_variety_ideal_generators_monic_and_unique():
         assert g.sorted_terms()[0][1] == 1
 
 
-def test_variety_ideal_cap():
+def test_variety_ideal_over_15_dimensions_vs_rank_test():
+    # past the whole-matrix oracle: the zeros of the ideal against the
+    # rank test, at unit points, often in the variety, and random ones
+    mods = [(s, random_module(s, 24)) for s in range(200)]
+    mods = [(s, v) for s, v in mods if 16 <= v.total_dim <= 24]
+    assert len(mods) > 50
+    for s, v in mods:
+        ideal = variety_ideal(v)
+        n = v.alg.dim1
+        for x in unit_points(n) + random_points(n, 3, seed=s):
+            assert ideal.vanishes_at(x.coords) == in_variety(v, x), (s, x)
+
+
+def test_variety_ideal_of_sl2_adjoint_natural():
     v = corpus_modules()["sl2_adjoint_natural"].module
-    with pytest.raises(ValueError, match="cap"):
-        variety_ideal(v)
+    ideal = variety_ideal(v)
+    assert len(ideal.generators) == 45
+    pts = [OddPoint(c) for c in product(range(-2, 3), repeat=3) if any(c)]
+    assert len(pts) == 124
+    # no point of the grid is a common zero, and none is in the variety
+    for x in pts:
+        assert not ideal.vanishes_at(x.coords) and not in_variety(v, x), x
+    # with a trivial summand rank x_M < dim M / 2 everywhere: no
+    # generator, and every point is in the variety
+    w = direct_sum(v, trivial_module(v.alg))
+    assert variety_ideal(w).generators == ()
+    assert all(in_variety(w, x) for x in pts)
 
 
 def test_random_points_reproducible_and_nonzero():

@@ -381,6 +381,13 @@ def test_empty_window_module_and_map():
     w = make_module(grassmann(1), 3, 2, (), (), ())
     t = tensor(v, w)
     assert (t.lo, t.hi, t.dims, t.total_dim) == (3, 2, (), 0)
+    # and so is the product of an empty window with a module over several
+    # degrees, in either order, not a zero module over all but one of them
+    e = make_module(grassmann(2), 5, 4, (), (), ())
+    free = corpus_modules()["grassmann2_free"].module
+    assert free.hi > free.lo
+    for t in (tensor(e, free), tensor(free, e)):
+        assert (t.lo, t.hi, t.dims) == (5 + free.lo, 4 + free.lo, ())
 
 
 # ---------------------------------------------------------------------------
