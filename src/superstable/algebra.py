@@ -7,9 +7,10 @@ g0-action matrices; the odd bracket [g1, g1] is always zero.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, scalar, vanishes
+from .linalg import Matrix, echelon_with, scalar, vanishes
 from .record import Record
 
 
@@ -56,12 +57,47 @@ class SuperAlgebra(Record, uncompared=("name",)):
         (0, 2), e and f, for sl2 in the basis (e, h, f); every index for
         an abelian g0.  The x that a g-map commutes with form a
         subalgebra, so commuting with these x_i is commuting with g0."""
-        keep = list(range(self.dim0))
-        for i in range(self.dim0):
-            rest = [k for k in keep if k != i]
-            if _generated_dim(self, rest) == self.dim0:
-                keep = rest
-        return tuple(keep)
+        return _irredundant(range(self.dim0), lambda idx: _generated_dim(self, idx) == self.dim0)
+
+    @cached_property
+    def g1_is_module(self) -> bool:
+        """Whether g0 acts on g1 by a representation, as `validate` checks.
+        The reduced identity sets below assume it, and are every index
+        without it."""
+        return representation_failure(self, [a.sparse_rows() for a in self.action], self.dim1) is None
+
+    @cached_property
+    def odd_generators(self) -> tuple:
+        """Odd indices e whose basis vectors generate g1 as a g0-module:
+        (0,) for `sl2_adjoint`.  A g-map's odd squares closed for these e,
+        and its even squares closed, close every odd square."""
+        ops = [a.transpose().sparse_rows() for a in self.action]
+        return _module_generators(self, self.dim1, ops)
+
+    @cached_property
+    def square_generators(self) -> tuple:
+        """Odd pairs e <= f whose monomials e.f generate the symmetric
+        square S^2(g1) as a g0-module, x acting by x.(e.f) = (x.e).f +
+        e.(x.f): ((0, 2),) for `sl2_adjoint`, as e.f has a part in each
+        of the two summands.  Anticommutation on these pairs implies it
+        on every pair, given every mixed identity (`gradedmod`)."""
+        pairs = [(e, f) for e in range(self.dim1) for f in range(e, self.dim1)]
+        at = {p: k for k, p in enumerate(pairs)}
+        cols = [a.transpose().sparse_rows() for a in self.action]
+        ops = []
+        for col in cols:
+            op = []
+            for e, f in pairs:
+                out = {}
+                for k, x in col[e].items():
+                    q = at[min(k, f), max(k, f)]
+                    out[q] = out.get(q, 0) + x
+                for k, x in col[f].items():
+                    q = at[min(e, k), max(e, k)]
+                    out[q] = out.get(q, 0) + x
+                op.append({q: x for q, x in out.items() if x})
+            ops.append(op)
+        return tuple(pairs[k] for k in _module_generators(self, len(pairs), ops))
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad x_i: column j holds the coefficients of [x_i, x_j]."""
@@ -72,38 +108,110 @@ class SuperAlgebra(Record, uncompared=("name",)):
         )
 
 
+def _closure_dims(n: int, seeds, grow) -> list:
+    """For k = 1, 2, ..., the dimension of the smallest subspace of Q^n
+    that holds the first k sparse vectors of `seeds`, {index: nonzero
+    Fraction}, and is closed under `grow`.  Each vector tried is reduced
+    into the echelon form of those kept (`linalg.echelon_with`), and kept
+    when it raises the rank; grow(span), given the kept vectors with the
+    new one last, then yields the vectors that one forms with them, each
+    formed only when it is reached."""
+    span, echelon, dims = [], [], []
+    for s in seeds:
+        todo = [iter((s,))]
+        while todo and len(span) < n:
+            w = next(todo[-1], None)
+            if w is None:
+                todo.pop()
+                continue
+            echelon = echelon_with(echelon, dict(w), n)
+            if len(echelon) > len(span):
+                span.append(w)
+                todo.append(grow(span))
+        dims.append(len(span))
+    return dims
+
+
+def _unit(k: int) -> dict:
+    return {k: Fraction(1)}
+
+
+def _irredundant(keep, generates) -> tuple:
+    """`keep`, less each index, in increasing order, that the rest still
+    generate: a generating set none of whose indices is redundant."""
+    keep = list(keep)
+    for i in list(keep):
+        rest = [k for k in keep if k != i]
+        if generates(rest):
+            keep = rest
+    return tuple(keep)
+
+
 def _generated_dim(g: SuperAlgebra, idx) -> int:
     """Dimension of the subalgebra of g0 that the basis elements x_i, i in
-    `idx`, generate: their span, closed under the bracket in both orders
-    (a bracket that fails antisymmetry is closed all the same).  A
-    bracket of two spanning vectors is formed only when it is reached,
-    and kept when it raises the rank of the span."""
-    n0 = g.dim0
+    `idx`, generate: their span, closed under the bracket (in both orders,
+    and with each vector itself, when the bracket fails antisymmetry)."""
     nz = [[[(k, z) for k, z in enumerate(cab) if z] for cab in ca] for ca in g.bracket]
-    span = []
 
-    def bracket(u: list, v: list) -> list:
-        out = [0] * n0
-        for a, x in enumerate(u):
-            if x:
-                for b, y in enumerate(v):
-                    if y:
-                        for k, z in nz[a][b]:
-                            out[k] += x * y * z
-        return out
+    def bracket(u: dict, v: dict) -> dict:
+        out = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                for k, z in nz[a][b]:
+                    out[k] = out.get(k, 0) + x * y * z
+        return {k: z for k, z in out.items() if z}
 
-    # spanning vectors still to try: unit vectors, and (a, b) for the
-    # bracket of span[a] and span[b]
-    todo = [[int(k == i) for k in range(n0)] for i in idx]
-    while todo and len(span) < n0:
-        w = todo.pop()
-        if isinstance(w, tuple):
-            w = bracket(span[w[0]], span[w[1]])
-        if Matrix(len(span) + 1, n0, span + [w]).rank() > len(span):
-            m = len(span)
-            span.append(w)
-            todo += [(m, m)] + [pair for a in range(m) for pair in ((m, a), (a, m))]
-    return len(span)
+    # an antisymmetric bracket needs one order, and no square
+    both = bool(g._symmetric_part)
+
+    def grow(span):
+        new = span[-1]
+        for u in span[:-1]:
+            yield bracket(u, new)
+            if both:
+                yield bracket(new, u)
+        if both:
+            yield bracket(new, new)
+
+    return (_closure_dims(g.dim0, [_unit(i) for i in idx], grow) or [0])[-1]
+
+
+# largest dimension of g1 or S^2(g1) closed under g0 to find a generating
+# set; over it the set is every index.  The closure is exact, and in a
+# dense action its vectors' entries grow with the dimension: measured in
+# process on a 2-CPU host, an abelian g0 acting on g1 by seeded dense
+# integer matrices takes at most 0.09 s at S^2 of dimension 28 (dim g1 =
+# 7), 0.22 s at 36 and 1.2 s at 55; g1 itself, at most 22-dimensional
+# under `MAX_ALGEBRA_ENTRIES`, takes at most 0.08 s
+MAX_CLOSURE_DIM = 28
+
+
+def _module_generators(g: SuperAlgebra, n: int, ops) -> tuple:
+    """Basis indices of Q^n whose vectors generate it under the operators
+    `ops` of the even basis (ops[i][k]: the image of basis vector k under
+    x_i, sparse): each index that is outside the submodule generated by
+    the ones before it, less each, in increasing order, that the rest
+    still generate.  Every index when g0 acts by zero, when g0 does not
+    act on g1 by a representation (`g1_is_module`), or when n is over
+    `MAX_CLOSURE_DIM`."""
+    if n > MAX_CLOSURE_DIM or not g.g1_is_module or not any(col for op in ops for col in op):
+        return tuple(range(n))
+
+    def grow(span):
+        new = span[-1]
+        for op in ops:
+            out = {}
+            for k, x in new.items():
+                for l, y in op[k].items():
+                    out[l] = out.get(l, 0) + x * y
+            yield {l: y for l, y in out.items() if y}
+
+    def dim(idx) -> int:
+        return (_closure_dims(n, [_unit(k) for k in idx], grow) or [0])[-1]
+
+    dims = _closure_dims(n, [_unit(k) for k in range(n)], grow)
+    first = [k for k, d in enumerate(dims) if d > (dims[k - 1] if k else 0)]
+    return _irredundant(first, lambda idx: dim(idx) == n)
 
 
 def representation_failure(alg: SuperAlgebra, mats, dim: int):
@@ -176,8 +284,8 @@ def is_semisimple(g: SuperAlgebra) -> bool:
 # (dim0 = 15) validates in under 48 ms, but sl3 in a dense rational
 # basis (dim0 = 8, at the limit; a seeded integer unitriangular change
 # of basis) takes 0.08 s, and sl4 likewise 2.5 s.  Its generating set,
-# found on the first map check by one `Matrix.rank` per candidate, takes
-# 0.04-0.05 s more (2.5 s on the dense sl4).
+# found on the first module or map check, takes 0.01-0.02 s more (0.8 s
+# on the dense sl4).
 MAX_ALGEBRA_ENTRIES = 512
 
 

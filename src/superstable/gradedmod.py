@@ -159,34 +159,58 @@ def _check_shapes(alg, lo, hi, dims, rho0, odd):
 
 def _check_invariants(v: GradedModule):
     """Each identity is a sparse combination of sparse products that must
-    vanish (`linalg.vanishes`); every action matrix is made sparse once."""
+    vanish (`linalg.vanishes`); every action matrix is made sparse once.
+
+    Per degree j: the even representation property, the mixed identity
+    [x_i, e] on V^j, and anticommutation on V^j.  The first scan checks
+    the mixed identity only for i in `SuperAlgebra.generators` and
+    anticommutation only for the pairs of `square_generators`, which
+    imply the rest when g0 acts on g1 by a representation
+    (`g1_is_module`; every index otherwise): once each rho is one, the x
+    for which the odd action g1 (x) V^j -> V^(j+1) is x-equivariant form
+    a subalgebra, and then the s in S^2(g1) whose anticommutator
+    vanishes form a submodule.  So it accepts exactly what the full scan
+    accepts.  A failure is named by the full scan, every i and every
+    pair e <= f, as the first failing identity in the order above."""
     alg = v.alg
     n0, n1 = alg.dim0, alg.dim1
     rho = {j: [m.sparse_rows() for m in v.rho0[j - v.lo]] for j in v.degrees()}
     odd = {j: [m.sparse_rows() for m in v.odd[j - v.lo]] for j in v.degrees()}
     # column e of each x_i on g1: [x_i, e] = sum_k coeffs[i][e][k] e_k
     coeffs = [a.transpose().sparse_rows() for a in alg.action]
-    for j in v.degrees():
-        # even representation property per degree
-        bad = representation_failure(alg, rho[j], v.dim_at(j))
-        if bad is not None:
-            raise ModuleError(f"even representation fails at degree {j}, pair ({bad[0]},{bad[1]})")
-        if j == v.hi:
-            continue  # the odd action leaves the window: nothing more to check
-        # mixed bracket [x_i, e] on degree j
-        for i in range(n0):
-            for e in range(n1):
-                terms = [(1, (rho[j + 1][i], odd[j][e])), (-1, (odd[j][e], rho[j][i]))]
-                terms += [(-c, (odd[j][k],)) for k, c in coeffs[i][e].items()]
-                if not vanishes(terms, v.dim_at(j + 1)):
-                    raise ModuleError(f"equivariance fails at degree {j}, even {i}, odd {e}")
-        # odd anticommutation
-        if j + 1 < v.hi:
-            for e in range(n1):
-                for f in range(e, n1):
+
+    def first_failure(evens, pairs):
+        for j in v.degrees():
+            # even representation property per degree
+            bad = representation_failure(alg, rho[j], v.dim_at(j))
+            if bad is not None:
+                return f"even representation fails at degree {j}, pair ({bad[0]},{bad[1]})"
+            if j == v.hi:
+                continue  # the odd action leaves the window: nothing more to check
+            # mixed bracket [x_i, e] on degree j
+            for i in evens:
+                for e in range(n1):
+                    terms = [(1, (rho[j + 1][i], odd[j][e])), (-1, (odd[j][e], rho[j][i]))]
+                    terms += [(-c, (odd[j][k],)) for k, c in coeffs[i][e].items()]
+                    if not vanishes(terms, v.dim_at(j + 1)):
+                        return f"equivariance fails at degree {j}, even {i}, odd {e}"
+            # odd anticommutation
+            if j + 1 < v.hi:
+                for e, f in pairs():
                     terms = [(1, (odd[j + 1][e], odd[j][f])), (1, (odd[j + 1][f], odd[j][e]))]
                     if not vanishes(terms, v.dim_at(j + 2)):
-                        raise ModuleError(f"anticommutation fails at degree {j}, odd pair ({e},{f})")
+                        return f"anticommutation fails at degree {j}, odd pair ({e},{f})"
+        return None
+
+    # with g0 = 0 nothing is reduced, and the pairs, which may be many,
+    # are never listed
+    if n0:
+        evens = alg.generators if alg.g1_is_module else range(n0)
+        if first_failure(evens, lambda: alg.square_generators) is None:
+            return
+    bad = first_failure(range(n0), lambda: ((e, f) for e in range(n1) for f in range(e, n1)))
+    if bad is not None:
+        raise ModuleError(bad)
 
 
 def _assemble(alg: SuperAlgebra, lo: int, hi: int, dims, rho0, odd) -> GradedModule:
@@ -281,24 +305,30 @@ class GradedMap(Record):
         return Matrix.block_diag(self.comp_at(j) for j in degs)
 
 
-def _squares(v: GradedModule, w: GradedModule):
+def _squares(v: GradedModule, w: GradedModule, odd=None):
     """The squares a graded g-map f: v -> w must close, f_k A = B f_j
     with A acting on v^j and B on w^j, as (kind, j, k, A, B): per degree
     j, the even ones (k = j, one per index of `SuperAlgebra.generators`),
-    then the odd ones (k = j + 1, one per odd basis element).  Squares
-    whose corner w^k or v^j is zero hold trivially and are left out.
+    then the odd ones (k = j + 1, one per odd index in `odd`, by default
+    those of `SuperAlgebra.odd_generators`).  Squares whose corner w^k
+    or v^j is zero hold trivially and are left out.
 
     v and w must be modules.  Then the x in g0 with f_j x = x f_j form a
     subalgebra, as x -> x_v and x -> x_w keep the bracket, so closing the
-    generators' squares closes every even square: the squares left out
-    are linear consequences of these."""
+    generators' squares closes every even square.  With E_j(x) and O_j(e)
+    the defects f_j x - x f_j and f_(j+1) a_e - b_e f_j, the mixed
+    identities of v and w give O_j(x.e) = E_(j+1)(x) a_e + x O_j(e) -
+    O_j(e) x - b_e E_j(x), so closing the odd squares of generators of g1
+    as a g0-module closes every odd square.  The squares left out are
+    linear consequences of these."""
     gens = v.alg.generators
+    odd = v.alg.odd_generators if odd is None else odd
     for j in sorted(set(v.degrees()) | set(w.degrees())):
         if v.dim_at(j) and w.dim_at(j):
             for i in gens:
                 yield "even", j, j, v.rho_at(j, i), w.rho_at(j, i)
         if v.dim_at(j) and w.dim_at(j + 1):
-            for e in range(v.alg.dim1):
+            for e in odd:
                 yield "odd", j, j + 1, v.odd_at(j, e), w.odd_at(j, e)
 
 
@@ -306,19 +336,26 @@ def check_map(phi: GradedMap):
     """Verify phi commutes with every even and odd action: the one check
     that a map is equivariant.  Source and target must be modules
     (validated where they came in, or built as modules): the squares
-    evaluated are those of `_squares`, whose even ones, over the
-    generators of g0, imply the rest only between modules."""
+    evaluated are those of `_squares`, whose generators' squares imply
+    the rest only between modules.  A failure is named by a second scan
+    over every odd square, as the first failing square in its order."""
     v, w = phi.source, phi.target
     if v.alg != w.alg:
         raise ModuleError("source and target live over different algebras")
     comp = {}
-    for kind, j, k, a, b in _squares(v, w):
-        for d in (j, k):
-            if d not in comp:
-                comp[d] = phi.comp_at(d).sparse_rows()
-        terms = [(1, (comp[k], a.sparse_rows())), (-1, (b.sparse_rows(), comp[j]))]
-        if not vanishes(terms, w.dim_at(k)):
-            raise ModuleError(f"map fails to commute with {kind} action at degree {j}")
+
+    def first_failure(odd):
+        for kind, j, k, a, b in _squares(v, w, odd):
+            for d in (j, k):
+                if d not in comp:
+                    comp[d] = phi.comp_at(d).sparse_rows()
+            terms = [(1, (comp[k], a.sparse_rows())), (-1, (b.sparse_rows(), comp[j]))]
+            if not vanishes(terms, w.dim_at(k)):
+                return f"map fails to commute with {kind} action at degree {j}"
+        return None
+
+    if first_failure(None) is not None:
+        raise ModuleError(first_failure(range(v.alg.dim1)))
     return phi
 
 
@@ -478,11 +515,11 @@ def graded_map_system(v: GradedModule, w: GradedModule) -> LinearSystem:
     `_squares`.  The one builder of a `LinearSystem`: a solution is the
     map's component dict, and a caller adds its own constraints.  A
     g0-map v -> w of degree -n is a g-map restrict(v) -> shift(restrict(w), n).
-    v and w must be modules: then the even squares left out, those of
-    the basis elements outside `SuperAlgebra.generators`, are linear
-    consequences of the kept homogeneous rows, so the system has the
-    row space, and so the reduced echelon form, of the one with every
-    square."""
+    v and w must be modules: then the squares left out, the even ones
+    outside `SuperAlgebra.generators` and the odd ones outside
+    `odd_generators`, are linear consequences of the kept homogeneous
+    rows, so the system has the row space, and so the reduced echelon
+    form, of the one with every square."""
     sys = LinearSystem()
     for j in sorted(set(v.degrees()) | set(w.degrees())):
         if v.dim_at(j) and w.dim_at(j):

@@ -326,6 +326,14 @@ def gauss_jordan(rows, ncols: int, reduce: bool = True):
     return pivots, reduced
 
 
+def echelon_with(echelon: list, row: dict, ncols: int) -> list:
+    """Rows in echelon form that span those of `echelon`, rows in echelon
+    form as `gauss_jordan` returns them, and the sparse `row`: one row
+    more exactly when `row` is outside their span.  Every row given is
+    consumed."""
+    return gauss_jordan(echelon + [row], ncols, reduce=False)[1]
+
+
 def _axpy(row: dict, f, p: dict):
     """row += f * p in place, dropping entries that cancel."""
     for j, x in p.items():

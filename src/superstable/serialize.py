@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     SuperAlgebra,
@@ -172,7 +173,8 @@ def algebra_to_json(g: SuperAlgebra):
 
 def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
     """The algebra of a file object: validated, unless `check` is false
-    (for a caller that reports the validation itself)."""
+    (for a caller that reports the validation itself).  Every validated
+    load of one content and name returns the same object (`_validated`)."""
     if isinstance(obj, str):
         try:
             return builtin_algebra(obj)
@@ -202,7 +204,20 @@ def algebra_from_json(obj, check: bool = True) -> SuperAlgebra:
     if not isinstance(name, str):
         raise FormatError(f"algebra name must be a string, got {json.dumps(name)[:40]}")
     g = SuperAlgebra(dim0, c, dim1, action, name=name)
-    if check and not (rep := validate(g))["ok"]:
+    return _validated(g, name) if check else g
+
+
+# inline algebras kept, by their whole record with the name: each is
+# validated, and its generating sets and semisimplicity found, once per
+# process while it stays among these, as built-ins are
+_INLINE_KEPT = 32
+
+
+@lru_cache(maxsize=_INLINE_KEPT)
+def _validated(g: SuperAlgebra, name: str) -> SuperAlgebra:
+    """g, once it passes `validate`; the first such object of its content
+    and name.  A refusal raises and so is never kept."""
+    if not (rep := validate(g))["ok"]:
         raise FormatError(f"algebra fails validation: {rep['failures']}")
     return g
 

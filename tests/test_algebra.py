@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superstable.algebra import (
+    MAX_CLOSURE_DIM,
     SuperAlgebra,
     builtin_algebra,
     grassmann,
@@ -16,7 +17,7 @@ from superstable.algebra import (
     sl2_trivial,
     validate,
 )
-from superstable.linalg import Matrix
+from superstable.linalg import Matrix, kron
 
 
 def test_sl2_validates():
@@ -275,3 +276,94 @@ def test_generators_generate_g0_and_none_is_redundant():
     assert abelian.generators == (0, 1)
     assert solvable.generators == (0, 1)  # [x0, x1] = x1 reaches nothing new
     assert grassmann(2).generators == ()
+
+
+def module_generated_dim_oracle(g, mats, seeds):
+    """Dimension of the smallest subspace holding the vectors `seeds` (rows
+    of length mats[0].cols) and stable under every matrix of `mats`: their
+    images added until the rank stops growing."""
+    def independent(rows):
+        return [rows[i] for i in Matrix.from_rows(rows).transpose().pivot_columns()] if rows else []
+
+    span = independent([list(s) for s in seeds])
+    while span:
+        images = [[p[r, c] for c in range(p.cols)] for m in mats
+                  for p in (Matrix.from_rows(span) * m.transpose(),) for r in range(p.rows)]
+        grown = independent(span + images)
+        if len(grown) == len(span):
+            break
+        span = grown
+    return len(span)
+
+
+def symmetric_square(g):
+    """x on g1 (x) g1 as kron(x, 1) + kron(1, x), and for each odd pair
+    e <= f the symmetric tensor e (x) f + f (x) e, dense, in the basis of
+    g1 (x) g1: S^2(g1) by tensors, not by the monomials of the library."""
+    n = g.dim1
+    one = Matrix.identity(n)
+    mats = [kron(a, one) + kron(one, a) for a in g.action]
+    pairs = [(e, f) for e in range(n) for f in range(e, n)]
+    vecs = {(e, f): [int(k == e * n + f) + int(k == f * n + e) for k in range(n * n)] for e, f in pairs}
+    return mats, pairs, vecs
+
+
+def test_odd_and_square_generators_generate_and_none_is_redundant():
+    abelian_on_g1 = SuperAlgebra(2, [[[0, 0]] * 2] * 2, 2,
+                                 (Matrix.from_rows([[2, 1], [0, 2]]), Matrix.from_rows([[0, 1], [0, 0]])))
+    algebras = [grassmann(2), sl2_trivial(0), sl2_trivial(2), sl2_adjoint(), sl2_natural_sum(1),
+                sl2_natural_sum(2), sl2_natural_sum(3), abelian_on_g1]
+    for g in algebras:
+        assert g.g1_is_module, g.name
+        units = {e: [int(k == e) for k in range(g.dim1)] for e in range(g.dim1)}
+        odd = g.odd_generators
+        assert module_generated_dim_oracle(g, g.action, [units[e] for e in odd]) == g.dim1, (g.name, odd)
+        for e in odd:
+            rest = [units[k] for k in odd if k != e]
+            assert module_generated_dim_oracle(g, g.action, rest) < g.dim1, (g.name, odd, e)
+        mats, pairs, vecs = symmetric_square(g)
+        sq = g.square_generators
+        assert set(sq) <= set(pairs) and list(sq) == sorted(sq)
+        assert module_generated_dim_oracle(g, mats, [vecs[p] for p in sq]) == len(pairs), (g.name, sq)
+        for p in sq:
+            rest = [vecs[q] for q in sq if q != p]
+            assert module_generated_dim_oracle(g, mats, rest) < len(pairs), (g.name, sq, p)
+    # e generates the adjoint module; e.f has a part in both summands of
+    # S^2(sl2) = V(4) + V(0), and no monomial of e, h, f but e.f and h.h does
+    assert sl2_adjoint().odd_generators == (0,)
+    assert sl2_adjoint().square_generators == ((0, 2),)
+    assert sl2_natural_sum(1).odd_generators == (0,)
+    assert sl2_natural_sum(1).square_generators == ((0, 0),)
+    # the forward pass keeps e_0 and then e_1; e_1 alone generates, as x_1 e_1 = e_0
+    assert abelian_on_g1.odd_generators == (1,)
+    # S^2 of dimension 21 under `MAX_CLOSURE_DIM` is reduced, of 36 over it not
+    assert len(sl2_natural_sum(3).square_generators) < 21 <= MAX_CLOSURE_DIM
+    assert len(sl2_natural_sum(4).square_generators) == 36 > MAX_CLOSURE_DIM
+    # g0 acting by zero: every index
+    for g in (grassmann(3), sl2_trivial(3)):
+        assert g.odd_generators == (0, 1, 2)
+        assert g.square_generators == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def test_both_sets_are_full_when_g0_does_not_act_on_g1_by_a_representation():
+    # sl2 with h acting on g1 = k by 1, e and f by 0: [rho_e, rho_f] = 0,
+    # not rho_h, so the mixed identities of e and f do not imply h's
+    g = SuperAlgebra(3, sl2_trivial(0).bracket, 1,
+                     (Matrix.zero(1, 1), Matrix.identity(1), Matrix.zero(1, 1)))
+    assert not validate(g)["representation"] and not g.g1_is_module
+    assert g.odd_generators == (0,) and g.square_generators == ((0, 0),)
+    # the same with g1 = k^2 and h acting by a nonzero nilpotent: reduced
+    # under a representation, both would be smaller than every index
+    g2 = SuperAlgebra(3, sl2_trivial(0).bracket, 2,
+                      (Matrix.zero(2, 2), Matrix.from_rows([[0, 1], [0, 0]]), Matrix.zero(2, 2)))
+    assert not g2.g1_is_module
+    assert g2.odd_generators == (0, 1)
+    assert g2.square_generators == ((0, 0), (0, 1), (1, 1))
+    # a module over g on which e and f's mixed identities hold and h's
+    # fails: refused, by the identity of h, though h is not a generator
+    from superstable.gradedmod import ModuleError, make_module
+
+    assert g.generators == (0, 2)
+    zero = (Matrix.zero(1, 1),) * 3
+    with pytest.raises(ModuleError, match=r"^equivariance fails at degree 0, even 1, odd 0$"):
+        make_module(g, 0, 1, (1, 1), (zero, zero), ((Matrix.identity(1),), (Matrix.zero(0, 1),)))

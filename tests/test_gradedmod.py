@@ -31,6 +31,7 @@ from superstable.gradedmod import (
     submodule,
     tensor,
     trivial_module,
+    zero_map,
 )
 from superstable.linalg import Matrix, kron
 from superstable.serialize import module_to_json
@@ -860,5 +861,176 @@ def test_generator_squares_give_the_verdicts_of_every_square_on_map_mutants():
                     comps = dict(phi.comps)
                     comps[j] = bump(m, r, c, delta)
                     seen.add(same_verdict(GradedMap(phi.source, phi.target, comps)))
+    assert {msg.split(" at ")[0] if msg else msg for msg in seen} == {
+        None, "map fails to commute with even action", "map fails to commute with odd action"}
+
+
+# `_check_invariants` scans first with the reduced index sets of
+# `SuperAlgebra` (the mixed identity over `generators`, anticommutation
+# over `square_generators`), and `_squares` keeps the odd squares of
+# `odd_generators` only; these check verdicts, messages and solves
+# against every index
+
+
+def every_pair(g):
+    return tuple((e, f) for e in range(g.dim1) for f in range(e, g.dim1))
+
+
+@contextlib.contextmanager
+def every_module_identity():
+    """`make_module` with the mixed identity of every even index and the
+    anticommutation of every odd pair in its first scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuperAlgebra, "generators", property(lambda g: tuple(range(g.dim0))))
+        mp.setattr(SuperAlgebra, "square_generators", property(every_pair))
+        yield
+
+
+@contextlib.contextmanager
+def every_odd_square():
+    """`_squares`, `check_map` and `graded_map_system` with an odd square
+    for every odd basis element."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuperAlgebra, "odd_generators", property(lambda g: tuple(range(g.dim1))))
+        yield
+
+
+@functools.lru_cache(maxsize=None)
+def differential_modules():
+    """The corpus, `random_module` draws, modules over both
+    `sl2_natural_sum` algebras the corpus lacks, and `sl2_adjoint_natural`
+    in a dense basis: every built-in family."""
+    from superstable.algebra import sl2_natural_sum
+    from superstable.corpus import random_module
+    from test_dsvariety import dense_basis
+
+    mods = [e.module for e in corpus_modules().values()]
+    mods += [random_module(1500 + k, 12) for k in range(40)]
+    for m in (1, 2):
+        g = sl2_natural_sum(m)
+        mods += [induced_module(Rep(g, 2, tuple(SL2_NATURAL)), base_degree=-1),
+                 direct_sum(dual(induced_module(Rep.trivial(g, 1))), trivial_module(g, degree=1))]
+    mods.append(dense_basis(corpus_modules()["sl2_adjoint_natural"].module, 0))
+    return tuple(mods)
+
+
+def one_entry_mutant(v, data):
+    """(rho0, odd) of v with one entry, drawn, bumped."""
+    cells = [(fam, k, x) for fam in ("rho0", "odd") for k, per in enumerate(getattr(v, fam))
+             for x, m in enumerate(per) if m.rows and m.cols]
+    if not cells:
+        return v.rho0, v.odd
+    fam, k, x = data.draw(st.sampled_from(cells))
+    mats, m = getattr(v, fam), getattr(v, fam)[k][x]
+    r, c = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+    delta = data.draw(st.sampled_from((1, -2, Fraction(1, 3))))
+    new = tuple(tuple(bump(mm, r, c, delta) if (kk, xx) == (k, x) else mm for xx, mm in enumerate(per))
+                for kk, per in enumerate(mats))
+    return (new, v.odd) if fam == "rho0" else (v.rho0, new)
+
+
+def same_module_verdict(v, rho0, odd):
+    args = (v.alg, v.lo, v.hi, v.dims, rho0, odd)
+    msg = caught(lambda: make_module(*args))
+    with every_module_identity():
+        assert caught(lambda: make_module(*args)) == msg
+    return msg
+
+
+def test_reduced_identity_sets_accept_every_module_of_the_pool():
+    mods = differential_modules()
+    names = {v.alg.name for v in mods}
+    assert {"grassmann(1)", "grassmann(2)", "grassmann(3)", "sl2_trivial(1)", "sl2_trivial(2)",
+            "sl2_adjoint", "sl2_natural_sum(1)", "sl2_natural_sum(2)"} <= names, names
+    assert any(v.alg.square_generators != every_pair(v.alg) for v in mods)
+    for v in mods:
+        assert same_module_verdict(v, v.rho0, v.odd) is None
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduced_identity_sets_give_the_verdict_and_message_of_every_identity(data):
+    v = data.draw(st.sampled_from(differential_modules()))
+    same_module_verdict(v, *one_entry_mutant(v, data))
+
+
+def test_reduced_identity_sets_on_every_odd_mutant_of_sl2_adjoint_natural():
+    # the benchmark's module, where every set is reduced: every entry of
+    # every odd matrix, bumped, is refused with the message of the full scan
+    v = corpus_modules()["sl2_adjoint_natural"].module
+    g = v.alg
+    assert (g.generators, g.odd_generators, g.square_generators) == ((0, 2), (0,), ((0, 2),))
+    seen = set()
+    for rho0, odd in module_mutants(v, Fraction(1, 2)):
+        if rho0 is v.rho0:
+            seen.add(same_module_verdict(v, rho0, odd).split(" at ")[0])
+    assert seen == {"equivariance fails", "anticommutation fails"}
+
+
+def same_odd_hom_basis(v, w):
+    fast = hom_graded(v, w)
+    with every_odd_square():
+        slow = hom_graded(v, w)
+    assert [phi.comps for phi in fast] == [phi.comps for phi in slow]
+    return fast
+
+
+def same_odd_verdict(phi):
+    msg = caught(lambda: check_map(phi))
+    with every_odd_square():
+        assert caught(lambda: check_map(phi)) == msg
+    return msg
+
+
+def test_odd_generator_squares_give_the_hom_bases_of_every_odd_square_on_corpus_pairs():
+    mods = [e.module for e in corpus_modules().values()]
+    pairs = [(v, w) for v in mods for w in mods if v.alg == w.alg]
+    assert any(v.alg.odd_generators != tuple(range(v.alg.dim1)) for v, _ in pairs)
+    for v, w in pairs:
+        for phi in same_odd_hom_basis(v, w):
+            assert same_odd_verdict(phi) is None
+
+
+@given(module_pairs())
+@settings(max_examples=40, deadline=None)
+def test_odd_generator_squares_give_the_hom_bases_of_every_odd_square_on_random_pairs(pair):
+    v, w = pair
+    for phi in same_odd_hom_basis(v, w):
+        assert same_odd_verdict(phi) is None
+
+
+def test_odd_generator_squares_give_the_projectors_and_certificates_of_every_odd_square():
+    from superstable.corpus import corpus_morphisms
+    from superstable.projstable import decompose, projective_certificate, stable_equal_certificate
+
+    mods = [e.module for e in corpus_modules().values()]
+    maps = [e.map for e in corpus_morphisms().values()]
+    fast = ([decompose(v) for v in mods], [projective_certificate(v) for v in mods],
+            [stable_equal_certificate(f, zero_map(f.source, f.target)) for f in maps])
+    with every_odd_square():
+        slow = ([decompose(v) for v in mods], [projective_certificate(v) for v in mods],
+                [stable_equal_certificate(f, zero_map(f.source, f.target)) for f in maps])
+    assert fast == slow
+    assert any(c is not None for c in fast[1]) and any(c is not None for c in fast[2])
+
+
+def test_odd_generator_squares_give_the_verdicts_of_every_odd_square_on_map_mutants():
+    from superstable.corpus import corpus_morphisms
+
+    maps = [e.map for e in corpus_morphisms().values()]
+    for v in small_modules().values():
+        maps.append(identity_map(v))
+        maps.extend(hom_graded(v, v)[:2])
+    v = corpus_modules()["sl2_adjoint_natural"].module
+    maps.append(identity_map(v))
+    seen = set()
+    for n, phi in enumerate(maps):
+        delta = (1, -2, Fraction(1, 3))[n % 3]
+        for j, m in phi.comps.items():
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    comps = dict(phi.comps)
+                    comps[j] = bump(m, r, c, delta)
+                    seen.add(same_odd_verdict(GradedMap(phi.source, phi.target, comps)))
     assert {msg.split(" at ")[0] if msg else msg for msg in seen} == {
         None, "map fails to commute with even action", "map fails to commute with odd action"}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superstable import serialize
-from superstable.algebra import grassmann, sl2_adjoint, sl2_trivial
+from superstable.algebra import SuperAlgebra, grassmann, sl2_adjoint, sl2_trivial
 from superstable.corpus import corpus_modules, corpus_morphisms
 from superstable.gradedmod import ModuleError, Rep, identity_map, zero_map
 from superstable.linalg import Matrix, Polynomial
@@ -118,6 +118,33 @@ def test_module_map_complex_roundtrips():
         assert complex_from_json(complex_to_json(l)) == l
     for e in corpus_morphisms().values():
         assert map_from_json(map_to_json(e.map)) == e.map
+
+
+def test_inline_algebras_are_kept_by_content_and_name(tmp_path, monkeypatch):
+    validated = []
+    check = serialize.validate
+    monkeypatch.setattr(serialize, "validate", lambda g: validated.append(g) or check(g))
+    obj = algebra_to_json(SuperAlgebra(3, sl2_adjoint().bracket, 3, sl2_adjoint().action, name="kept"))
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    g = load_algebra(str(path))
+    assert load_algebra(str(path)) is g and algebra_from_json(json.loads(path.read_text())) is g
+    assert len(validated) == 1
+    # a file that differs only in its name is another algebra object,
+    # equal to the first
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps({**obj, "name": "other"}))
+    h = load_algebra(str(renamed))
+    assert h is not g and h == g and h.name == "other" and len(validated) == 2
+    # a refused algebra is never kept: every load refuses it again
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim0": 1, "bracket": [[0, 0, 0, "1"]], "dim1": 0, "action": [[]]}))
+    for n in (3, 4):
+        with pytest.raises(FormatError, match="fails validation"):
+            load_algebra(str(bad))
+        assert len(validated) == n
+    # an unchecked load builds its own object
+    assert load_algebra(str(path), check=False) is not g
 
 
 def test_map_loading_builds_each_distinct_module_once(monkeypatch):
