@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -102,35 +103,46 @@ def _table_json(table):
     return {str(k): v for k, v in table.entries}
 
 
-def _emit(report: dict, fmt: str):
+def _emit(report: dict, lines, fmt: str):
+    """The answer once: the JSON report, or the text lines."""
     if fmt == "json":
         print(json.dumps(report, sort_keys=True))
         return
-    for line in report.get("lines", []):
+    for line in lines:
         print(line)
 
 
 def _report(command: str, lines, **results):
-    return {"command": command, "lines": list(lines), **results}
+    """(text lines, JSON report) of a command's answer."""
+    return list(lines), {"command": command, **results}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, report)
+# subcommand handlers: each returns (exit_code, (text lines, report))
+
+
+def _algebra_line(g):
+    """(text line, report field) naming an algebra and its dimensions; the
+    name is "" for an unnamed inline algebra."""
+    return (f"algebra: {g.name or '<inline>'} (dim0={g.dim0}, dim1={g.dim1})",
+            {"name": g.name, "dim0": g.dim0, "dim1": g.dim1})
 
 
 def _cmd_validate(args):
     g = load_algebra(args.algebra, check=False)
     rep = validate_algebra(g)
-    lines = [f"algebra: {g.name or '<inline>'} (dim0={g.dim0}, dim1={g.dim1})"]
+    line, alg = _algebra_line(g)
+    lines = [line]
     for key in ("antisymmetry", "jacobi", "representation"):
         lines.append(f"  {key}: {'ok' if rep[key] else 'FAIL'}")
-    return EXIT_OK if rep["ok"] else EXIT_FAIL, _report("validate", lines, report=rep)
+    return EXIT_OK if rep["ok"] else EXIT_FAIL, _report("validate", lines, algebra=alg, report=rep)
 
 
 def _cmd_module_info(args):
     v = load_module(args.module)
+    line, alg = _algebra_line(v.alg)
     lines = [
-        f"algebra: {v.alg.name or '<inline>'} (dim0={v.alg.dim0}, dim1={v.alg.dim1})",
+        line,
         f"window: [{v.lo}, {v.hi}]",
         f"dims: {list(v.dims)}",
         f"total dim: {v.total_dim}",
@@ -138,6 +150,7 @@ def _cmd_module_info(args):
     return EXIT_OK, _report(
         "module-info",
         lines,
+        algebra=alg,
         lo=v.lo,
         hi=v.hi,
         dims=list(v.dims),
@@ -151,32 +164,36 @@ def _unwritable(exc: OSError, path: str) -> FormatError:
     return FormatError(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
-def _dump_or_show(args, obj_json, label):
-    if getattr(args, "out", None):
+def _object_report(args, command, key, obj_json, label, lines=()):
+    """The report of a command whose answer is one object, under `key`.
+    Written to --out, if given, and the path reported as `written_to`;
+    else shown in a text line, which a JSON report does not repeat."""
+    lines, fields = list(lines), {key: obj_json}
+    if args.out:
         try:
             dump(obj_json, args.out)
         except OSError as exc:
             raise _unwritable(exc, args.out) from exc
-        return [f"{label} written to {args.out}"]
-    return [f"{label}: {json.dumps(obj_json)}"]
+        lines.append(f"{label} written to {args.out}")
+        fields["written_to"] = args.out
+    elif args.format == "text":
+        lines.append(f"{label}: {json.dumps(obj_json)}")
+    return EXIT_OK, _report(command, lines, **fields)
 
 
 def _cmd_shift(args):
     v = shift(load_module(args.module), args.by)
-    j = module_to_json(v)
-    return EXIT_OK, _report("shift", _dump_or_show(args, j, "shifted module"), module=j)
+    return _object_report(args, "shift", "module", module_to_json(v), "shifted module")
 
 
 def _cmd_tensor(args):
     v = tensor(load_module(args.module), load_module(args.other))
-    j = module_to_json(v)
-    return EXIT_OK, _report("tensor", _dump_or_show(args, j, "tensor product"), module=j)
+    return _object_report(args, "tensor", "module", module_to_json(v), "tensor product")
 
 
 def _cmd_dual(args):
     v = dual(load_module(args.module))
-    j = module_to_json(v)
-    return EXIT_OK, _report("dual", _dump_or_show(args, j, "dual module"), module=j)
+    return _object_report(args, "dual", "module", module_to_json(v), "dual module")
 
 
 def _cmd_hom(args):
@@ -192,34 +209,28 @@ def _cmd_hom(args):
 def _cmd_induce(args):
     g = load_algebra(args.algebra)
     v = induced_module(load_rep(args.q, g), base_degree=args.base)
-    j = module_to_json(v)
-    lines = [f"induced module dims: {list(v.dims)}"] + _dump_or_show(args, j, "module")
-    return EXIT_OK, _report("induce", lines, module=j)
+    return _object_report(args, "induce", "module", module_to_json(v), "module",
+                          [f"induced module dims: {list(v.dims)}"])
 
 
-def _cmd_rigid(args):
-    if args.path and args.module:
-        raise FormatError("rigid: the file is given both positionally and with --module; give it once")
-    path = args.path or args.module
-    if path is None:
-        raise FormatError("rigid: provide a file (positional or --module)")
-    if args.mode == "l":
-        l = L_of(load_module(path))
-        j = complex_to_json(l)
-        return EXIT_OK, _report("rigid l", _dump_or_show(args, j, "complex"), complex=j)
-    if args.mode == "v":
-        v = V_of(load_complex(path))
-        j = module_to_json(v)
-        return EXIT_OK, _report("rigid v", _dump_or_show(args, j, "module"), module=j)
-    if args.mode == "fiber":
-        if args.point is None:
-            raise FormatError("rigid fiber requires --point")
-        l = load_complex(path)
-        table = fiber_cohomology(fiber(l, _parse_point(args.point)))
-        lines = [f"fiber cohomology: {dict(table.entries)}"]
-        return EXIT_OK, _report("rigid fiber", lines, cohomology=_table_json(table))
-    # roundtrip
-    v = load_module(path)
+def _cmd_rigid_l(args):
+    c = L_of(load_module(args.module))
+    return _object_report(args, "rigid l", "complex", complex_to_json(c), "complex")
+
+
+def _cmd_rigid_v(args):
+    v = V_of(load_complex(args.module))
+    return _object_report(args, "rigid v", "module", module_to_json(v), "module")
+
+
+def _cmd_rigid_fiber(args):
+    table = fiber_cohomology(fiber(load_complex(args.module), _parse_point(args.point)))
+    lines = [f"fiber cohomology: {dict(table.entries)}"]
+    return EXIT_OK, _report("rigid fiber", lines, cohomology=_table_json(table))
+
+
+def _cmd_rigid_roundtrip(args):
+    v = load_module(args.module)
     ok = V_of(L_of(v)) == v
     lines = [f"V(L(V)) = V: {'exact' if ok else 'MISMATCH'}"]
     return (EXIT_OK if ok else EXIT_FAIL), _report("rigid roundtrip", lines, exact=ok)
@@ -251,7 +262,7 @@ def _cmd_variety(args):
         return EXIT_OK, _report(
             "variety", lines, nvars=ideal.nvars, generators=gens
         )
-    pts = random_points(v.alg.dim1, args.sample, args.seed)
+    pts = random_points(v.alg.dim1, args.sample or 20, args.seed)
     rows = [
         {
             "index": k,
@@ -269,29 +280,21 @@ def _cmd_support_check(args):
     v = load_module(args.module)
     pts = random_points(v.alg.dim1, args.sample, args.seed)
     rep = support_check(v, pts)
-    lines = []
-    for k, e in enumerate(rep.entries):
-        lines.append(
-            f"point {k}: fiber total {e.per_degree.total}, ds_dim {e.ds_dim}, "
-            f"in variety {e.in_variety}, consistent {e.consistent}"
-        )
+    rows = [
+        {
+            "index": k,
+            "point": [scalar_to_str(c) for c in e.point.coords],
+            "fiber_total": e.per_degree.total,
+            "ds_dim": e.ds_dim,
+            "in_variety": e.in_variety,
+            "consistent": e.consistent,
+        }
+        for k, e in enumerate(rep.entries)
+    ]
+    lines = [f"point {r['index']}: fiber total {r['fiber_total']}, ds_dim {r['ds_dim']}, "
+             f"in variety {r['in_variety']}, consistent {r['consistent']}" for r in rows]
     lines.append(f"all consistent: {rep.ok}")
-    return EXIT_OK, _report(
-        "support-check",
-        lines,
-        ok=rep.ok,
-        entries=[
-            {
-                "index": k,
-                "point": [scalar_to_str(c) for c in e.point.coords],
-                "fiber_total": e.per_degree.total,
-                "ds_dim": e.ds_dim,
-                "in_variety": e.in_variety,
-                "consistent": e.consistent,
-            }
-            for k, e in enumerate(rep.entries)
-        ],
-    )
+    return EXIT_OK, _report("support-check", lines, ok=rep.ok, entries=rows)
 
 
 def _cmd_decompose(args):
@@ -343,12 +346,9 @@ def _cmd_is_reduced(args):
 
 
 def _cmd_stable_eq(args):
-    paths = [p for p in (args.f, args.g) if p] + (args.map or [])
-    if len(paths) != 2:
-        raise FormatError("stable-eq needs exactly two maps (--f/--g or --map twice)")
     seen = {}  # f and g usually share their modules: validate each once
-    f = load_map(paths[0], seen)
-    g = load_map(paths[1], seen)
+    f = load_map(args.f, seen)
+    g = load_map(args.g, seen)
     lift = stable_equal_certificate(f, g)
     equal = lift is not None
     lines = [f"result: {'stably equal' if equal else 'NOT stably equal'}"]
@@ -435,32 +435,22 @@ def _cmd_nonfullness(args):
 
 def _cmd_corpus(args):
     mods = corpus_mod.corpus_modules()
-    lines = []
-    entries = []
-    for name, e in sorted(mods.items()):
-        lines.append(
-            f"{name}: dims {list(e.module.dims)}, total {e.module.total_dim}, "
-            f"{'induced' if e.induced else 'general'}"
-        )
-        entries.append(
-            {
-                "name": name,
-                "dims": list(e.module.dims),
-                "total_dim": e.module.total_dim,
-                "induced": e.induced,
-            }
-        )
-    if args.write:
-        import os
-
-        try:
-            os.makedirs(args.write, exist_ok=True)
-            for name, e in mods.items():
-                dump(module_to_json(e.module), os.path.join(args.write, f"{name}.json"))
-        except OSError as exc:
-            raise _unwritable(exc, args.write) from exc
-        lines.append(f"written to {args.write}")
-    return EXIT_OK, _report("corpus", lines, entries=entries)
+    entries = [
+        {"name": name, "dims": list(e.module.dims), "total_dim": e.module.total_dim, "induced": e.induced}
+        for name, e in sorted(mods.items())
+    ]
+    lines = [f"{r['name']}: dims {r['dims']}, total {r['total_dim']}, "
+             f"{'induced' if r['induced'] else 'general'}" for r in entries]
+    if not args.write:
+        return EXIT_OK, _report("corpus", lines, entries=entries)
+    try:
+        os.makedirs(args.write, exist_ok=True)
+        for name, e in mods.items():
+            dump(module_to_json(e.module), os.path.join(args.write, f"{name}.json"))
+    except OSError as exc:
+        raise _unwritable(exc, args.write) from exc
+    lines.append(f"written to {args.write}")
+    return EXIT_OK, _report("corpus", lines, entries=entries, written_to=args.write)
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +509,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_induce)
 
-    p = add_parser("rigid")
-    p.add_argument("mode", choices=("l", "v", "fiber", "roundtrip"))
-    p.add_argument("path", nargs="?")
-    p.add_argument("--module")
-    p.add_argument("--point")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_rigid)
+    # one sub-command per mode, each taking only the options it reads
+    # (dest names the mode in the parser's message when it is missing)
+    modes = add_parser("rigid").add_subparsers(dest="mode", required=True)
+    for mode, fn in (("l", _cmd_rigid_l), ("v", _cmd_rigid_v),
+                     ("fiber", _cmd_rigid_fiber), ("roundtrip", _cmd_rigid_roundtrip)):
+        p = modes.add_parser(mode, parents=[common])
+        p.add_argument("--module", required=True)
+        if mode in ("l", "v"):
+            p.add_argument("--out")
+        if mode == "fiber":
+            p.add_argument("--point", required=True)
+        p.set_defaults(fn=fn)
 
     p = add_parser("ds")
     p.add_argument("--module", required=True)
@@ -534,8 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("variety")
     p.add_argument("--module", required=True)
-    p.add_argument("--ideal", action="store_true")
-    p.add_argument("--sample", type=_sample_count, default=20)
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--ideal", action="store_true")
+    one.add_argument("--sample", type=_sample_count)  # 20 points if absent
     p.set_defaults(fn=_cmd_variety)
 
     p = add_parser("support-check")
@@ -556,9 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_is_reduced)
 
     p = add_parser("stable-eq")
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--map", action="append")
+    p.add_argument("--f", required=True)
+    p.add_argument("--g", required=True)
     p.set_defaults(fn=_cmd_stable_eq)
 
     p = add_parser("frobenius-check")
@@ -616,7 +611,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BADINPUT if exc.code not in (0, None) else 0
     try:
-        code, report = args.fn(args)
+        code, (lines, report) = args.fn(args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BADINPUT
@@ -624,7 +619,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     report["exit_code"] = code
-    _emit(report, args.format)
+    _emit(report, lines, args.format)
     return code
 
 

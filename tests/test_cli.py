@@ -76,24 +76,24 @@ def test_rigid_roundtrip(capsys, files):
 
 
 def test_rigid_file_given_both_ways_exit_2(capsys, files, tmp_path):
-    # the positional file was read and --module ignored, even a missing one
-    for other in (files["sl2_triv2_free"], str(tmp_path / "missing.json")):
-        code = main(["rigid", "roundtrip", files["grassmann2_free"], "--module", other])
+    # the file is given one way, --module: a positional file is refused by
+    # the parser, with or without --module, even a missing one
+    for other in ([], ["--module", files["sl2_triv2_free"]], ["--module", str(tmp_path / "missing.json")]):
+        code = main(["rigid", "roundtrip", files["grassmann2_free"], *other])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("input error: rigid: the file is given both")
-        assert "give it once" in captured.err and captured.out == ""
-    code, out = run(capsys, "rigid", "roundtrip", files["grassmann2_free"])
+        assert captured.err.startswith("usage: superstable") and captured.out == ""
+    code, out = run(capsys, "rigid", "roundtrip", "--module", files["grassmann2_free"])
     assert code == 0 and "V(L(V)) = V: exact" in out
 
 
 def test_rigid_l_and_fiber(capsys, files, tmp_path):
     cpath = str(tmp_path / "c.json")
-    code, _ = run(capsys, "rigid", "l", files["grassmann2_free"], "--out", cpath)
+    code, _ = run(capsys, "rigid", "l", "--module", files["grassmann2_free"], "--out", cpath)
     assert code == 0 and os.path.exists(cpath)
-    code, out = run(capsys, "rigid", "fiber", cpath, "--point", "1,1")
+    code, out = run(capsys, "rigid", "fiber", "--module", cpath, "--point", "1,1")
     assert code == 0 and "fiber cohomology" in out
-    code, out = run(capsys, "rigid", "v", cpath)
+    code, out = run(capsys, "rigid", "v", "--module", cpath)
     assert code == 0
 
 
@@ -176,12 +176,15 @@ def test_decompose_and_projectivity(capsys, files):
 
 
 def test_stable_eq_both_styles(capsys, files):
+    # one style, --f and --g, both required; --map given twice is refused
     code, out = run(capsys, "stable-eq", "--f", files["id_k"], "--g", files["zero_k"])
     assert code == 0 and "NOT stably equal" in out
-    code, out = run(
-        capsys, "stable-eq", "--map", files["proj"], "--map", files["zero_m"]
-    )
+    code, out = run(capsys, "stable-eq", "--f", files["proj"], "--g", files["zero_m"])
     assert code == 0 and "NOT" not in out and "stably equal" in out
+    for argv in (["--map", files["proj"], "--map", files["zero_m"]], ["--f", files["proj"]]):
+        assert main(["stable-eq", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: superstable") and captured.out == ""
 
 
 def test_stable_eq_validates_a_target_that_differs(capsys, files, tmp_path):
@@ -421,7 +424,7 @@ def _broken_complexes(tmp_path):
 @pytest.mark.parametrize("mode", ["fiber", "v"])
 def test_rigid_refuses_invalid_complex_files(capsys, tmp_path, mode):
     for path, point, message in _broken_complexes(tmp_path):
-        argv = ["rigid", mode, path] + (["--point", point] if mode == "fiber" else [])
+        argv = ["rigid", mode, "--module", path] + (["--point", point] if mode == "fiber" else [])
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
@@ -584,7 +587,7 @@ def test_files_are_utf8_in_any_locale(tmp_path):
         capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert "algebra: \u039b(k) (dim0=0, dim1=1)" in json.loads(out.stdout)["lines"]
+    assert json.loads(out.stdout)["algebra"] == {"name": "\u039b(k)", "dim0": 0, "dim1": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1163,7 @@ def test_unwritable_output_path_exit_2(capsys, files, tmp_path):
         ["tensor", "--module", module, "--other", module],
         ["dual", "--module", module],
         ["induce", "--algebra", "sl2_trivial(1)", "--q", files["rep_k"]],
-        ["rigid", "l", module],
+        ["rigid", "l", "--module", module],
     ]
     for out, why in outs.items():
         for argv in commands:
@@ -1169,10 +1172,10 @@ def test_unwritable_output_path_exit_2(capsys, files, tmp_path):
             assert captured.err == f"input error: cannot write {out}: {why}\n", argv
             assert captured.out == ""
     cpath = str(tmp_path / "c.json")
-    assert main(["rigid", "l", module, "--out", cpath]) == 0
+    assert main(["rigid", "l", "--module", module, "--out", cpath]) == 0
     capsys.readouterr()
     for out, why in outs.items():
-        assert main(["rigid", "v", cpath, "--out", out]) == 2
+        assert main(["rigid", "v", "--module", cpath, "--out", out]) == 2
         assert capsys.readouterr().err == f"input error: cannot write {out}: {why}\n"
     for target, why in (("afile", "File exists"), ("afile/sub", "Not a directory")):
         out = str(tmp_path / target)
@@ -1185,3 +1188,176 @@ def test_unwritable_output_path_exit_2(capsys, files, tmp_path):
     assert main(["corpus", "--write", str(tmp_path / "new" / "corpus")]) == 0
     assert "written to" in capsys.readouterr().out
     assert (tmp_path / "new" / "corpus" / "grassmann2_free.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# one spelling per input, and every option read by the mode it is given to:
+# the parser refuses the rest with its usage message, exit 2, and nothing
+# is reported or written
+
+
+def _module_file(tmp_path, name):
+    path = str(tmp_path / f"{name}.json")
+    dump(module_to_json(corpus_modules()[name].module), path)
+    return path
+
+
+def test_the_parser_refuses_what_a_mode_does_not_read(capsys, files, tmp_path):
+    module = files["grassmann2_free"]
+    cpath = str(tmp_path / "c.json")
+    assert main(["rigid", "l", "--module", module, "--out", cpath]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "x.json")
+    refused = [
+        ["rigid", "l", module, "--out", out],
+        ["rigid", "v", cpath, "--out", out],
+        ["rigid", "fiber", cpath, "--point", "1,1"],
+        ["rigid", "roundtrip", module],
+        ["rigid", "l", module, "--module", module, "--out", out],
+        ["rigid", "fiber", "--module", cpath],
+        ["rigid", "fiber", "--module", cpath, "--point", "1,1", "--out", out],
+        ["rigid", "roundtrip", "--module", module, "--point", "1"],
+        ["rigid", "roundtrip", "--module", module, "--out", out],
+        ["rigid", "--module", module],
+        ["variety", "--module", module, "--ideal", "--sample", "5"],
+        ["variety", "--module", module, "--sample", "5", "--ideal"],
+        # the default count given explicitly is refused as well
+        ["variety", "--module", module, "--ideal", "--sample", "20"],
+        ["stable-eq", "--map", files["proj"], "--map", files["zero_m"]],
+        ["stable-eq", "--g", files["zero_m"]],
+    ]
+    for argv in refused:
+        for fmt in ("text", "json"):
+            assert main(["--format", fmt, *argv]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("usage: superstable"), argv
+            assert not os.path.exists(out), argv
+
+
+def test_every_rigid_mode_takes_the_globals_after_it(capsys, files, tmp_path):
+    cpath = str(tmp_path / "c.json")
+    module = files["grassmann2_free"]
+    calls = [
+        (["rigid", "l", "--module", module, "--out", cpath], "complex"),
+        (["rigid", "v", "--module", cpath], "module"),
+        (["rigid", "fiber", "--module", cpath, "--point", "1,1"], "cohomology"),
+        (["rigid", "roundtrip", "--module", module], "exact"),
+    ]
+    for argv, key in calls:
+        code, out = run(capsys, *argv, "--format", "json", "--seed", "3")
+        report = json.loads(out)
+        assert code == 0 and report["command"] == " ".join(argv[:2]) and key in report
+    code, out = run(capsys, "variety", "--module", files["sl2_triv2_free"], "--sample", "3")
+    assert code == 0 and out == "sampled 3 points; 0 in the variety\n"
+
+
+def test_json_reports_carry_each_answer_once(capsys, tmp_path):
+    # the text lines are the text format's; a JSON report has its answer
+    # fields only, so a module is encoded once, as an object
+    adj = _module_file(tmp_path, "sl2_adjoint_natural")
+    free = _module_file(tmp_path, "sl2_adjoint_free")
+    commands = [
+        (["dual", "--module", adj], "dual module: "),
+        (["rigid", "l", "--module", adj], "complex: "),
+        (["shift", "--module", adj, "--by", "1"], "shifted module: "),
+        (["tensor", "--module", adj, "--other", free], "tensor product: "),
+    ]
+    for argv, label in commands:
+        code, text = run(capsys, *argv)
+        assert code == 0 and text.startswith(label) and text.count("\n") == 1
+        code, out = run(capsys, "--format", "json", *argv)
+        report = json.loads(out)
+        assert code == 0 and "lines" not in report
+        [obj] = [report[k] for k in ("module", "complex") if k in report]
+        assert json.loads(text[len(label):]) == obj
+    code, out = run(capsys, "--format", "json", "dual", "--module", adj)
+    assert len(out.encode()) <= 2600
+    # with --out the text says where, and so does the report, which still
+    # holds the object
+    path = str(tmp_path / "d.json")
+    code, out = run(capsys, "--format", "json", "dual", "--module", adj, "--out", path)
+    report = json.loads(out)
+    with open(path) as fh:
+        assert report["module"] == json.load(fh) and report["written_to"] == path
+
+
+def test_what_a_text_line_names_a_json_report_holds(capsys, tmp_path):
+    # the algebra of `validate` and `module-info`, and the path that
+    # `--out` or `corpus --write` wrote, are fields of the JSON report
+    adj = _module_file(tmp_path, "sl2_adjoint_natural")
+    sl2 = {"name": "sl2_adjoint", "dim0": 3, "dim1": 3}
+    for argv in (["validate", "--algebra", "sl2_adjoint"], ["module-info", "--module", adj]):
+        code, text = run(capsys, *argv)
+        assert code == 0 and text.startswith("algebra: sl2_adjoint (dim0=3, dim1=3)\n")
+        code, out = run(capsys, "--format", "json", *argv)
+        assert json.loads(out)["algebra"] == sl2
+    inline = str(tmp_path / "inline.json")
+    with open(inline, "w") as fh:
+        json.dump({"dim0": 0, "dim1": 1, "bracket": [], "action": []}, fh)
+    code, out = run(capsys, "--format", "json", "validate", "--algebra", inline)
+    assert code == 0 and json.loads(out)["algebra"] == {"name": "", "dim0": 0, "dim1": 1}
+    cpath, vpath, where = (str(tmp_path / n) for n in ("c.json", "v.json", "corpus"))
+    for argv, path in ((["rigid", "l", "--module", adj, "--out", cpath], cpath),
+                       (["rigid", "v", "--module", cpath, "--out", vpath], vpath),
+                       (["corpus", "--write", where], where)):
+        code, text = run(capsys, *argv)
+        assert code == 0 and text.endswith(f"written to {path}\n")
+        code, out = run(capsys, "--format", "json", *argv)
+        assert code == 0 and json.loads(out)["written_to"] == path
+    code, out = run(capsys, "--format", "json", "corpus")
+    assert "written_to" not in json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# refusals on the boundary: each message, and nothing on stdout
+
+
+def _says(capsys, argv, code, err):
+    assert main(argv) == code, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err + "\n", captured.err
+
+
+def test_odd_points_with_no_direction_or_a_bad_scalar_exit_2(capsys, tmp_path):
+    adj = _module_file(tmp_path, "sl2_adjoint_natural")
+    _says(capsys, ["ds", "--module", adj, "--point", "0,0,0"], 2,
+             "input error: bad point '0,0,0': odd point must have a nonzero coordinate vector")
+    _says(capsys, ["ds", "--module", adj, "--point", "1,2,x"], 2,
+             "input error: bad point '1,2,x': bad scalar 'x'")
+
+
+def test_malformed_inline_algebras_and_reps_exit_2(capsys, tmp_path):
+    def write(name, obj):
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        return path
+
+    named = write("named", {"name": 3, "dim0": 1, "dim1": 1, "bracket": [], "action": [[[0]]]})
+    _says(capsys, ["validate", "--algebra", named], 2,
+             "input error: algebra name must be a string, got 3")
+    short = write("short", {"dim0": 2, "dim1": 1, "bracket": [], "action": [[[0]]]})
+    _says(capsys, ["validate", "--algebra", short], 2,
+             "input error: need one odd-action matrix per even basis element")
+    rep = write("rep", {"dim": 1, "mats": [[["0"]]]})
+    _says(capsys, ["ce", "--algebra", "sl2_trivial(1)", "--module", rep], 2,
+             "input error: need one representation matrix per even basis element")
+
+
+def test_modules_over_different_algebras_exit_1(capsys, files, tmp_path):
+    adj = _module_file(tmp_path, "sl2_adjoint_natural")
+    for cmd, what in (("tensor", "tensor product"), ("hom", "hom")):
+        _says(capsys, [cmd, "--module", adj, "--other", files["grassmann2_free"]], 1,
+                 f"error: algebra mismatch in {what}")
+
+
+def test_the_ideal_of_a_zero_module_has_no_generators(capsys, tmp_path):
+    path = str(tmp_path / "zero.json")
+    with open(path, "w") as fh:
+        json.dump({"algebra": "sl2_adjoint", "lo": 0, "hi": 0, "dims": [0],
+                   "rho0": [[[], [], []]], "odd": [[[], [], []]]}, fh)
+    code, out = run(capsys, "variety", "--module", path, "--ideal")
+    assert code == 0 and out == "ideal generators: 0\n"
+    code, out = run(capsys, "--format", "json", "variety", "--module", path, "--ideal")
+    assert json.loads(out) == {"command": "variety", "exit_code": 0, "generators": [], "nvars": 3}

@@ -20,7 +20,7 @@ from superstable.serialize import dump, map_to_json, module_to_json, rep_to_json
 
 # sha256 of the reports below, paths under the temporary directory
 # written as "<tmp>"
-GOLDEN_REPORTS_SHA256 = "0ba1f9fcb5992bfb7b6ac8874f7516accea0969a4ef4fc301ce27ea753b75180"
+GOLDEN_REPORTS_SHA256 = "78e82f3fd5a7f618026a5cf7d57714aba8c5b682299061c6ec5f4897fb398b57"
 
 
 def golden_commands(tmp_path):
@@ -105,7 +105,7 @@ def test_golden_reports(tmp_path):
 
 
 # sha256 of the reports of `rigid_commands`, written the same way
-GOLDEN_RIGID_SHA256 = "4d0c530d820bc545c084bda32277ddcc25b0a5d4be1bfc9826a7975a59f0695b"
+GOLDEN_RIGID_SHA256 = "3daf3e06ef4791c781a7db47af49f27f147c9aef72ec77df8fef320f675c5dc4"
 
 
 def rigid_commands(tmp_path):
@@ -119,9 +119,9 @@ def rigid_commands(tmp_path):
         n = e.module.alg.dim1
         cmds += [
             ["rigid", "l", "--module", f, "--out", c],
-            ["rigid", "v", c],
-            ["rigid", "fiber", c, "--point", ",".join(str(k + 1) for k in range(n))],
-            ["rigid", "fiber", c, "--point", ",".join(["1"] + ["0"] * (n - 1))],
+            ["rigid", "v", "--module", c],
+            ["rigid", "fiber", "--module", c, "--point", ",".join(str(k + 1) for k in range(n))],
+            ["rigid", "fiber", "--module", c, "--point", ",".join(["1"] + ["0"] * (n - 1))],
             ["rigid", "roundtrip", "--module", f],
         ]
     return cmds
@@ -132,7 +132,7 @@ def test_golden_rigid_reports(tmp_path):
 
 
 # sha256 of the reports of `variety_commands`, written the same way
-GOLDEN_VARIETY_SHA256 = "3578c538cc0286cc7133ee95100a03f76aa796575055f1e13397a677b4d28c03"
+GOLDEN_VARIETY_SHA256 = "382109b1e9abb5c781e8201cd64a7013a584eded6cc3a7819af7bb27bf3ab583"
 
 
 def variety_commands(tmp_path):

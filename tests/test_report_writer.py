@@ -72,8 +72,8 @@ def report_commands(p):
         ("induce", ["induce", "--algebra", "sl2_adjoint", "--q", p["rep_adjoint"]]),
         ("rigid", ["rigid", "l", "--module", mixed, "--out", p["complex"]]),
         ("rigid", ["rigid", "l", "--module", mixed]),
-        ("rigid", ["rigid", "v", p["complex"]]),
-        ("rigid", ["rigid", "fiber", p["complex"], "--point", "1,2"]),
+        ("rigid", ["rigid", "v", "--module", p["complex"]]),
+        ("rigid", ["rigid", "fiber", "--module", p["complex"], "--point", "1,2"]),
         ("rigid", ["rigid", "roundtrip", "--module", mixed]),
         ("ds", ["ds", "--module", mixed, "--point", "1,-1/2"]),
         ("variety", ["variety", "--module", mixed, "--sample", "5"]),
@@ -99,9 +99,9 @@ def test_every_subcommand_report_is_json_dumps_byte_for_byte(inputs, capsys, mon
     reports = []
     emit = cli._emit
 
-    def recording(report, fmt):
+    def recording(report, lines, fmt):
         reports.append(report)
-        emit(report, fmt)
+        emit(report, lines, fmt)
 
     monkeypatch.setattr(cli, "_emit", recording)
     cmds = report_commands(inputs)
@@ -112,7 +112,7 @@ def test_every_subcommand_report_is_json_dumps_byte_for_byte(inputs, capsys, mon
         code = cli.main(["--format", "json", *argv])
         out = capsys.readouterr().out
         [report] = reports
-        assert report["exit_code"] == code
+        assert report["exit_code"] == code and "lines" not in report
         assert out == json.dumps(report, sort_keys=True) + "\n", argv
         assert out.count("\n") == 1, argv
     # the failing validate report holds its failures as tuples, which
@@ -125,7 +125,7 @@ def test_every_subcommand_report_is_json_dumps_byte_for_byte(inputs, capsys, mon
 
 def test_every_report_and_file_holds_only_writable_types(inputs, capsys, monkeypatch):
     reports = []
-    monkeypatch.setattr(cli, "_emit", lambda report, fmt: reports.append(report))
+    monkeypatch.setattr(cli, "_emit", lambda report, lines, fmt: reports.append(report))
     cmds = report_commands(inputs)
     for _, argv in cmds:
         cli.main(["--format", "json", *argv])
