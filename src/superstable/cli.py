@@ -104,12 +104,12 @@ def _table_json(table):
 
 
 def _emit(report: dict, lines, fmt: str):
-    """The answer once: the JSON report, or the text lines."""
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-        return
-    for line in lines:
-        print(line)
+    """The answer once: the JSON report, or the text lines with what
+    stdout cannot encode backslash-escaped."""
+    text = json.dumps(report, sort_keys=True) + "\n" if fmt == "json" else "".join(f"{x}\n" for x in lines)
+    enc = getattr(sys.stdout, "encoding", None)
+    sys.stdout.write(text.encode(enc, "backslashreplace").decode(enc) if enc else text)
+    sys.stdout.flush()
 
 
 def _report(command: str, lines, **results):
@@ -619,7 +619,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     report["exit_code"] = code
-    _emit(report, lines, args.format)
+    try:
+        _emit(report, lines, args.format)
+    except BrokenPipeError:  # the reader has gone; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     return code
 
 

@@ -3,12 +3,12 @@ space, Lie algebra cohomology, a Koszul-type complex for the odd action,
 and the obstruction space measuring failure of fullness.
 
 Every calculator assembles honest differential matrices and takes exact
-ranks; closed-form binomial counts appear only as cross-checks in tests.
+ranks (the Cech calculator ranks its r + 2 kinds of piece and counts the
+multidegrees of each); closed forms appear only as cross-checks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -20,10 +20,14 @@ from .record import Record
 from .rigid import CohomologyTable
 
 
-# limits on `cech_size`, `koszul_size` and `ce_size`, measured: about 2 s
-# at each (`chevalley_eilenberg`: 1.8 s for sl2 on its 516-dim irreducible,
-# 0.7 s for an abelian dim0 = 8 on a zero 18-dim V, both at 4.0 million)
-MAX_CECH_SIZE = 400_000
+# limits of `cech_line_bundle`, measured: its largest piece takes 0.7 s on
+# 2^12 - 1 chart sets (r = 11) and 2.1 s on 2^13 - 1; a count under
+# 2^14284 < 10^4300 has at most 4300 digits, the most `str` writes of an int
+MAX_CECH_CHART_BITS = 12
+MAX_CECH_COUNT_BITS = 14_284
+# limits on `koszul_size` and `ce_size`, measured: about 2 s at each
+# (`chevalley_eilenberg`: 1.8 s for sl2 on its 516-dim irreducible, 0.7 s
+# for an abelian dim0 = 8 on a zero 18-dim V, both at 4.0 million)
 MAX_KOSZUL_DEGREE = 10_000
 MAX_KOSZUL_ENTRIES = 4_000_000
 MAX_CE_ENTRIES = 4_000_000
@@ -64,64 +68,49 @@ def _multidegree_range(r: int, d: int):
     return lo, d - lo * (r + 1)
 
 
-def cech_size(r: int, d: int) -> int:
-    """The work of `cech_line_bundle(r, d)`: its multidegrees, plus the
-    2^(r+1) chart sets scanned by each of its distinct pieces, at most
-    min(that count, 2^(r+1)) of them."""
-    lo, t = _multidegree_range(r, d)
-    count = comb(t + r, r)
-    return count + min(count, 2 ** (r + 1)) * 2 ** (r + 1)
-
-
-def _cech_piece(r: int, neg: frozenset) -> CohomologyTable:
-    """Cohomology dims of the one-multidegree subcomplex: chart sets
-    I with |I| = p+1 containing every index where the exponent is
-    negative, with the alternating-sum incidence differential."""
-    verts = range(r + 1)
-    bases = {}
-    for p in range(r + 1):
-        bases[p] = [s for s in combinations(verts, p + 1) if neg.issubset(s)]
+def _cech_piece(r: int, k: int) -> CohomologyTable:
+    """Cohomology dims of the subcomplex of one multidegree negative
+    exactly at the charts 0..k-1: the chart sets containing 0..k-1, each
+    held as J, its other charts less k, in degree k + |J| - 1, with the
+    incidence differential (less its sign (-1)^k, which keeps the ranks)."""
+    n, j0 = r + 1 - k, 0 if k else 1
+    sets = [list(combinations(range(n), j)) for j in range(n + 1)]
     ranks = {}
-    for p in range(r):
-        cols = {s: k for k, s in enumerate(bases[p])}
-        data = [[Fraction(0)] * len(cols) for _ in bases[p + 1]]
-        for ri, s in enumerate(bases[p + 1]):
-            for k in range(len(s)):
-                ci = cols.get(s[:k] + s[k + 1 :])
-                if ci is not None:
-                    data[ri][ci] = Fraction(-1 if k % 2 else 1)
-        ranks[p] = Matrix(len(data), len(cols), data).rank()
-    return CohomologyTable.of_complex({p: len(b) for p, b in bases.items()}, ranks)
+    for j in range(j0, n):
+        cols = {s: c for c, s in enumerate(sets[j])}
+        entries = [(ri, cols[s[:i] + s[i + 1 :]], -1 if i % 2 else 1)
+                   for ri, s in enumerate(sets[j + 1]) for i in range(len(s))]
+        ranks[k + j - 1] = Matrix.from_nonzeros(len(sets[j + 1]), len(cols), entries).rank()
+    return CohomologyTable.of_complex({k + j - 1: len(sets[j]) for j in range(j0, n + 1)}, ranks)
 
 
 def cech_line_bundle(r: int, d: int) -> CohomologyTable:
     """H^p(P^r, O(d)) for 0 <= p <= r over the rationals.
 
-    The Cech complex for the standard affine cover splits over Laurent
-    multidegrees; each finite piece is handled by incidence-matrix ranks.
+    The Cech complex of the standard affine cover splits over the
+    multidegrees of `_multidegree_range`.  Permuting the charts takes the
+    piece of one with k negative exponents to `_cech_piece(r, k)`, which
+    is ranked; its C(r+1, k) * c_k multidegrees are counted, c_k being the
+    compositions of s_k = d + m*k (m = -lo) into k parts below m and r+1-k
+    more, by inclusion-exclusion, and for k <= r nonzero iff s_k >= 0.
+    Refused from r and d alone, before any piece is formed.
     """
     if r < 1:
         raise ValueError("projective space dimension must be >= 1")
     lo, t = _multidegree_range(r, d)
-    # 2^(r+1) and t + 1 <= C(t + r, r) bound cech_size below, so a huge r
-    # or d is refused before the binomial is formed
-    size = None if MAX_CECH_SIZE >> (r + 1) == 0 or t >= MAX_CECH_SIZE else cech_size(r, d)
-    if size is None or size > MAX_CECH_SIZE:
-        shown = f" {size}," if size is not None and size <= _PRINTED_SIZE else ""
-        raise ValueError(
-            f"the Cech complex of O({_printed(d)}) on P^{_printed(r)} has size{shown} "
-            f"over the limit of {MAX_CECH_SIZE}"
-        )
+    m = -lo
+    n, bits = r + 1 - max(0, -(d // m)), r * (t + r).bit_length()  # C(t + r, r) < (t + r)^r
+    over = f"the Cech complex of O({_printed(d)}) on P^{_printed(r)} has up to"
+    if n > MAX_CECH_CHART_BITS:
+        raise ValueError(f"{over} 2^{_printed(n)} chart sets in a piece, over the limit of 2^{MAX_CECH_CHART_BITS}")
+    if bits > MAX_CECH_COUNT_BITS:
+        raise ValueError(f"{over} 2^{_printed(bits)} multidegrees, over the limit of 2^{MAX_CECH_COUNT_BITS}")
     totals = {p: 0 for p in range(r + 1)}
-    cache = {}
-    for e in _exponents(r + 1, t):
-        neg = frozenset(i for i, x in enumerate(e) if x + lo < 0)
-        piece = cache.get(neg)
-        if piece is None:
-            piece = _cech_piece(r, neg)
-            cache[neg] = piece
-        for p, v in piece.entries:
-            totals[p] += v
+    for k in range(r + 1 - n, r + 2):
+        s = d + m * k
+        c = sum((-1) ** q * comb(k, q) * comb(s - q * m + r, r) for q in range(min(k, s // m) + 1))
+        for p, v in _cech_piece(r, k).entries:
+            totals[p] += comb(r + 1, k) * c * v
     return CohomologyTable.from_dict(totals)
 
 

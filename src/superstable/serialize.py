@@ -252,7 +252,13 @@ def rep_from_json(obj, alg: SuperAlgebra) -> Rep:
 
 
 def _algebra_ref(g: SuperAlgebra):
-    return g.name if g.name else algebra_to_json(g)
+    """g's name where it names g as a built-in, else g's inline object."""
+    try:
+        if g.name and builtin_algebra(g.name) == g:
+            return g.name
+    except (KeyError, ValueError):  # no built-in has this name
+        pass
+    return algebra_to_json(g)
 
 
 def _graded_to_json(x: GradedModule, key: str):

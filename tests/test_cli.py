@@ -3,16 +3,20 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from superstable.algebra import grassmann
 from superstable.cli import main
 from superstable.corpus import corpus_modules, corpus_morphisms
 from superstable.dsvariety import MINOR_BUDGET
-from superstable.gradedmod import ModuleError, Rep, zero_map
-from superstable.serialize import dump, map_to_json, module_from_json, module_to_json, rep_to_json
+from superstable.gradedmod import ModuleError, Rep, trivial_module, zero_map
+from superstable.serialize import (
+    algebra_to_json, dump, map_to_json, module_from_json, module_to_json, rep_to_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -590,6 +594,68 @@ def test_files_are_utf8_in_any_locale(tmp_path):
     assert json.loads(out.stdout)["algebra"] == {"name": "\u039b(k)", "dim0": 0, "dim1": 1}
 
 
+def _named_module_file(tmp_path, name):
+    """A module file over an inline grassmann(1) called `name`."""
+    obj = module_to_json(trivial_module(grassmann(1)))
+    obj["algebra"] = dict(algebra_to_json(grassmann(1)), name=name)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def test_a_named_inline_algebra_is_written_inline(tmp_path, capsys):
+    path = _named_module_file(tmp_path, "mine")
+    out = tmp_path / "d.json"
+    assert main(["dual", "--module", path, "--out", str(out)]) == 0
+    written = json.loads(out.read_text())["algebra"]
+    assert written["name"] == "mine" and written["dim1"] == 1
+    capsys.readouterr()
+    code, text = run(capsys, "module-info", "--module", str(out))
+    assert code == 0 and text.startswith("algebra: mine (dim0=0, dim1=1)\n")
+    # a built-in keeps its name, and a name that belongs to another built-in
+    # is not taken for it
+    assert module_to_json(trivial_module(grassmann(1)))["algebra"] == "grassmann(1)"
+    path = _named_module_file(tmp_path, "grassmann(2)")
+    assert main(["--format", "json", "dual", "--module", path, "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert written["algebra"]["name"] == "grassmann(2)" and module_from_json(written).alg.dim1 == 1
+
+
+def test_text_reports_escape_what_stdout_cannot_encode(tmp_path):
+    import superstable
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superstable.__file__)),
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    out = subprocess.run(
+        [sys.executable, "-m", "superstable.cli", "module-info", "--module", _named_module_file(tmp_path, "\u039b(k)")],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(b"algebra: \\u039b(k) (dim0=0, dim1=1)\n"), out.stdout
+    assert out.stderr == b""
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # 109 KB of JSON, read up to 10 bytes or not at all: no traceback, and
+    # a write that fails exits 1
+    import superstable
+
+    path = str(tmp_path / "adjoint_natural.json")
+    dump(module_to_json(corpus_modules()["sl2_adjoint_natural"].module), path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(superstable.__file__)))
+    argv = [sys.executable, "-m", "superstable.cli", "--format", "json", "is-projective", "--module", path]
+    for read in (10, 0):
+        p = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        if read:
+            assert p.stdout.read(read) == b'{"certific'
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        p.stderr.close()
+        assert p.wait(timeout=60) in (0, 1) and "Traceback" not in err, err
+        if not read:
+            assert p.returncode == 1 and err == ""
+
+
 # ---------------------------------------------------------------------------
 # input rules: no point of an empty P(g1), positive sample counts, and the
 # koszul algebra must be the module's
@@ -719,19 +785,35 @@ def test_sparse_matrix_larger_than_its_slot_exit_2(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["cech", "ext"])
 def test_cech_at_and_over_the_size_limit(cmd):
-    from superstable.cohomology import MAX_CECH_SIZE, cech_size
+    from superstable.cohomology import MAX_CECH_CHART_BITS, MAX_CECH_COUNT_BITS
 
-    # P^8: O(3) is the last twist under the limit; P^12 with O(2) once hung
-    assert cech_size(8, 3) <= MAX_CECH_SIZE < cech_size(8, 4)
+    # the largest piece: P^12 with O(-1) has one on 2^12 chart sets, with
+    # O(2) (which once hung) one on 2^13 - 1; the multidegrees of P^4 and
+    # O(d) are below (d + 9)^4, under 2^(4 * 3571) up to d = 2^3571 - 10
+    assert (MAX_CECH_CHART_BITS, MAX_CECH_COUNT_BITS) == (12, 4 * 3571)
     args = {"cech": lambda d, r: ["-r", str(r), "-d", str(d)],
             "ext": lambda d, r: ["-i", "0", "-j", str(d), "-r", str(r)]}[cmd]
-    if cmd == "cech":
-        out = _run_capped(["cech", *args(3, 8)])
-        assert out.returncode == 0 and "O(3)" in out.stdout, out.stderr
-    for d, r in ((4, 8), (2, 12)):
-        _refused([cmd, *args(d, r)], 1,
-                 f"error: the Cech complex of O({d}) on P^{r} has size {cech_size(r, d)}, "
-                 f"over the limit of {MAX_CECH_SIZE}")
+    at = 2 ** 3571 - 10
+    for d, r in ((4, 8), (-1, 12), (at, 4)):
+        out = _run_capped([cmd, *args(d, r)])
+        assert out.returncode == 0, (d, r, out.stderr)
+    _refused([cmd, *args(2, 12)], 1,
+             "error: the Cech complex of O(2) on P^12 has up to 2^13 chart sets in a piece, over the limit of 2^12")
+    _refused([cmd, *args(at + 1, 4)], 1,
+             f"error: the Cech complex of O(<{len(str(at))} digits>) on P^4 has up to 2^{4 * 3572} multidegrees, "
+             f"over the limit of 2^{MAX_CECH_COUNT_BITS}")
+
+
+def test_cech_answers_a_huge_twist_on_a_small_space(capsys):
+    # four pieces ranked, their multiplicities counted: no multidegree is visited
+    import time
+
+    t0 = time.monotonic()
+    code, out = run(capsys, "--format", "json", "cech", "-r", "3", "-d", "1000000000")
+    assert time.monotonic() - t0 < 0.5
+    report = json.loads(out)
+    assert code == 0 and report["closed_form_agrees"] is True
+    assert report["cohomology"]["0"] == comb(10 ** 9 + 3, 3)
 
 
 @pytest.mark.parametrize("argv, shown", [
@@ -741,11 +823,17 @@ def test_cech_at_and_over_the_size_limit(cmd):
     (["ext", "-i", "9" * 4000, "-j", "0", "-r", "2"], "O(-<4000 digits>) on P^2"),
 ])
 def test_cech_refusal_shows_a_long_number_by_its_digit_count(capsys, argv, shown):
-    from superstable.cohomology import MAX_CECH_SIZE
+    import re
 
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: the Cech complex of {shown} has size over the limit of {MAX_CECH_SIZE}\n"
+    if "P^<" in shown:  # its largest piece spans about r charts
+        assert err == (f"error: the Cech complex of {shown} has up to 2^<4000 digits> chart sets in a piece, "
+                       "over the limit of 2^12\n")
+    else:  # r * 13 288 bits and more, from the 4000-digit d
+        m = re.fullmatch(rf"error: the Cech complex of {re.escape(shown)} has up to 2\^(\d+) multidegrees, "
+                         r"over the limit of 2\^14284\n", err)
+        assert m and int(m.group(1)) >= 2 * 13288, err
 
 
 def test_koszul_at_and_over_the_limits(tmp_path):
@@ -775,21 +863,22 @@ def test_koszul_at_and_over_the_limits(tmp_path):
 
 
 def test_sizes_far_over_the_limits_are_refused_unformed(tmp_path, capsys):
-    # each size has thousands of digits, or more: the refusal comes from a
-    # small lower bound and names the limit, not the size
+    # each size has thousands of digits, or more: it is refused from small
+    # numbers (r and d for the Cech complex, the Koszul sum's terms up to
+    # 10^30), at once, and the refusal names the limit
     import time
 
-    from superstable.cohomology import MAX_CECH_SIZE, MAX_KOSZUL_ENTRIES
+    from superstable.cohomology import MAX_CECH_CHART_BITS, MAX_CECH_COUNT_BITS, MAX_KOSZUL_ENTRIES
 
     alg = {"dim0": 0, "dim1": 3000, "action": []}
     (tmp_path / "alg.json").write_text(json.dumps(alg))
     (tmp_path / "mod.json").write_text(json.dumps(
         {"algebra": alg, "lo": 0, "hi": 0, "dims": [1], "rho0": [[]], "odd": [[[]] * 3000]}))
     cases = [
-        (["cech", "-r", "1000000", "-d", "0"], MAX_CECH_SIZE),
-        (["ext", "-i", "0", "-j", "0", "-r", "1000000"], MAX_CECH_SIZE),
-        (["cech", "-r", "7200", "-d", "0"], MAX_CECH_SIZE),
-        (["cech", "-r", "3", "-d", str(10 ** 1500)], MAX_CECH_SIZE),
+        (["cech", "-r", "1000000", "-d", "0"], f"2^{MAX_CECH_CHART_BITS}"),
+        (["ext", "-i", "0", "-j", "0", "-r", "1000000"], f"2^{MAX_CECH_CHART_BITS}"),
+        (["cech", "-r", "7200", "-d", "0"], f"2^{MAX_CECH_CHART_BITS}"),
+        (["cech", "-r", "3", "-d", str(10 ** 1500)], f"2^{MAX_CECH_COUNT_BITS}"),
         (["koszul", "--algebra", str(tmp_path / "alg.json"), "--module", str(tmp_path / "mod.json"),
           "--pmax", "10000"], MAX_KOSZUL_ENTRIES),
     ]
